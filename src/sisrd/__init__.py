@@ -15,11 +15,13 @@ or both diffusion rates tend to zero.
 from .coefficients import CoefficientSet, evaluate_formula_on
 from .dynamics import (
     MASS_BALANCE_RTOL,
+    MassBalanceError,
     RunSummary,
     SimState,
     StepRejected,
     StepStats,
     TimeStepUnderflowError,
+    march,
     run,
     step_imex,
 )
@@ -29,6 +31,7 @@ from .equilibrium import (
     diagnostics,
     find_ee,
     grid_tolerance,
+    settle,
     solve_dfe,
 )
 from .grid import (
@@ -55,6 +58,7 @@ from .asymptotics import (
     eliminate_susceptible,
     limit_joint_p1,
     limit_joint_sublinear,
+    limit_profile,
     limit_small_di,
     limit_small_ds,
     monotone_joint_p1,
@@ -113,13 +117,16 @@ __all__ = [
     "RunSummary",
     "StepRejected",
     "TimeStepUnderflowError",
+    "MassBalanceError",
     "MASS_BALANCE_RTOL",
     "step_imex",
+    "march",
     "run",
     # equilibria
     "EquilibriumResult",
     "solve_dfe",
     "find_ee",
+    "settle",
     "conservation_gap",
     "diagnostics",
     "grid_tolerance",
@@ -138,6 +145,7 @@ __all__ = [
     "limit_small_ds",
     "limit_joint_p1",
     "limit_joint_sublinear",
+    "limit_profile",
     "monotone_joint_p1",
     "monotone_joint_sublinear",
     "susceptible_floor_constant",

@@ -24,6 +24,8 @@ can be computed without solving the full coupled system.  With
   limits are also bracketed from below and above by explicit monotone
   iterations (:func:`monotone_joint_p1`, :func:`monotone_joint_sublinear`).
 
+:func:`limit_profile` picks the profile of a regime by name.
+
 Every pointwise scalar equation is solved by bisection on a monotone map
 with a verified sign change, so each returned root is its own certificate.
 :func:`bounds_audit` checks a computed equilibrium against the a-priori
@@ -39,6 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
+from .dynamics import StepRejected, march
 from .equilibrium import EquilibriumResult, grid_tolerance, solve_dfe
 from .grid import (
     DiscreteDomain,
@@ -59,6 +62,7 @@ __all__ = [
     "eliminate_susceptible",
     "limit_joint_p1",
     "limit_joint_sublinear",
+    "limit_profile",
     "monotone_joint_p1",
     "monotone_joint_sublinear",
     "susceptible_floor_constant",
@@ -137,7 +141,7 @@ def bisect_increasing(
 
 
 # ---------------------------------------------------------------------------
-# Scalar semilinear marcher (shared by the one-field limit problems)
+# Scalar semilinear march (shared by the one-field limit problems)
 # ---------------------------------------------------------------------------
 
 
@@ -148,46 +152,28 @@ def _march_semilinear(
     linear_rate,
     source: Callable[[np.ndarray], np.ndarray],
     u0: np.ndarray,
-    steady_tol: float = 1e-10,
-    t_max: float = 4000.0,
-    dt_init: float = 0.01,
-    dt_max: float = 0.1,
-    dt_min: float = 1e-9,
-    growth: float = 1.1,
+    steady_tol: float,
 ) -> tuple[np.ndarray, dict]:
     """March ``u_t = diffusion Lap(u) - linear_rate u + source(u)`` to steady state.
 
-    The linear sink is implicit, the source explicit; steps that lose
-    positivity are retried with half the step.  Stops when
-    ``|du|_inf / dt < steady_tol``.
+    The linear sink is implicit, the source explicit, and a step that loses
+    positivity is rejected; :class:`NonConvergenceError` if not steady by t = 4000.
     """
     w = dom.cell_measures
-    u = np.array(u0, dtype=float)
-    t = 0.0
-    dt = min(dt_init, dt_max)
-    steps = 0
-    rate = np.asarray(linear_rate, dtype=float)
-    while t < t_max:
-        attempt = dt
-        while True:
-            A = shifted_operator(dom, 1.0 / attempt + rate, diffusion)
-            rhs = w * (u / attempt + source(u))
-            u_new, _ = spd_solve(A, rhs, tol=1e-13, x0=u)
-            if u_new.min() > 0.0:
-                break
-            attempt *= 0.5
-            if attempt < dt_min:
-                raise NonConvergenceError(
-                    f"limit-profile march lost positivity at t = {t:.6g}"
-                )
-        delta = float(np.max(np.abs(u_new - u)))
-        t += attempt
-        steps += 1
-        u = u_new
-        dt = min(attempt * growth, dt_max)
-        if delta / attempt < steady_tol:
-            return u, {"steps": steps, "t": t, "steady": True}
-    raise NonConvergenceError(f"limit-profile march not steady by t = {t_max:g}")
+
+    def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+        A = shifted_operator(dom, 1.0 / dt + linear_rate, diffusion)
+        u_new, _ = spd_solve(A, w * (u / dt + source(u)), tol=1e-13, x0=u)
+        if u_new.min() <= 0.0:
+            raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
+        return u_new, float(np.max(np.abs(u_new - u)))
+
+    u, summary = march(
+        advance, np.array(u0, dtype=float), t_final=4000.0, steady_tol=steady_tol
+    )
+    if not summary.converged_steady:
+        raise NonConvergenceError("limit-profile march not steady by t = 4000")
+    return u, {"steps": summary.steps, "t": summary.t, "steady": True}
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +408,26 @@ def limit_joint_sublinear(c: CoefficientSet, sigma: float) -> LimitProfile:
             "mass_identity_sup": float(np.max(np.abs(S_star + eta * I_star - lam))),
         },
     )
+
+
+def limit_profile(
+    c: CoefficientSet, regime: str, sigma: Optional[float] = None
+) -> LimitProfile:
+    """The predicted small-diffusion profile of one regime.
+
+    ``regime`` names what shrinks: ``"d_I"`` (the classification for p = 1,
+    the limit profile for p < 1), ``"d_S"``, or ``"joint"`` at the fixed
+    ratio ``sigma = d_I/d_S``.
+    """
+    if regime == "d_I":
+        return classify_small_di(c) if c.p == 1.0 else limit_small_di(c)
+    if regime == "d_S":
+        return limit_small_ds(c)
+    if regime == "joint":
+        if sigma is None:
+            raise ValueError("the joint regime needs a diffusion ratio sigma")
+        return limit_joint_p1(c, sigma) if c.p == 1.0 else limit_joint_sublinear(c, sigma)
+    raise ValueError(f"unknown regime {regime!r}; use 'd_I', 'd_S', or 'joint'")
 
 
 # ---------------------------------------------------------------------------

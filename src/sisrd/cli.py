@@ -14,19 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    bounds_audit,
-    classify_small_di,
-    limit_joint_p1,
-    limit_joint_sublinear,
-    limit_small_di,
-    limit_small_ds,
-)
-from .dynamics import TimeStepUnderflowError
-from .equilibrium import diagnostics, find_ee
+from .asymptotics import bounds_audit, limit_profile
+from .dynamics import MassBalanceError, run
+from .equilibrium import EquilibriumResult, diagnostics, settle
 from .grid import load_field_csv, write_field_csv
 from .harness import compare_fields, run_scenario, sweep
-from .scenario import ConfigError, load_scenario
+from .scenario import ConfigError, ScenarioConfig, load_scenario
 from .solvers import NonConvergenceError
 from .spectral import compute_lambda0, compute_r0
 
@@ -56,16 +49,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _equilibrium(config: ScenarioConfig, dom, c) -> EquilibriumResult:
+    """March with every control of the config (stopping defaults 1e-9 and 4000)
+    and settle the result; a march that is not steady is an error."""
+    t_max = config.t_final if config.t_final is not None else 4000.0
+    state, summary = run(
+        config.initial_state(dom),
+        c,
+        t_final=t_max,
+        steady_tol=config.steady_tol if config.steady_tol is not None else 1e-9,
+        dt_init=config.dt_init,
+        dt_max=config.dt_max,
+        dt_min=config.dt_min,
+    )
+    if not summary.converged_steady:
+        raise NonConvergenceError(
+            f"no steady state by t = {t_max:g} (stopped on {summary.reason})"
+        )
+    return settle(c, state, summary, config.newton_refine)
+
+
 def _cmd_equilibrium(args) -> int:
     config, dom, c = _load(args)
-    init = config.initial_state(dom)
-    eq = find_ee(
-        c,
-        init=init,
-        steady_tol=config.steady_tol if config.steady_tol is not None else 1e-9,
-        t_max=config.t_final if config.t_final is not None else 4000.0,
-        newton=config.newton_refine,
-    )
+    eq = _equilibrium(config, dom, c)
     print(f"endemic={eq.endemic} steps={eq.steps} newton={eq.newton_iterations}")
     print(
         f"residual_S={_fmt(eq.residual_S)} residual_I={_fmt(eq.residual_I)} "
@@ -106,15 +112,10 @@ def _cmd_lambda0(args) -> int:
 def _cmd_asymptotics(args) -> int:
     config, dom, c = _load(args)
     sigma = args.sigma if args.sigma is not None else config.sigma
-    if args.regime == "d_I":
-        profile = classify_small_di(c) if c.p == 1.0 else limit_small_di(c)
-    elif args.regime == "d_S":
-        profile = limit_small_ds(c)
-    else:
-        if sigma is None:
-            print("the joint regime needs --sigma (or 'sigma' in the config)", file=sys.stderr)
-            return 2
-        profile = limit_joint_p1(c, sigma) if c.p == 1.0 else limit_joint_sublinear(c, sigma)
+    if args.regime == "joint" and sigma is None:
+        print("the joint regime needs --sigma (or 'sigma' in the config)", file=sys.stderr)
+        return 2
+    profile = limit_profile(c, args.regime, sigma)
     print(f"regime={profile.regime} sigma={profile.sigma}")
     for name, mask in profile.masks.items():
         print(f"mask {name}: {int(np.sum(mask))}/{dom.n_nodes} nodes")
@@ -151,15 +152,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     config, dom, c = _load(args)
-    init = config.initial_state(dom)
-    eq = find_ee(
-        c,
-        init=init,
-        steady_tol=config.steady_tol if config.steady_tol is not None else 1e-9,
-        t_max=config.t_final if config.t_final is not None else 4000.0,
-        newton=config.newton_refine,
-    )
-    report = bounds_audit(c, eq)
+    report = bounds_audit(c, _equilibrium(config, dom, c))
     for ch in report.checks:
         status = "ok " if ch["passed"] else "FAIL"
         print(
@@ -229,7 +222,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, TimeStepUnderflowError, ValueError) as exc:
+    except (NonConvergenceError, MassBalanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

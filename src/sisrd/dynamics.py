@@ -14,21 +14,27 @@ balance; integrating the two updates gives
     d/dt Int(S + I) = Int(recruitment) - Int(S') - Int(eta I')
 
 up to solver roundoff, which each accepted step verifies to 1e-10
-relative.  A step that produces a nonpositive susceptible value or a
-negative infected value is rejected, and the adaptive driver halves dt
-(growing it again by 1.1x after acceptances, capped at ``dt_max``).
+relative (:class:`MassBalanceError` otherwise).
+
+Every march in the package, this one and the scalar limit-profile marches
+of :mod:`sisrd.asymptotics`, runs on the adaptive driver :func:`march`
+and shares its rejection policy: a step that raises :class:`StepRejected`
+(here: a nonpositive susceptible or a negative infected value) is retried
+with half the step; dt stays at the accepted value after a rejection and
+otherwise grows by 1.1x, capped at ``dt_max``; once dt falls below
+``dt_min`` the march aborts with :class:`TimeStepUnderflowError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .grid import ScalarField, integrate, shifted_operator
-from .solvers import spd_solve
+from .grid import ScalarField, shifted_operator
+from .solvers import NonConvergenceError, spd_solve
 
 __all__ = [
     "MASS_BALANCE_RTOL",
@@ -36,8 +42,10 @@ __all__ = [
     "StepStats",
     "StepRejected",
     "TimeStepUnderflowError",
+    "MassBalanceError",
     "RunSummary",
     "step_imex",
+    "march",
     "run",
 ]
 
@@ -47,14 +55,13 @@ MASS_BALANCE_RTOL = 1e-10
 class StepRejected(RuntimeError):
     """A candidate step violated positivity; the caller should shrink dt."""
 
-    def __init__(self, min_S: float, min_I: float):
-        super().__init__(f"step rejected: min S = {min_S:.3e}, min I = {min_I:.3e}")
-        self.min_S = min_S
-        self.min_I = min_I
 
-
-class TimeStepUnderflowError(RuntimeError):
+class TimeStepUnderflowError(NonConvergenceError):
     """dt fell below its floor while the step kept being rejected."""
+
+
+class MassBalanceError(RuntimeError):
+    """An accepted step broke the discrete mass balance beyond its bound."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,6 @@ class StepStats:
     mass_defect: float  # relative defect of the discrete mass balance
     min_S: float
     min_I: float
-    rejected: int = 0  # halvings needed before this step was accepted
 
 
 @dataclass
@@ -89,13 +95,7 @@ class RunSummary:
     rejected: int = 0
     converged_steady: bool = False
     reason: str = ""
-    final_dt: float = 0.0
-    times: list = field(default_factory=list)
-    total_mass: list = field(default_factory=list)
-    min_S: list = field(default_factory=list)
-    max_S: list = field(default_factory=list)
-    min_I: list = field(default_factory=list)
-    max_I: list = field(default_factory=list)
+    t: float = 0.0  # time reached
 
 
 def step_imex(
@@ -120,11 +120,10 @@ def step_imex(
 
     min_S = float(S_new.min())
     min_I = float(I_new.min())
-    if min_S <= 0.0 or min_I < 0.0:
-        raise StepRejected(min_S, min_I)
-    if c.p < 1.0 and min_I <= 0.0 and I.min() > 0.0:
-        # strict positivity of I is part of the state contract when p < 1
-        raise StepRejected(min_S, min_I)
+    # strict positivity of I is part of the state contract when p < 1
+    lost_I = min_I < 0.0 or (c.p < 1.0 and min_I <= 0.0 and I.min() > 0.0)
+    if min_S <= 0.0 or lost_I:
+        raise StepRejected(f"step rejected: min S = {min_S:.3e}, min I = {min_I:.3e}")
 
     lhs = (float(np.dot(w, S_new - S)) + float(np.dot(w, I_new - I))) / dt
     rhs = float(np.dot(w, c.recruitment.values - S_new - c.eta.values * I_new))
@@ -134,10 +133,11 @@ def step_imex(
     return new_state, StepStats(dt, defect, min_S, min_I)
 
 
-def run(
-    state: SimState,
-    c: CoefficientSet,
+def march(
+    advance: Callable[[Any, float], tuple[Any, float]],
+    u: Any,
     *,
+    t: float = 0.0,
     t_final: Optional[float] = None,
     steady_tol: Optional[float] = None,
     dt_init: float = 0.01,
@@ -145,66 +145,90 @@ def run(
     dt_min: float = 1e-9,
     growth: float = 1.1,
     max_steps: int = 2_000_000,
-    snapshot_every: int = 0,
-    snapshot_writer: Optional[Callable[[SimState, int], None]] = None,
-) -> tuple[SimState, RunSummary]:
-    """Advance until ``t_final`` and/or a steady state is reached.
+    on_step: Optional[Callable[[Any, int], None]] = None,
+) -> tuple[Any, RunSummary]:
+    """Adaptive time loop: advance ``u`` from time ``t`` to a stopping rule.
 
-    The steady test is ``max(|dS|, |dI|)_inf / dt < steady_tol`` over one
-    accepted step.  At least one stopping rule must be given.  Repeatedly
-    rejected steps shrink dt; if dt falls below ``dt_min`` the run aborts
-    with :class:`TimeStepUnderflowError`.
+    ``advance(u, dt)`` returns the next state and its sup-norm change
+    ``|u_new - u|_inf``, or raises :class:`StepRejected`; the step is then
+    retried with half the dt (see the module docstring for the policy).
+    The last step is clipped to end on ``t_final``.  The steady test is
+    ``change / dt < steady_tol`` over one accepted step.  At least one of
+    ``t_final`` and ``steady_tol`` must be given.  ``on_step(u, steps)``
+    is called after every accepted step.
     """
     if t_final is None and steady_tol is None:
         raise ValueError("need t_final, steady_tol, or both")
     summary = RunSummary()
     dt = min(dt_init, dt_max)
     while True:
-        if t_final is not None and state.t >= t_final - 1e-14:
-            summary.reason = summary.reason or "t_final"
+        if t_final is not None and t >= t_final - 1e-14:
+            summary.reason = "t_final"
             break
         if summary.steps >= max_steps:
             summary.reason = "max_steps"
             break
-        step_dt = dt
-        if t_final is not None:
-            step_dt = min(step_dt, t_final - state.t)
+        step_dt = dt if t_final is None else min(dt, t_final - t)
         rejected = 0
         while True:
             try:
-                new_state, stats = step_imex(state, c, step_dt)
+                u_new, change = advance(u, step_dt)
                 break
             except StepRejected:
                 rejected += 1
                 step_dt *= 0.5
                 if step_dt < dt_min:
                     raise TimeStepUnderflowError(
-                        f"dt underflow at t = {state.t:.6g} after {rejected} halvings"
+                        f"dt underflow at t = {t:.6g} after {rejected} halvings"
                     ) from None
-        if stats.mass_defect > MASS_BALANCE_RTOL:
-            raise RuntimeError(
-                f"mass-balance defect {stats.mass_defect:.3e} exceeds "
-                f"{MASS_BALANCE_RTOL:.1e} at t = {state.t:.6g}"
-            )
         summary.rejected += rejected
         summary.steps += 1
-        delta = max(
-            float(np.max(np.abs(new_state.S.values - state.S.values))),
-            float(np.max(np.abs(new_state.I.values - state.I.values))),
-        )
-        state = new_state
-        summary.times.append(state.t)
-        summary.total_mass.append(integrate(state.domain, state.S.values + state.I.values))
-        summary.min_S.append(stats.min_S)
-        summary.max_S.append(float(state.S.values.max()))
-        summary.min_I.append(stats.min_I)
-        summary.max_I.append(float(state.I.values.max()))
-        if snapshot_every and snapshot_writer and summary.steps % snapshot_every == 0:
-            snapshot_writer(state, summary.steps)
+        u, t = u_new, t + step_dt
+        if on_step is not None:
+            on_step(u, summary.steps)
         dt = min(step_dt * growth, dt_max) if rejected == 0 else step_dt
-        if steady_tol is not None and delta / stats.dt < steady_tol:
+        if steady_tol is not None and change / step_dt < steady_tol:
             summary.converged_steady = True
             summary.reason = "steady"
             break
-    summary.final_dt = dt
-    return state, summary
+    summary.t = t
+    return u, summary
+
+
+def run(
+    state: SimState,
+    c: CoefficientSet,
+    *,
+    snapshot_every: int = 0,
+    snapshot_writer: Optional[Callable[[SimState, int], None]] = None,
+    **controls,
+) -> tuple[SimState, RunSummary]:
+    """March the system by :func:`step_imex` on the :func:`march` driver.
+
+    ``controls`` are the stopping and stepping keywords of :func:`march`.
+    Every accepted step must keep the discrete mass balance within
+    ``MASS_BALANCE_RTOL``, or the run aborts with :class:`MassBalanceError`.
+    ``snapshot_writer(state, steps)`` sees every ``snapshot_every``-th state.
+    """
+
+    def advance(s: SimState, dt: float) -> tuple[SimState, float]:
+        new, stats = step_imex(s, c, dt)
+        if stats.mass_defect > MASS_BALANCE_RTOL:
+            raise MassBalanceError(
+                f"mass-balance defect {stats.mass_defect:.3e} exceeds "
+                f"{MASS_BALANCE_RTOL:.1e} at t = {s.t:.6g}"
+            )
+        change = max(
+            float(np.max(np.abs(new.S.values - s.S.values))),
+            float(np.max(np.abs(new.I.values - s.I.values))),
+        )
+        return new, change
+
+    on_step = None
+    if snapshot_every and snapshot_writer:
+
+        def on_step(s: SimState, steps: int) -> None:
+            if steps % snapshot_every == 0:
+                snapshot_writer(s, steps)
+
+    return march(advance, state, t=state.t, on_step=on_step, **controls)

@@ -3,9 +3,10 @@
 The disease-free equilibrium is the unique solution of the linear
 problem ``d_S Lap(S) - S + recruitment = 0`` with zero-flux boundaries.
 Endemic equilibria are found by marching the time-dependent system to
-stationarity (the robust route for every parameter regime) and then,
-optionally, polishing with a damped Newton iteration on the coupled
-elliptic system until the sup-norm residual drops below ~1e-11.
+stationarity (the robust route for every parameter regime).  Every
+marched state then goes through :func:`settle`, which optionally polishes
+it with a damped Newton iteration on the coupled elliptic system until the
+sup-norm residual drops below ~1e-11.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -34,6 +35,7 @@ __all__ = [
     "elliptic_residuals",
     "conservation_gap",
     "find_ee",
+    "settle",
     "diagnostics",
     "grid_tolerance",
 ]
@@ -104,33 +106,41 @@ def find_ee(
     steady_tol: float = 1e-9,
     t_max: float = 4000.0,
     newton: bool = True,
-    dt_max: float = 0.1,
 ) -> EquilibriumResult:
     """March to a steady state from ``init`` (default constants 0.8 / 0.2).
 
     Raises :class:`NonConvergenceError` if the march has not flattened out
-    by ``t_max``.  When ``newton`` is set and the outcome is endemic with
-    strictly positive infection, a damped Newton iteration refines the
-    profile; if Newton stalls the marched fields are returned unchanged.
+    by ``t_max``; otherwise the marched state goes through :func:`settle`.
     """
     dom = c.domain
     if init is None:
         init = SimState(dom.field(0.8), dom.field(0.2))
-    state, summary = run(
-        init, c, steady_tol=steady_tol, t_final=t_max, dt_max=dt_max
-    )
+    state, summary = run(init, c, steady_tol=steady_tol, t_final=t_max)
     if not summary.converged_steady:
         raise NonConvergenceError(
             f"no steady state by t = {t_max:g} (stopped on {summary.reason})"
         )
+    return settle(c, state, summary, newton)
+
+
+def settle(
+    c: CoefficientSet, state: SimState, summary: RunSummary, newton: bool
+) -> EquilibriumResult:
+    """Classify a marched state, polish it and certify it by its residuals.
+
+    When ``newton`` is set, the march stopped on its steady test, and the
+    state is endemic with strictly positive infection, a damped Newton
+    iteration refines the profile; if Newton stalls the marched fields are
+    kept.  The result carries the elliptic residuals and conservation gap
+    of the returned fields.
+    """
+    dom = c.domain
     S = state.S.values.copy()
     I = state.I.values.copy()
     newton_iters = 0
-    newton_applied = False
     endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
-    if newton and endemic and I.min() > 0.0:
+    if newton and summary.converged_steady and endemic and I.min() > 0.0:
         S, I, newton_iters = _newton_refine(c, S, I)
-        newton_applied = newton_iters > 0
         endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
     res_S, res_I = elliptic_residuals(c, S, I)
     return EquilibriumResult(
@@ -142,7 +152,7 @@ def find_ee(
         conservation_gap=conservation_gap(c, S, I),
         steps=summary.steps,
         rejected=summary.rejected,
-        newton_applied=newton_applied,
+        newton_applied=newton_iters > 0,
         newton_iterations=newton_iters,
         meta={"march_reason": summary.reason},
     )

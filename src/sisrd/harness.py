@@ -34,23 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import (
-    LimitProfile,
-    classify_small_di,
-    limit_joint_p1,
-    limit_joint_sublinear,
-    limit_small_di,
-    limit_small_ds,
-)
+from .asymptotics import LimitProfile, limit_profile
 from .coefficients import CoefficientSet
-from .dynamics import SimState, TimeStepUnderflowError, run
-from .equilibrium import (
-    ENDEMIC_MASS_RTOL,
-    EquilibriumResult,
-    _newton_refine,
-    conservation_gap,
-    elliptic_residuals,
-)
+from .dynamics import SimState, run
+from .equilibrium import EquilibriumResult, settle
 from .grid import DiscreteDomain, erode_mask, integrate, write_field_csv
 from .scenario import ScenarioConfig
 from .solvers import NonConvergenceError
@@ -182,32 +169,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
             snapshot_every=config.snapshot_every,
             snapshot_writer=writer,
         )
-        S = state.S.values.copy()
-        I = state.I.values.copy()
-        endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
-        newton_iters = 0
-        if (
-            config.newton_refine
-            and summary.converged_steady
-            and endemic
-            and I.min() > 0.0
-        ):
-            S, I, newton_iters = _newton_refine(c, S, I)
-            endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
-        res_S, res_I = elliptic_residuals(c, S, I)
-        result = EquilibriumResult(
-            S=dom.field(S),
-            I=dom.field(I),
-            endemic=endemic,
-            residual_S=float(np.max(np.abs(res_S))),
-            residual_I=float(np.max(np.abs(res_I))),
-            conservation_gap=conservation_gap(c, S, I),
-            steps=summary.steps,
-            rejected=summary.rejected,
-            newton_applied=newton_iters > 0,
-            newton_iterations=newton_iters,
-            meta={"march_reason": summary.reason},
-        )
+        result = settle(c, state, summary, config.newton_refine)
+        S = result.S.values
+        I = result.I.values
 
         write_field_csv(_path("S.csv"), result.S)
         write_field_csv(_path("I.csv"), result.I)
@@ -270,18 +234,6 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_oracle(c: CoefficientSet, regime: str, sigma: Optional[float]) -> LimitProfile:
-    if regime == "d_I":
-        return classify_small_di(c) if c.p == 1.0 else limit_small_di(c)
-    if regime == "d_S":
-        return limit_small_ds(c)
-    if regime == "joint":
-        if sigma is None:
-            raise ValueError("the joint sweep needs a diffusion ratio sigma")
-        return limit_joint_p1(c, sigma) if c.p == 1.0 else limit_joint_sublinear(c, sigma)
-    raise ValueError(f"unknown sweep regime {regime!r}; use 'd_I', 'd_S', or 'joint'")
-
-
 def _row_distances(
     c: CoefficientSet, eq: EquilibriumResult, oracle: LimitProfile
 ) -> tuple[float, float, float, float]:
@@ -337,7 +289,7 @@ def sweep(
     if regime == "joint" and sigma is None:
         sigma = c_base.sigma()
 
-    oracle = _sweep_oracle(c_base, regime, sigma)
+    oracle = limit_profile(c_base, regime, sigma)
     rows: list[dict] = []
     init = None
     for v in vals:
@@ -361,7 +313,7 @@ def sweep(
                 eq=eq,
             )
             init = SimState(eq.S, eq.I)
-        except (NonConvergenceError, TimeStepUnderflowError) as exc:
+        except NonConvergenceError as exc:
             nan = float("nan")
             row.update(
                 dist_S_sup=nan,

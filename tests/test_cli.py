@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from sisrd import dynamics
 from sisrd.cli import main
 
 
@@ -170,3 +171,31 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_equilibrium_honors_stepping(tmp_path, capsys):
+    # equilibrium marches with the config's stepping block, as simulate does
+    cfg = write_config(
+        tmp_path,
+        domain={"kind": "interval", "start": 0, "end": 1, "nodes": 41},
+        stepping={"dt_max": 0.02},
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    simulated = value_after(capsys.readouterr().out, "steps")
+    assert main(["equilibrium", "--config", cfg]) == 0
+    assert value_after(capsys.readouterr().out, "steps") == simulated
+
+
+def test_equilibrium_not_steady_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, stopping={"steady_tol": 1e-14, "t_final": 0.3})
+    assert main(["equilibrium", "--config", cfg]) == 1
+    assert "no steady state" in capsys.readouterr().err
+
+
+def test_mass_balance_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "MASS_BALANCE_RTOL", -1.0)
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mass-balance defect")
+    assert err.count("\n") == 1

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from sisrd import dynamics
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import (
     MASS_BALANCE_RTOL,
+    MassBalanceError,
     SimState,
     StepRejected,
     TimeStepUnderflowError,
+    march,
     run,
     step_imex,
 )
 from sisrd.grid import DomainSpec, build_domain, integrate
+from sisrd.solvers import NonConvergenceError
 
 
 def make(dom=None, **kw):
@@ -88,9 +92,8 @@ def test_run_reaches_constant_equilibrium():
     assert summary.reason == "steady"
     np.testing.assert_allclose(final.S.values, 1.0, atol=1e-6)
     np.testing.assert_allclose(final.I.values, 2.0, atol=1e-6)
-    assert summary.steps == len(summary.times) == len(summary.total_mass)
     # total mass settles at int(S + I) = (1 + 2) * |domain|
-    assert summary.total_mass[-1] == pytest.approx(3.0, abs=1e-5)
+    assert integrate(dom, final.S.values + final.I.values) == pytest.approx(3.0, abs=1e-5)
 
 
 def test_run_t_final_stopping():
@@ -170,3 +173,40 @@ def test_mass_conservation_totals_over_run():
     lhs = integrate(dom, final.S.values + c.eta.values * final.I.values)
     rhs = integrate(dom, c.recruitment.values)
     assert abs(lhs - rhs) / rhs <= 1e-8
+
+
+def test_march_halves_rejected_steps_and_holds_dt():
+    # a scalar clock that rejects any step above 0.03: 0.1 and 0.05 are
+    # rejected, 0.025 is accepted and kept for the next step, and only a
+    # step accepted without rejection lets dt grow again
+    tried = []
+
+    def advance(u, dt):
+        tried.append(dt)
+        if dt > 0.03:
+            raise StepRejected(f"dt {dt} too large")
+        return u + dt, dt
+
+    u, summary = march(advance, 0.0, t_final=10.0, dt_init=0.1, max_steps=3)
+    assert tried == pytest.approx([0.1, 0.05, 0.025, 0.025, 0.0275])
+    assert summary.rejected == 2
+    assert summary.steps == 3
+    assert summary.reason == "max_steps"
+    assert u == pytest.approx(0.0775) and summary.t == pytest.approx(0.0775)
+
+
+def test_march_underflow_is_a_nonconvergence_error():
+    def advance(u, dt):
+        raise StepRejected("always")
+
+    with pytest.raises(NonConvergenceError) as info:
+        march(advance, 0.0, t_final=1.0, dt_min=1e-3)
+    assert isinstance(info.value, TimeStepUnderflowError)
+
+
+def test_mass_balance_violation_is_typed(monkeypatch):
+    monkeypatch.setattr(dynamics, "MASS_BALANCE_RTOL", -1.0)
+    dom, c = make()
+    state = SimState(dom.field(0.8), dom.field(0.2))
+    with pytest.raises(MassBalanceError, match="mass-balance defect"):
+        run(state, c, t_final=0.5)
