@@ -152,12 +152,12 @@ def _march_semilinear(
     linear_rate,
     source: Callable[[np.ndarray], np.ndarray],
     u0: np.ndarray,
-    steady_tol: float,
 ) -> tuple[np.ndarray, dict]:
     """March ``u_t = diffusion Lap(u) - linear_rate u + source(u)`` to steady state.
 
     The linear sink is implicit, the source explicit, and a step that loses
-    positivity is rejected; :class:`NonConvergenceError` if not steady by t = 4000.
+    positivity is rejected.  Steady means ``|u_new - u|_inf / dt < 1e-10``;
+    :class:`NonConvergenceError` if not steady by t = 4000.
     """
     w = dom.cell_measures
 
@@ -168,9 +168,7 @@ def _march_semilinear(
             raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
         return u_new, float(np.max(np.abs(u_new - u)))
 
-    u, summary = march(
-        advance, np.array(u0, dtype=float), t_final=4000.0, steady_tol=steady_tol
-    )
+    u, summary = march(advance, np.array(u0, dtype=float), t_final=4000.0, steady_tol=1e-10)
     if not summary.converged_steady:
         raise NonConvergenceError("limit-profile march not steady by t = 4000")
     return u, {"steps": summary.steps, "t": summary.t, "steady": True}
@@ -214,7 +212,7 @@ def classify_small_di(c: CoefficientSet) -> LimitProfile:
     )
 
 
-def limit_small_di(c: CoefficientSet, steady_tol: float = 1e-10) -> LimitProfile:
+def limit_small_di(c: CoefficientSet) -> LimitProfile:
     """Small-``d_I`` limit profile for 0 < p < 1.
 
     The susceptible limit solves the scalar semilinear problem
@@ -239,7 +237,6 @@ def limit_small_di(c: CoefficientSet, steady_tol: float = 1e-10) -> LimitProfile
         linear_rate=1.0,
         source=lambda S: lam - eta * slave(S),
         u0=S0,
-        steady_tol=steady_tol,
     )
     I_star = slave(S_star)
     L = assemble_neumann_laplacian(dom)
@@ -275,15 +272,13 @@ def eliminate_susceptible(c: CoefficientSet, I: np.ndarray) -> np.ndarray:
     return bisect_increasing(f, np.zeros_like(target), target)
 
 
-def limit_small_ds(
-    c: CoefficientSet, I0: float = 0.2, steady_tol: float = 1e-10
-) -> LimitProfile:
+def limit_small_ds(c: CoefficientSet) -> LimitProfile:
     """Small-``d_S`` limit: S slaved to I by the algebraic balance.
 
-    Marches ``I_t = d_I Lap(I) + beta S(I)^q I^p - (gamma+eta) I`` with the
-    susceptible density eliminated pointwise at every step.  For p = 1 an
-    endemic limit requires a negative principal eigenvalue; the request is
-    refused otherwise.
+    Marches ``I_t = d_I Lap(I) + beta S(I)^q I^p - (gamma+eta) I`` from
+    ``I = 0.2`` with the susceptible density eliminated pointwise at every
+    step.  For p = 1 an endemic limit requires a negative principal
+    eigenvalue; the request is refused otherwise.
     """
     from .spectral import compute_lambda0  # local import to avoid a cycle
 
@@ -306,8 +301,7 @@ def limit_small_ds(
         diffusion=c.d_I,
         linear_rate=rate,
         source=source,
-        u0=np.full(dom.n_nodes, I0),
-        steady_tol=steady_tol,
+        u0=np.full(dom.n_nodes, 0.2),
     )
     S_star = eliminate_susceptible(c, I_star)
     L = assemble_neumann_laplacian(dom)
@@ -435,6 +429,8 @@ def limit_profile(
 # ---------------------------------------------------------------------------
 
 _SEQ_STORE_LIMIT = 200
+_SEQ_TOL = 1e-10  # stop once one round moves the iterates less than this
+_SEQ_MAX_ITER = 100000
 
 
 def _require_sigma(c: CoefficientSet, sigma: float) -> None:
@@ -450,15 +446,13 @@ def _run_sequence(
     u_limit: np.ndarray,
     v_limit: np.ndarray,
     direction: str,
-    tol: float,
-    n_max: int,
 ) -> MonotoneSequence:
     u, v = u0.copy(), v0.copy()
     u_iter, v_iter = [u.copy()], [v.copy()]
     gaps = [max(float(np.max(np.abs(u - u_limit))), float(np.max(np.abs(v - v_limit))))]
     converged = False
     n = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, _SEQ_MAX_ITER + 1):
         u_next, v_next = advance(u, v)
         step = max(float(np.max(np.abs(u_next - u))), float(np.max(np.abs(v_next - v))))
         u, v = u_next, v_next
@@ -468,7 +462,7 @@ def _run_sequence(
         gaps.append(
             max(float(np.max(np.abs(u - u_limit))), float(np.max(np.abs(v - v_limit))))
         )
-        if step < tol:
+        if step < _SEQ_TOL:
             converged = True
             break
     return MonotoneSequence(
@@ -489,8 +483,6 @@ def monotone_joint_p1(
     c: CoefficientSet,
     sigma: float,
     direction: str = "increasing",
-    tol: float = 1e-10,
-    n_max: int = 100000,
 ) -> MonotoneSequence:
     """Explicit bracketing iteration for the p = 1 joint limit.
 
@@ -534,7 +526,7 @@ def monotone_joint_p1(
 
     else:
         raise ValueError("direction must be 'increasing' or 'decreasing'")
-    seq = _run_sequence(u0, v0, advance, u_limit, v_limit, direction, tol, n_max)
+    seq = _run_sequence(u0, v0, advance, u_limit, v_limit, direction)
     _check_monotone(seq)
     return seq
 
@@ -543,8 +535,6 @@ def monotone_joint_sublinear(
     c: CoefficientSet,
     sigma: float,
     direction: str = "increasing",
-    tol: float = 1e-10,
-    n_max: int = 100000,
 ) -> MonotoneSequence:
     """Bracketing iteration for the 0 < p < 1 joint limit.
 
@@ -599,7 +589,7 @@ def monotone_joint_sublinear(
 
     else:
         raise ValueError("direction must be 'increasing' or 'decreasing'")
-    seq = _run_sequence(u0, v0, advance, u_limit, v_limit, direction, tol, n_max)
+    seq = _run_sequence(u0, v0, advance, u_limit, v_limit, direction)
     _check_monotone(seq)
     return seq
 

@@ -67,12 +67,12 @@ class EquilibriumResult:
         return self.S.domain
 
 
-def solve_dfe(c: CoefficientSet, tol: float = 1e-12) -> ScalarField:
+def solve_dfe(c: CoefficientSet) -> ScalarField:
     """Susceptible profile with no infection: ``d_S Lap(S) - S + recruitment = 0``."""
     dom = c.domain
     A = shifted_operator(dom, 1.0, c.d_S)
     b = dom.cell_measures * c.recruitment.values
-    x, report = spd_solve(A, b, tol=tol, x0=c.recruitment.values)
+    x, report = spd_solve(A, b, tol=1e-12, x0=c.recruitment.values)
     if not report.converged:
         raise NonConvergenceError(
             f"disease-free solve stalled at relative residual {report.residual:.3e}"

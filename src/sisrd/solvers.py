@@ -106,14 +106,13 @@ def generalized_principal_eigenpair(
     B: sp.spmatrix,
     tol: float = 1e-10,
     max_iter: int = 50000,
-    inner_tol: float = 1e-13,
 ) -> tuple[float, np.ndarray, EigenReport]:
     """Largest eigenvalue and eigenvector of ``A phi = mu B phi``.
 
     Power iteration on ``B^{-1} A`` with each application resolved by
-    :func:`spd_solve`; the eigenvalue estimate is the Rayleigh quotient
-    and convergence is declared when ``||A phi - mu B phi||_2`` falls
-    below ``tol * ||B phi||_2``.  The start vector is all ones, so the
+    :func:`spd_solve` to 1e-13; the eigenvalue estimate is the Rayleigh
+    quotient and convergence is declared when ``||A phi - mu B phi||_2``
+    falls below ``tol * ||B phi||_2``.  The start vector is all ones, so the
     iteration is deterministic; an identically zero ``A`` short-circuits
     to the degenerate answer ``mu = 0``.
     """
@@ -128,7 +127,7 @@ def generalized_principal_eigenpair(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         rhs = A @ phi
-        y, _ = spd_solve(B, rhs, tol=inner_tol, x0=phi)
+        y, _ = spd_solve(B, rhs, tol=1e-13, x0=phi)
         scale = float(np.max(np.abs(y)))
         if scale == 0.0:
             # A maps phi into the kernel direction; treat as degenerate

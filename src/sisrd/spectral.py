@@ -13,17 +13,21 @@ is degenerate and the request is refused.
 
 The principal eigenvalue ``lambda0`` is the smallest eigenvalue of
 ``-d_I Lap(phi) - (beta recruitment^q - gamma - eta) phi``.  It is found
-with the same machinery after a spectral shift: with ``M`` the symmetric
-form of the operator and ``ctilde`` a Gershgorin bound on its spectral
-radius, ``M + ctilde W`` is positive definite and the largest eigenvalue
-of its inverse against ``W`` recovers the bottom of the spectrum.  The
-sign of ``lambda0`` and the position of R0 relative to 1 flag the same
+with the same power iteration after a shift from the bottom of the
+spectrum: with ``M = d_I K - W diag(potential)``, every eigenvalue of
+``(M, W)`` is at least ``-max(potential)``, so for
+``shift = -max(potential) - 1`` the matrix
+``M - shift W = d_I K + W diag(max(potential) + 1 - potential)`` is a
+symmetric positive definite M-matrix with diagonal at least ``W``.  Its
+inverse is then nonnegative, the iteration on ``W phi = mu (M - shift W) phi``
+keeps the eigenvector positive, and ``lambda0 = shift + 1/mu``.  The sign
+of ``lambda0`` and the position of R0 relative to 1 flag the same
 threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +35,7 @@ import scipy.sparse as sp
 from .coefficients import CoefficientSet
 from .equilibrium import solve_dfe
 from .grid import ScalarField, stiffness_matrix
-from .solvers import NonConvergenceError, generalized_principal_eigenpair, spd_solve
+from .solvers import NonConvergenceError, generalized_principal_eigenpair
 
 __all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
 
@@ -47,19 +51,31 @@ class SpectralResult:
     params: dict = dc_field(default_factory=dict)
 
 
-def _positive_unit(dom, phi: np.ndarray) -> np.ndarray:
-    anchor = phi[np.argmax(np.abs(phi))]
-    if anchor < 0:
-        phi = -phi
-    scale = float(np.max(np.abs(phi)))
-    if scale > 0:
-        phi = phi / scale
+def _principal(c: CoefficientSet, A, B, what: str, params: dict) -> SpectralResult:
+    """Power iteration on ``A phi = mu B phi`` from the all-ones vector.
+
+    ``A`` is nonnegative and ``B`` an M-matrix in both uses, so every
+    iterate stays positive; ``value`` is ``mu`` and the field has sup-norm 1.
+    """
+    mu, phi, report = generalized_principal_eigenpair(A, B)
+    if not report.converged:
+        raise NonConvergenceError(
+            f"{what} power iteration stalled at residual {report.residual:.3e}"
+        )
     if phi.min() < -1e-10:
         raise NonConvergenceError("principal eigenfunction failed to stay one-signed")
-    return np.maximum(phi, 0.0)
+    return SpectralResult(
+        value=float(mu),
+        field=c.domain.field(np.maximum(phi, 0.0)),
+        residual=report.residual,
+        iterations=report.iterations,
+        converged=report.converged,
+        degenerate=report.degenerate,
+        params=params,
+    )
 
 
-def compute_r0(c: CoefficientSet, tol: float = 1e-10, max_iter: int = 50000) -> SpectralResult:
+def compute_r0(c: CoefficientSet) -> SpectralResult:
     """Reproduction number for p = 1; raises ``ValueError`` when p < 1."""
     if c.p != 1.0:
         raise ValueError(
@@ -72,67 +88,24 @@ def compute_r0(c: CoefficientSet, tol: float = 1e-10, max_iter: int = 50000) -> 
     w = dom.cell_measures
     A = sp.diags(w * gain).tocsr()
     B = (c.d_I * stiffness_matrix(dom) + sp.diags(w * (c.gamma.values + c.eta.values))).tocsr()
-    mu, phi, report = generalized_principal_eigenpair(A, B, tol=tol, max_iter=max_iter)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"R0 power iteration stalled at residual {report.residual:.3e}"
-        )
-    return SpectralResult(
-        value=float(mu),
-        field=dom.field(_positive_unit(dom, phi)),
-        residual=report.residual,
-        iterations=report.iterations,
-        converged=report.converged,
-        degenerate=report.degenerate,
-        params={"d_I": c.d_I, "d_S": c.d_S, "q": c.q},
-    )
+    return _principal(c, A, B, "R0", {"d_I": c.d_I, "d_S": c.d_S, "q": c.q})
 
 
-def compute_lambda0(c: CoefficientSet, tol: float = 1e-10, max_iter: int = 50000) -> SpectralResult:
-    """Smallest eigenvalue of ``-d_I Lap - (beta recruitment^q - gamma - eta)``."""
-    dom = c.domain
-    w = dom.cell_measures
+def compute_lambda0(c: CoefficientSet) -> SpectralResult:
+    """Smallest eigenvalue of ``-d_I Lap - (beta recruitment^q - gamma - eta)``.
+
+    ``residual`` is ``||M phi - lambda0 W phi|| / ||W phi||``, in the units
+    of the unshifted problem.
+    """
+    w = c.domain.cell_measures
     potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
-    M = (c.d_I * stiffness_matrix(dom) - sp.diags(w * potential)).tocsr()
-
-    # Gershgorin bound for the spectrum of (M, W): scale to the similar
-    # symmetric problem D M D with D = diag(1/sqrt(w)), then take row sums.
-    D = sp.diags(1.0 / np.sqrt(w))
-    M_hat = (D @ M @ D).tocsr()
-    shift = float(np.abs(M_hat).sum(axis=1).max()) + 1.0
-
-    A = sp.diags(w).tocsr()
-    B = (M + shift * sp.diags(w)).tocsr()
-    mu, phi, report = generalized_principal_eigenpair(A, B, tol=tol, max_iter=max_iter)
-    if not report.converged or mu <= 0.0:
-        raise NonConvergenceError(
-            f"principal-eigenvalue iteration stalled at residual {report.residual:.3e}"
-        )
-    lam0 = 1.0 / mu - shift
-    # The shifted pencil leaves the eigenvector residual amplified by about
-    # (lam0 + shift)^2 in units of the original problem.  Polish by inverse
-    # iteration: with sigma = lam0 - 1 < lambda_0 the matrix M - sigma W is
-    # positive definite, and each solve damps the k-th component by
-    # 1/(lambda_k - sigma).
+    shift = -float(potential.max()) - 1.0
     W = sp.diags(w).tocsr()
-    for _ in range(30):
-        rel = float(np.linalg.norm(M @ phi - lam0 * (w * phi))) / float(
-            np.linalg.norm(w * phi)
-        )
-        if rel <= max(tol, 1e-13):
-            break
-        y, _ = spd_solve((M - (lam0 - 1.0) * W).tocsr(), w * phi, tol=1e-13, x0=phi)
-        phi = y / float(np.max(np.abs(y)))
-        lam0 = float(phi @ (M @ phi)) / float(phi @ (w * phi))
-    phi = _positive_unit(dom, phi)
-    resid = float(np.linalg.norm(M @ phi - lam0 * (w * phi))) / float(
-        np.linalg.norm(w * phi)
+    M = (c.d_I * stiffness_matrix(c.domain) - sp.diags(w * potential)).tocsr()
+    res = _principal(
+        c, W, (M - shift * W).tocsr(), "principal-eigenvalue", {"d_I": c.d_I, "shift": shift}
     )
-    return SpectralResult(
-        value=lam0,
-        field=dom.field(phi),
-        residual=resid,
-        iterations=report.iterations,
-        converged=report.converged,
-        params={"d_I": c.d_I, "shift": shift},
-    )
+    lam0 = shift + 1.0 / res.value
+    phi = res.field.values
+    resid = float(np.linalg.norm(M @ phi - lam0 * (w * phi))) / float(np.linalg.norm(w * phi))
+    return replace(res, value=lam0, residual=resid)

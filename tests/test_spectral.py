@@ -1,5 +1,7 @@
 """Reproduction number and principal eigenvalue against dense eigensolvers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,10 @@ import scipy.sparse as sp
 from sisrd.coefficients import CoefficientSet
 from sisrd.equilibrium import solve_dfe
 from sisrd.grid import DomainSpec, build_domain, stiffness_matrix
+from sisrd.scenario import load_scenario
 from sisrd.spectral import compute_lambda0, compute_r0
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def constants(dom=None, **kw):
@@ -27,6 +32,16 @@ def varying_1d(d_I=0.05, q=1.0):
     c = CoefficientSet.from_values(
         dom, beta=beta, gamma=0.6, eta=0.4, recruitment=1.0 + 0.5 * dom.coords,
         d_S=0.07, d_I=d_I, p=1.0, q=q,
+    )
+    return dom, c
+
+
+def varying_2d(d_I=0.05):
+    dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (13, 13)))
+    x, y = dom.coords[:, 0], dom.coords[:, 1]
+    c = CoefficientSet.from_values(
+        dom, beta=1.5 + np.cos(np.pi * x) * np.sin(np.pi * y), gamma=0.3 + 0.4 * y,
+        eta=0.5, recruitment=1.0 + x * y, d_S=0.1, d_I=d_I, p=1.0, q=1.0,
     )
     return dom, c
 
@@ -92,14 +107,24 @@ def test_lambda0_constant_coefficients_closed_form():
 
 
 def test_lambda0_matches_dense_generalized_eigenproblem():
-    dom, c = varying_1d()
-    res = compute_lambda0(c)
-    w = dom.cell_measures
-    potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
-    M = c.d_I * stiffness_matrix(dom).toarray() - np.diag(w * potential)
-    vals = scipy.linalg.eigh(M, np.diag(w), eigvals_only=True)
-    assert res.value == pytest.approx(vals[0], abs=1e-9)
-    assert res.residual <= 1e-8
+    for dom, c in (varying_1d(), varying_2d(d_I=1e-3)):
+        res = compute_lambda0(c)
+        w = dom.cell_measures
+        potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
+        M = c.d_I * stiffness_matrix(dom).toarray() - np.diag(w * potential)
+        vals = scipy.linalg.eigh(M, np.diag(w), eigvals_only=True)
+        assert res.value == pytest.approx(vals[0], abs=1e-9)
+        assert res.residual <= 1e-8
+
+
+def test_lambda0_on_scenario1_without_polish():
+    # the bottom-of-spectrum shift converges in a few hundred power
+    # iterations with a small residual and no inverse-iteration polish
+    cfg = load_scenario(CONFIG_DIR / "scenario1.json")
+    res = compute_lambda0(cfg.build_coefficients(cfg.build_domain()))
+    assert res.value == pytest.approx(-2.8050662869860297, abs=1e-12)
+    assert res.iterations <= 200
+    assert res.residual <= 1e-9
 
 
 def test_lambda0_sign_tracks_pointwise_potential_for_small_diffusion():
