@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import bounds_audit, limit_profile
-from .dynamics import MassBalanceError, run
-from .equilibrium import EquilibriumResult, diagnostics, settle
+from .dynamics import MassBalanceError
+from .equilibrium import diagnostics, find_ee
 from .grid import load_field_csv, write_field_csv
 from .harness import compare_fields, run_scenario, sweep
-from .scenario import ConfigError, ScenarioConfig, load_scenario
+from .scenario import ConfigError, load_scenario
 from .solvers import NonConvergenceError
 from .spectral import compute_lambda0, compute_r0
 
@@ -49,29 +49,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _equilibrium(config: ScenarioConfig, dom, c) -> EquilibriumResult:
-    """March with every control of the config (stopping defaults 1e-9 and 4000)
-    and settle the result; a march that is not steady is an error."""
-    t_max = config.t_final if config.t_final is not None else 4000.0
-    state, summary = run(
-        config.initial_state(dom),
-        c,
-        t_final=t_max,
-        steady_tol=config.steady_tol if config.steady_tol is not None else 1e-9,
-        dt_init=config.dt_init,
-        dt_max=config.dt_max,
-        dt_min=config.dt_min,
-    )
-    if not summary.converged_steady:
-        raise NonConvergenceError(
-            f"no steady state by t = {t_max:g} (stopped on {summary.reason})"
-        )
-    return settle(c, state, summary, config.newton_refine)
-
-
 def _cmd_equilibrium(args) -> int:
     config, dom, c = _load(args)
-    eq = _equilibrium(config, dom, c)
+    eq = find_ee(c, config.initial_state(dom), newton=config.newton_refine, **config.controls)
     print(f"endemic={eq.endemic} steps={eq.steps} newton={eq.newton_iterations}")
     print(
         f"residual_S={_fmt(eq.residual_S)} residual_I={_fmt(eq.residual_I)} "
@@ -152,7 +132,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     config, dom, c = _load(args)
-    report = bounds_audit(c, _equilibrium(config, dom, c))
+    eq = find_ee(c, config.initial_state(dom), newton=config.newton_refine, **config.controls)
+    report = bounds_audit(c, eq)
     for ch in report.checks:
         status = "ok " if ch["passed"] else "FAIL"
         print(

@@ -24,7 +24,7 @@ import numpy as np
 from .formula import evaluate, free_variables, parse
 from .grid import DiscreteDomain, ScalarField
 
-__all__ = ["CoefficientSet"]
+__all__ = ["CoefficientSet", "evaluate_formula_on"]
 
 
 def _as_field(dom: DiscreteDomain, value) -> ScalarField:

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 MASS_BALANCE_RTOL = 1e-10
+_DT_GROWTH = 1.1
 
 
 class StepRejected(RuntimeError):
@@ -146,7 +147,6 @@ def march(
     dt_init: float = 0.01,
     dt_max: float = 0.1,
     dt_min: float = 1e-9,
-    growth: float = 1.1,
     max_steps: int = 2_000_000,
     on_step: Optional[Callable[[Any, int], None]] = None,
 ) -> tuple[Any, RunSummary]:
@@ -189,7 +189,7 @@ def march(
         u, t = u_new, t + step_dt
         if on_step is not None:
             on_step(u, summary.steps)
-        dt = min(step_dt * growth, dt_max) if rejected == 0 else step_dt
+        dt = min(step_dt * _DT_GROWTH, dt_max) if rejected == 0 else step_dt
         if steady_tol is not None and change / step_dt < steady_tol:
             summary.converged_steady = True
             summary.reason = "steady"
@@ -198,20 +198,13 @@ def march(
     return u, summary
 
 
-def run(
-    state: SimState,
-    c: CoefficientSet,
-    *,
-    snapshot_every: int = 0,
-    snapshot_writer: Optional[Callable[[SimState, int], None]] = None,
-    **controls,
-) -> tuple[SimState, RunSummary]:
+def run(state: SimState, c: CoefficientSet, **controls) -> tuple[SimState, RunSummary]:
     """March the system by :func:`step_imex` on the :func:`march` driver.
 
-    ``controls`` are the stopping and stepping keywords of :func:`march`.
-    Every accepted step must keep the discrete mass balance within
-    ``MASS_BALANCE_RTOL``, or the run aborts with :class:`MassBalanceError`.
-    ``snapshot_writer(state, steps)`` sees every ``snapshot_every``-th state.
+    ``controls`` are the stopping and stepping keywords of :func:`march`,
+    and its ``on_step`` callback.  Every accepted step must keep the
+    discrete mass balance within ``MASS_BALANCE_RTOL``, or the run aborts
+    with :class:`MassBalanceError`.
     """
 
     def advance(s: SimState, dt: float) -> tuple[SimState, float]:
@@ -227,11 +220,4 @@ def run(
         )
         return new, change
 
-    on_step = None
-    if snapshot_every and snapshot_writer:
-
-        def on_step(s: SimState, steps: int) -> None:
-            if steps % snapshot_every == 0:
-                snapshot_writer(s, steps)
-
-    return march(advance, state, t=state.t, on_step=on_step, **controls)
+    return march(advance, state, t=state.t, **controls)

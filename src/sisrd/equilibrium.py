@@ -103,22 +103,25 @@ def find_ee(
     c: CoefficientSet,
     init: Optional[SimState] = None,
     *,
-    steady_tol: float = 1e-9,
-    t_max: float = 4000.0,
     newton: bool = True,
+    **controls,
 ) -> EquilibriumResult:
     """March to a steady state from ``init`` (default constants 0.8 / 0.2).
 
-    Raises :class:`NonConvergenceError` if the march has not flattened out
-    by ``t_max``; otherwise the marched state goes through :func:`settle`.
+    ``controls`` are the stopping and stepping keywords of
+    :func:`~sisrd.dynamics.march`; ``steady_tol`` defaults to 1e-9 and
+    ``t_final`` to 4000.  Raises :class:`NonConvergenceError` if the march
+    has not flattened out by ``t_final``; otherwise the marched state goes
+    through :func:`settle`, which applies Newton when ``newton`` is set.
     """
     dom = c.domain
     if init is None:
         init = SimState(dom.field(0.8), dom.field(0.2))
-    state, summary = run(init, c, steady_tol=steady_tol, t_final=t_max)
+    controls = {"steady_tol": 1e-9, "t_final": 4000.0, **controls}
+    state, summary = run(init, c, **controls)
     if not summary.converged_steady:
         raise NonConvergenceError(
-            f"no steady state by t = {t_max:g} (stopped on {summary.reason})"
+            f"no steady state by t = {controls['t_final']:g} (stopped on {summary.reason})"
         )
     return settle(c, state, summary, newton)
 

@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "sqrt": 1, "abs": 1, "pos": 1, "min": 2, "max": 2}
-_KEYWORDS = {"pi", "x", "y", "piecewise", "else"} | set(_FUNCTIONS)
 
 
 class FormulaError(ValueError):

@@ -99,14 +99,12 @@ class DiscreteDomain:
         cell_measures: np.ndarray,
         edges: tuple[np.ndarray, np.ndarray, np.ndarray],
         spacing: tuple[float, ...],
-        grid_ij: Optional[np.ndarray] = None,
     ):
         self.kind = kind
         self.coords = coords
         self.cell_measures = cell_measures
         self.edges_i, self.edges_j, self.edge_weights = edges
         self.spacing = spacing
-        self.grid_ij = grid_ij  # integer lattice index per node (2D only)
         self.n_nodes = len(cell_measures)
         self.dim = 1 if coords.ndim == 1 else coords.shape[1]
         self._laplacian: Optional[sp.csr_matrix] = None
@@ -251,8 +249,7 @@ def _build_rectangle(spec: DomainSpec) -> DiscreteDomain:
         np.concatenate([e1[1], e2[1]]),
         np.concatenate([e1[2], e2[2]]),
     )
-    grid_ij = np.column_stack([ix, iy])
-    return DiscreteDomain("rectangle", coords, w, edges, (hx, hy), grid_ij)
+    return DiscreteDomain("rectangle", coords, w, edges, (hx, hy))
 
 
 def _build_disk(spec: DomainSpec) -> DiscreteDomain:
@@ -293,8 +290,7 @@ def _build_disk(spec: DomainSpec) -> DiscreteDomain:
     ei = np.concatenate(ei)
     ej = np.concatenate(ej)
     edges = (ei, ej, np.full(len(ei), 1.0))  # face s over distance s
-    grid_ij = np.column_stack([ix, iy])
-    return DiscreteDomain("disk", coords, w, edges, (s, s), grid_ij)
+    return DiscreteDomain("disk", coords, w, edges, (s, s))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from .asymptotics import LimitProfile, limit_profile
 from .coefficients import CoefficientSet
 from .dynamics import SimState, run
-from .equilibrium import EquilibriumResult, settle
+from .equilibrium import EquilibriumResult, find_ee, settle
 from .grid import DiscreteDomain, erode_mask, integrate, write_field_csv
 from .scenario import ScenarioConfig
 from .solvers import NonConvergenceError
@@ -151,24 +151,12 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
         c = config.build_coefficients(dom)
         state0 = config.initial_state(dom)
 
-        writer = None
-        if config.snapshot_every > 0:
-
-            def writer(state: SimState, step: int) -> None:
+        def snapshot(state: SimState, step: int) -> None:
+            if config.snapshot_every and step % config.snapshot_every == 0:
                 write_field_csv(_path(f"S_{step:06d}.csv"), state.S)
                 write_field_csv(_path(f"I_{step:06d}.csv"), state.I)
 
-        state, summary = run(
-            state0,
-            c,
-            t_final=config.t_final,
-            steady_tol=config.steady_tol,
-            dt_init=config.dt_init,
-            dt_max=config.dt_max,
-            dt_min=config.dt_min,
-            snapshot_every=config.snapshot_every,
-            snapshot_writer=writer,
-        )
+        state, summary = run(state0, c, on_step=snapshot, **config.controls)
         result = settle(c, state, summary, config.newton_refine)
         S = result.S.values
         I = result.I.values
@@ -265,20 +253,16 @@ def sweep(
     values,
     sigma: Optional[float] = None,
     out_csv=None,
-    newton: bool = True,
-    steady_tol: float = 1e-9,
-    t_max: float = 4000.0,
 ) -> SweepResult:
     """Equilibria along a descending diffusion schedule vs. the limit profile.
 
     ``regime`` picks what shrinks: ``"d_I"`` (d_S fixed at the base value),
     ``"d_S"`` (d_I fixed), or ``"joint"`` (``d_S = v`` and ``d_I = sigma v``).
-    Each row warm-starts from the previous equilibrium.  The returned
+    Each row is a :func:`~sisrd.equilibrium.find_ee` call with its default
+    controls, warm-started from the previous equilibrium.  The returned
     ``violations`` map flags rows where a distance column stopped shrinking
     (beyond slack; see :func:`check_trend`).
     """
-    from .equilibrium import find_ee
-
     vals = [float(v) for v in values]
     if len(vals) == 0:
         raise ValueError("empty sweep schedule")
@@ -302,7 +286,7 @@ def sweep(
         row = {"d_S": c.d_S, "d_I": c.d_I, "sigma": c.sigma()}
         t0 = time.perf_counter()
         try:
-            eq = find_ee(c, init=init, newton=newton, steady_tol=steady_tol, t_max=t_max)
+            eq = find_ee(c, init=init)
             s_sup, i_sup, s_l1, i_l1 = _row_distances(c, eq, oracle)
             row.update(
                 dist_S_sup=s_sup,

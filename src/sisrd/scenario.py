@@ -23,7 +23,10 @@ Example::
 Optional blocks: ``"stepping"`` (``dt_init``, ``dt_max``, ``dt_min``),
 ``"outputs"`` (``newton_refine``, ``snapshot_every``, ``mask_deltas``,
 ``zero_infection_tol``), a free-text ``"comment"``, and ``"sigma"`` (a
-diffusion ratio used by sweep drivers).
+diffusion ratio used by sweep drivers).  The ``stopping`` and ``stepping``
+values must be positive; those set (``null`` counts as unset) become
+:attr:`ScenarioConfig.controls`, the keywords of
+:func:`sisrd.dynamics.march`, which supplies the stepping defaults.
 """
 
 from __future__ import annotations
@@ -82,6 +85,14 @@ def _no_extras(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {extra} in {where}; allowed: {sorted(allowed)}")
 
 
+def _block(data: dict, key: str, origin: str, allowed: set, required: bool = True) -> dict:
+    block = _require(data, key, origin) if required else data.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{origin}.{key} must be an object, got {block!r}")
+    _no_extras(block, allowed, f"{origin}.{key}")
+    return block
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
@@ -120,17 +131,13 @@ class ScenarioConfig:
     q: float
     initial_S: str
     initial_I: str
-    t_final: Optional[float]
-    steady_tol: Optional[float]
-    dt_init: float = 0.01
-    dt_max: float = 0.1
-    dt_min: float = 1e-9
-    newton_refine: bool = True
-    snapshot_every: int = 0
-    mask_deltas: tuple = (1e-2, 1e-4)
-    zero_infection_tol: float = 1e-2
-    sigma: Optional[float] = None
-    raw: dict = dc_field(default_factory=dict, repr=False)
+    controls: dict  # the march's stopping/stepping keywords the file sets
+    newton_refine: bool
+    snapshot_every: int
+    mask_deltas: tuple
+    zero_infection_tol: float
+    sigma: Optional[float]
+    raw: dict = dc_field(repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -147,8 +154,7 @@ class ScenarioConfig:
         spec = cls._domain_spec(dom_block, f"{origin}.domain")
         dim = 1 if spec.kind == "interval" else 2
 
-        coeff = _require(data, "coefficients", origin)
-        _no_extras(coeff, _COEFF_KEYS, f"{origin}.coefficients")
+        coeff = _block(data, "coefficients", origin, _COEFF_KEYS)
         sources = {
             key: _formula_source(
                 _require(coeff, key, f"{origin}.coefficients"),
@@ -158,8 +164,7 @@ class ScenarioConfig:
             for key in ("beta", "gamma", "eta", "lambda")
         }
 
-        params = _require(data, "params", origin)
-        _no_extras(params, _PARAM_KEYS, f"{origin}.params")
+        params = _block(data, "params", origin, _PARAM_KEYS)
         d_S = _number(_require(params, "d_S", f"{origin}.params"), "params.d_S")
         d_I = _number(_require(params, "d_I", f"{origin}.params"), "params.d_I")
         p = _number(_require(params, "p", f"{origin}.params"), "params.p")
@@ -171,8 +176,7 @@ class ScenarioConfig:
         if q <= 0.0:
             raise ConfigError(f"params.q must be positive, got {q!r}")
 
-        initial = _require(data, "initial", origin)
-        _no_extras(initial, {"S", "I"}, f"{origin}.initial")
+        initial = _block(data, "initial", origin, {"S", "I"})
         init_S = _formula_source(
             _require(initial, "S", f"{origin}.initial"), f"{origin}.initial.S", dim
         )
@@ -180,21 +184,29 @@ class ScenarioConfig:
             _require(initial, "I", f"{origin}.initial"), f"{origin}.initial.I", dim
         )
 
-        stopping = _require(data, "stopping", origin)
-        _no_extras(stopping, _STOP_KEYS, f"{origin}.stopping")
-        t_final = stopping.get("t_final")
-        steady_tol = stopping.get("steady_tol")
-        if t_final is None and steady_tol is None:
+        controls = {}
+        for key, allowed, required in (
+            ("stopping", _STOP_KEYS, True),
+            ("stepping", _STEP_KEYS, False),
+        ):
+            for name, value in _block(data, key, origin, allowed, required).items():
+                if value is None:
+                    continue
+                if not _number(value, f"{key}.{name}") > 0.0:
+                    raise ConfigError(f"{key}.{name} must be positive, got {value!r}")
+                controls[name] = float(value)
+        if "t_final" not in controls and "steady_tol" not in controls:
             raise ConfigError(f"{origin}.stopping needs t_final, steady_tol, or both")
-        if t_final is not None:
-            t_final = _number(t_final, "stopping.t_final")
-        if steady_tol is not None:
-            steady_tol = _number(steady_tol, "stopping.steady_tol")
 
-        stepping = data.get("stepping", {})
-        _no_extras(stepping, _STEP_KEYS, f"{origin}.stepping")
-        outputs = data.get("outputs", {})
-        _no_extras(outputs, _OUTPUT_KEYS, f"{origin}.outputs")
+        outputs = _block(data, "outputs", origin, _OUTPUT_KEYS, required=False)
+        newton_refine = outputs.get("newton_refine", True)
+        if not isinstance(newton_refine, bool):
+            raise ConfigError(f"outputs.newton_refine must be a boolean, got {newton_refine!r}")
+        every = outputs.get("snapshot_every", 0)
+        if isinstance(every, bool) or not isinstance(every, int) or every < 0:
+            raise ConfigError(
+                f"outputs.snapshot_every must be a nonnegative integer, got {every!r}"
+            )
         deltas = outputs.get("mask_deltas", [1e-2, 1e-4])
         if not isinstance(deltas, list) or not all(
             isinstance(d, (int, float)) and not isinstance(d, bool) and d > 0
@@ -222,13 +234,9 @@ class ScenarioConfig:
             q=q,
             initial_S=init_S,
             initial_I=init_I,
-            t_final=t_final,
-            steady_tol=steady_tol,
-            dt_init=_number(stepping.get("dt_init", 0.01), "stepping.dt_init"),
-            dt_max=_number(stepping.get("dt_max", 0.1), "stepping.dt_max"),
-            dt_min=_number(stepping.get("dt_min", 1e-9), "stepping.dt_min"),
-            newton_refine=bool(outputs.get("newton_refine", True)),
-            snapshot_every=int(outputs.get("snapshot_every", 0)),
+            controls=controls,
+            newton_refine=newton_refine,
+            snapshot_every=every,
             mask_deltas=tuple(float(d) for d in deltas),
             zero_infection_tol=_number(
                 outputs.get("zero_infection_tol", 1e-2), "outputs.zero_infection_tol"

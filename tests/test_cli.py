@@ -168,6 +168,23 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, value",
+    [
+        ("params", 5),
+        ("stopping", None),
+        ("stepping", 1),
+        ("outputs", True),
+        ("coefficients", 3),
+        ("initial", 0.2),
+    ],
+)
+def test_non_object_block_exits_2(tmp_path, capsys, block, value):
+    cfg = write_config(tmp_path, **{block: value})
+    assert main(["r0", "--config", cfg]) == 2
+    assert f"{block} must be an object" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

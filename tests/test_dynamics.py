@@ -158,15 +158,9 @@ def test_snapshot_writer_called():
     dom, c = make()
     state = SimState(dom.field(0.8), dom.field(0.2))
     seen = []
-    run(
-        state,
-        c,
-        t_final=0.5,
-        snapshot_every=3,
-        snapshot_writer=lambda st, k: seen.append((k, st.t)),
-    )
-    assert seen
-    assert all(k % 3 == 0 for k, _ in seen)
+    final, summary = run(state, c, t_final=0.5, on_step=lambda st, k: seen.append((k, st.t)))
+    assert [k for k, _ in seen] == list(range(1, summary.steps + 1))
+    assert seen[-1][1] == final.t
 
 
 def test_sublinear_incidence_preserves_positivity():

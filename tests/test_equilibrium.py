@@ -152,7 +152,7 @@ def test_ee_independent_of_initial_state():
 def test_nonconvergence_is_loud():
     dom, c = constants_p1()
     with pytest.raises(NonConvergenceError):
-        find_ee(c, steady_tol=1e-14, t_max=0.3)
+        find_ee(c, steady_tol=1e-14, t_final=0.3)
 
 
 def test_conservation_gap_definition():

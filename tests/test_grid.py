@@ -118,8 +118,7 @@ def test_rectangle_node_order_is_lexicographic():
     np.testing.assert_allclose(dom.coords[0], [0.0, 0.0])
     np.testing.assert_allclose(dom.coords[1], [0.0, 1.0 / 3.0])
     np.testing.assert_allclose(dom.coords[4], [0.5, 0.0])
-    assert dom.grid_ij is not None
-    np.testing.assert_array_equal(dom.grid_ij[5], [1, 1])
+    np.testing.assert_allclose(dom.coords[5], [0.5, 1.0 / 3.0])
 
 
 def test_rectangle_measure_and_quadrature():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sisrd import harness
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import TimeStepUnderflowError
 from sisrd.grid import DomainSpec, build_domain
@@ -18,6 +19,7 @@ from sisrd.harness import (
     sweep,
 )
 from sisrd.scenario import ScenarioConfig
+from sisrd.solvers import NonConvergenceError
 
 GOLDEN_S = 0.6180339887498949
 GOLDEN_I = 0.3819660112501051
@@ -246,10 +248,14 @@ def test_sweep_joint_closed_form():
         assert row["dist_I_sup"] <= 1e-6
 
 
-def test_sweep_records_failed_rows(tmp_path):
+def test_sweep_records_failed_rows(tmp_path, monkeypatch):
+    def no_steady_state(c, init=None):
+        raise NonConvergenceError("no steady state by t = 0.05 (stopped on t_final)")
+
+    monkeypatch.setattr(harness, "find_ee", no_steady_state)
     c = golden_1d()
     out = tmp_path / "failed.csv"
-    res = sweep(c, "d_I", [0.05, 0.02], out_csv=out, steady_tol=1e-14, t_max=0.05)
+    res = sweep(c, "d_I", [0.05, 0.02], out_csv=out)
     assert all(row["eq"] is None for row in res.rows)
     assert all("error" in row for row in res.rows)
     assert all(np.isnan(row["dist_S_sup"]) for row in res.rows)

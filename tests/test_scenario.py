@@ -38,7 +38,7 @@ def test_minimal_config_defaults():
     cfg = ScenarioConfig.from_dict(base_config())
     assert cfg.name == "unit-test"
     assert cfg.recruitment == "1"
-    assert cfg.dt_init == 0.01 and cfg.dt_max == 0.1 and cfg.dt_min == 1e-9
+    assert cfg.controls == {"steady_tol": 1e-9, "t_final": 400.0}
     assert cfg.newton_refine is True
     assert cfg.snapshot_every == 0
     assert cfg.mask_deltas == (1e-2, 1e-4)
@@ -82,7 +82,12 @@ def test_stepping_and_outputs_blocks():
     }
     data["sigma"] = 3.5
     cfg = ScenarioConfig.from_dict(data)
-    assert cfg.dt_init == 0.005 and cfg.dt_max == 0.2 and cfg.dt_min == 1e-9
+    assert cfg.controls == {
+        "steady_tol": 1e-9,
+        "t_final": 400.0,
+        "dt_init": 0.005,
+        "dt_max": 0.2,
+    }
     assert cfg.newton_refine is False
     assert cfg.snapshot_every == 7
     assert cfg.mask_deltas == (0.1,)
@@ -168,6 +173,30 @@ def test_rejects_empty_stopping():
     data = base_config()
     data["stopping"] = {}
     expect_error(data, "stopping")
+    data["stopping"] = {"t_final": None}
+    expect_error(data, "stopping")
+
+
+def test_rejects_nonpositive_controls():
+    for block, key in (
+        ("stopping", "steady_tol"),
+        ("stopping", "t_final"),
+        ("stepping", "dt_init"),
+        ("stepping", "dt_max"),
+        ("stepping", "dt_min"),
+    ):
+        for value in (-0.1, 0, "0.1", True):
+            data = base_config()
+            data.setdefault(block, {})[key] = value
+            expect_error(data, f"{block}.{key}")
+
+
+def test_null_control_is_unset():
+    data = base_config()
+    data["stopping"]["t_final"] = None
+    data["stepping"] = {"dt_max": None, "dt_init": 0.02}
+    cfg = ScenarioConfig.from_dict(data)
+    assert cfg.controls == {"steady_tol": 1e-9, "dt_init": 0.02}
 
 
 def test_rejects_bad_mask_deltas():
@@ -175,6 +204,20 @@ def test_rejects_bad_mask_deltas():
         data = base_config()
         data["outputs"] = {"mask_deltas": deltas}
         expect_error(data, "mask_deltas")
+
+
+def test_rejects_non_boolean_newton_refine():
+    for value in ("false", 0, 1, None):
+        data = base_config()
+        data["outputs"] = {"newton_refine": value}
+        expect_error(data, "newton_refine")
+
+
+def test_rejects_bad_snapshot_every():
+    for value in (2.7, 3.0, -4, "x", True, None):
+        data = base_config()
+        data["outputs"] = {"snapshot_every": value}
+        expect_error(data, "snapshot_every")
 
 
 def test_rejects_bad_domain_kind():
@@ -280,6 +323,5 @@ def test_shipped_piecewise_disk_config():
 def test_shipped_configs_have_matching_stopping_rules():
     for name in ("scenario1.json", "scenario2.json"):
         cfg = load_scenario(CONFIG_DIR / name)
-        assert cfg.steady_tol == 1e-9
-        assert cfg.t_final == 4000.0
+        assert cfg.controls == {"steady_tol": 1e-9, "t_final": 4000.0}
         assert cfg.zero_infection_tol == 0.01
