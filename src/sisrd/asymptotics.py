@@ -47,9 +47,9 @@ from .grid import (
     DiscreteDomain,
     ScalarField,
     assemble_neumann_laplacian,
-    shifted_operator,
+    shifted_solve,
 )
-from .solvers import NonConvergenceError, spd_solve
+from .solvers import NonConvergenceError
 
 __all__ = [
     "LimitProfile",
@@ -155,15 +155,16 @@ def _march_semilinear(
 ) -> tuple[np.ndarray, dict]:
     """March ``u_t = diffusion Lap(u) - linear_rate u + source(u)`` to steady state.
 
-    The linear sink is implicit, the source explicit, and a step that loses
-    positivity is rejected.  Steady means ``|u_new - u|_inf / dt < 1e-10``;
+    The linear sink and the diffusion are implicit, solved by
+    :func:`~sisrd.grid.shifted_solve` with one factor, rebuilt when dt
+    changes; the source is explicit, and a step that loses positivity is
+    rejected.  Steady means ``|u_new - u|_inf / dt < 1e-10``;
     :class:`NonConvergenceError` if not steady by t = 4000.
     """
     w = dom.cell_measures
 
     def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-        A = shifted_operator(dom, 1.0 / dt + linear_rate, diffusion)
-        u_new, _ = spd_solve(A, w * (u / dt + source(u)), tol=1e-13, x0=u)
+        u_new = shifted_solve(dom, dt, linear_rate, diffusion, w * (u / dt + source(u)))
         if u_new.min() <= 0.0:
             raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
         return u_new, float(np.max(np.abs(u_new - u)))

@@ -6,7 +6,8 @@ Endemic equilibria are found by marching the time-dependent system to
 stationarity (the robust route for every parameter regime).  Every
 marched state then goes through :func:`settle`, which optionally polishes
 it with a damped Newton iteration on the coupled elliptic system until the
-sup-norm residual drops below ~1e-11.
+sup-norm residual drops below ~1e-11; why Newton stopped is recorded in
+``EquilibriumResult.meta["newton_stop"]``.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientSet
 from .dynamics import RunSummary, SimState, run
@@ -133,17 +134,21 @@ def settle(
 
     When ``newton`` is set, the march stopped on its steady test, and the
     state is endemic with strictly positive infection, a damped Newton
-    iteration refines the profile; if Newton stalls the marched fields are
-    kept.  The result carries the elliptic residuals and conservation gap
-    of the returned fields.
+    iteration refines the profile; if Newton stalls, the fields of its last
+    accepted iterate (the marched fields if none) are kept.  ``meta`` holds
+    the march's stop reason and Newton's (``"converged"``, ``"singular"``,
+    ``"non-finite"``, ``"no descent"``, ``"max_iter"``, or ``"skipped"``
+    when Newton does not run).  The result carries the elliptic residuals
+    and conservation gap of the returned fields.
     """
     dom = c.domain
     S = state.S.values.copy()
     I = state.I.values.copy()
     newton_iters = 0
+    newton_stop = "skipped"
     endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
     if newton and summary.converged_steady and endemic and I.min() > 0.0:
-        S, I, newton_iters = _newton_refine(c, S, I)
+        S, I, newton_iters, newton_stop = _newton_refine(c, S, I)
         endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
     res_S, res_I = elliptic_residuals(c, S, I)
     return EquilibriumResult(
@@ -157,7 +162,7 @@ def settle(
         rejected=summary.rejected,
         newton_applied=newton_iters > 0,
         newton_iterations=newton_iters,
-        meta={"march_reason": summary.reason},
+        meta={"march_reason": summary.reason, "newton_stop": newton_stop},
     )
 
 
@@ -167,8 +172,8 @@ def _newton_refine(
     I: np.ndarray,
     target: float = 1e-11,
     max_iter: int = 15,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton on the stationary system; falls back on stagnation."""
+) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """Damped Newton on the stationary system; also returns why it stopped."""
     dom = c.domain
     L = assemble_neumann_laplacian(dom)
     ident = sp.identity(dom.n_nodes, format="csr")
@@ -180,6 +185,7 @@ def _newton_refine(
         return max(float(np.max(np.abs(rS))), float(np.max(np.abs(rI))))
 
     best = res_norm(S, I)
+    stop = "max_iter"
     iters = 0
     for iters in range(1, max_iter + 1):
         if best <= target:
@@ -196,10 +202,12 @@ def _newton_refine(
             format="csc",
         )
         try:
-            delta = spsolve(J, -np.concatenate([rS, rI]))
-        except Exception:
+            delta = splu(J).solve(-np.concatenate([rS, rI]))
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            stop = "singular"
             break
         if not np.all(np.isfinite(delta)):
+            stop = "non-finite"
             break
         improved = False
         lam = 1.0
@@ -214,8 +222,11 @@ def _newton_refine(
                     break
             lam *= 0.5
         if not improved:
+            stop = "no descent"
             break
-    return S, I, iters
+    if best <= target:
+        stop = "converged"
+    return S, I, iters, stop
 
 
 def diagnostics(c: CoefficientSet, result: EquilibriumResult) -> dict:

@@ -17,7 +17,10 @@ boundary row in 1D reads ``(-2, 2, 0)/h^2``.  Row sums vanish identically
 and the operator is symmetric with respect to the cell-measure inner
 product.  The assembly also exposes the symmetric positive-semidefinite
 stiffness form ``K = -(W L)`` (``W`` the diagonal of cell measures),
-which is what the implicit solvers consume.
+which is what the implicit solvers consume.  :func:`shifted_solve`
+solves with the time-step form ``W diag(1/dt + rate) + d K`` through
+sparse LU factors cached on the domain, so a time march reuses one
+factorization per operator until dt changes.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "DomainError",
@@ -38,6 +42,7 @@ __all__ = [
     "assemble_neumann_laplacian",
     "stiffness_matrix",
     "shifted_operator",
+    "shifted_solve",
     "integrate",
     "dilate_mask",
     "erode_mask",
@@ -110,6 +115,7 @@ class DiscreteDomain:
         self._laplacian: Optional[sp.csr_matrix] = None
         self._stiffness: Optional[sp.csr_matrix] = None
         self._adjacency: Optional[sp.csr_matrix] = None
+        self._factors: dict = {}  # operator -> (dt, LU factor), least recently used first
 
         degree = np.zeros(self.n_nodes, dtype=int)
         np.add.at(degree, self.edges_i, 1)
@@ -350,6 +356,40 @@ def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_
     if diffusion != 0.0:
         A = (A + diffusion * stiffness_matrix(dom)).tocsr()
     return A
+
+
+_FACTORS_KEPT = 2  # the S and I operators of one IMEX step
+
+
+def shifted_solve(dom: DiscreteDomain, dt: float, rate, diffusion: float, b: np.ndarray) -> np.ndarray:
+    """Solve ``shifted_operator(dom, 1/dt + rate, diffusion) x = b`` by sparse LU.
+
+    The domain keeps one factor per operator ``(rate, diffusion)``, keyed
+    by their exact values, for the two most recently used operators: a
+    march that alternates two operators factors each once per dt, and a
+    factor is dropped before its replacement is built, when dt changes or
+    a third operator evicts the least recently used one.  The matrix is
+    symmetric and diagonally dominant, so the factorization uses a
+    symmetric minimum-degree ordering without pivoting.
+    """
+    rate = np.asarray(rate, dtype=float)
+    operator = (float(diffusion), rate.shape, rate.tobytes())
+    cache = dom._factors
+    entry = cache.pop(operator, None)
+    if entry is not None and entry[0] == dt:
+        cache[operator] = entry
+        return entry[1].solve(b)
+    del entry  # a factor at another dt is freed before its successor is built
+    if len(cache) >= _FACTORS_KEPT:
+        del cache[next(iter(cache))]
+    lu = splu(
+        shifted_operator(dom, 1.0 / dt + rate, diffusion).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    cache[operator] = (dt, lu)
+    return lu.solve(b)
 
 
 def integrate(dom: DiscreteDomain, f) -> float:

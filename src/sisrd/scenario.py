@@ -26,7 +26,8 @@ Optional blocks: ``"stepping"`` (``dt_init``, ``dt_max``, ``dt_min``),
 diffusion ratio used by sweep drivers).  The ``stopping`` and ``stepping``
 values must be positive; those set (``null`` counts as unset) become
 :attr:`ScenarioConfig.controls`, the keywords of
-:func:`sisrd.dynamics.march`, which supplies the stepping defaults.
+:func:`sisrd.dynamics.march`, which supplies the stepping defaults.  The
+domain's ``nodes`` and ``shape`` entries must be JSON integers.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _formula_source(value, where: str, dim: int) -> str:
@@ -202,17 +209,19 @@ class ScenarioConfig:
         newton_refine = outputs.get("newton_refine", True)
         if not isinstance(newton_refine, bool):
             raise ConfigError(f"outputs.newton_refine must be a boolean, got {newton_refine!r}")
-        every = outputs.get("snapshot_every", 0)
-        if isinstance(every, bool) or not isinstance(every, int) or every < 0:
-            raise ConfigError(
-                f"outputs.snapshot_every must be a nonnegative integer, got {every!r}"
-            )
+        every = _integer(outputs.get("snapshot_every", 0), "outputs.snapshot_every")
+        if every < 0:
+            raise ConfigError(f"outputs.snapshot_every must be nonnegative, got {every!r}")
         deltas = outputs.get("mask_deltas", [1e-2, 1e-4])
         if not isinstance(deltas, list) or not all(
             isinstance(d, (int, float)) and not isinstance(d, bool) and d > 0
             for d in deltas
         ):
             raise ConfigError("outputs.mask_deltas must be a list of positive numbers")
+
+        zero_tol = _number(outputs.get("zero_infection_tol", 1e-2), "outputs.zero_infection_tol")
+        if zero_tol <= 0.0:
+            raise ConfigError(f"outputs.zero_infection_tol must be positive, got {zero_tol!r}")
 
         sigma = data.get("sigma")
         if sigma is not None:
@@ -238,9 +247,7 @@ class ScenarioConfig:
             newton_refine=newton_refine,
             snapshot_every=every,
             mask_deltas=tuple(float(d) for d in deltas),
-            zero_infection_tol=_number(
-                outputs.get("zero_infection_tol", 1e-2), "outputs.zero_infection_tol"
-            ),
+            zero_infection_tol=zero_tol,
             sigma=sigma,
             raw=data,
         )
@@ -260,19 +267,24 @@ class ScenarioConfig:
                 return DomainSpec.interval(
                     _number(_require(block, "start", where), f"{where}.start"),
                     _number(_require(block, "end", where), f"{where}.end"),
-                    int(_require(block, "nodes", where)),
+                    _integer(_require(block, "nodes", where), f"{where}.nodes"),
                 )
             if kind == "rectangle":
+                shape = _require(block, "shape", where)
+                if not isinstance(shape, list) or len(shape) != 2:
+                    raise ConfigError(f"{where}.shape must be two integers, got {shape!r}")
                 return DomainSpec.rectangle(
                     tuple(_require(block, "x_range", where)),
                     tuple(_require(block, "y_range", where)),
-                    tuple(int(n) for n in _require(block, "shape", where)),
+                    tuple(_integer(n, f"{where}.shape") for n in shape),
                 )
             return DomainSpec.disk(
                 _number(_require(block, "radius", where), f"{where}.radius"),
                 tuple(block.get("center", (0.0, 0.0))),
                 _number(_require(block, "cell_size", where), f"{where}.cell_size"),
             )
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {where}: {exc}") from exc
 

@@ -1,11 +1,12 @@
-"""Deterministic sparse solvers backing the implicit steps and eigenproblems.
+"""Deterministic iterative solvers for the disease-free state and eigenproblems.
 
 Two operations, both free of randomness so that repeated runs are
 bit-identical:
 
 * :func:`spd_solve` -- conjugate gradients with a Jacobi (diagonal)
-  preconditioner for symmetric positive definite systems, e.g. the
-  shifted Laplacian forms ``W diag(c) + d K``;
+  preconditioner for symmetric positive definite systems; it backs only
+  the disease-free solve and the power iteration below (the time marches
+  solve with cached sparse LU factors, :func:`sisrd.grid.shifted_solve`);
 * :func:`generalized_principal_eigenpair` -- power iteration on
   ``B^{-1} A`` for the largest eigenvalue of ``A phi = mu B phi`` with
   ``A`` symmetric nonnegative and ``B`` symmetric positive definite.
@@ -60,7 +61,7 @@ def spd_solve(
 
     Plain conjugate gradients with Jacobi preconditioning; stops when the
     relative residual drops below ``tol``.  ``x0`` warm-starts the
-    iteration (the previous time step's field, typically).  The iteration
+    iteration (the previous power iterate, typically).  The iteration
     cap defaults to ``10 * n``.
     """
     n = b.shape[0]

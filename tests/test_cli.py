@@ -185,6 +185,14 @@ def test_non_object_block_exits_2(tmp_path, capsys, block, value):
     assert f"{block} must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nodes", [17.9, "17", True])
+def test_non_integer_nodes_exits_2(tmp_path, capsys, nodes):
+    domain = {"kind": "interval", "start": 0, "end": 1, "nodes": nodes}
+    cfg = write_config(tmp_path, domain=domain)
+    assert main(["r0", "--config", cfg]) == 2
+    assert "nodes must be an integer" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

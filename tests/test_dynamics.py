@@ -17,9 +17,10 @@ from sisrd.dynamics import (
     run,
     step_imex,
 )
-from sisrd.grid import DomainSpec, build_domain, integrate
+from sisrd import grid
+from sisrd.grid import DomainSpec, build_domain, integrate, shifted_operator
 from sisrd.scenario import load_scenario
-from sisrd.solvers import NonConvergenceError
+from sisrd.solvers import NonConvergenceError, spd_solve
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -96,6 +97,53 @@ def test_mass_balance_holds_at_small_dt():
     dom = cfg.build_domain()
     _, stats = step_imex(cfg.initial_state(dom), cfg.build_coefficients(dom), 1e-4)
     assert stats.mass_defect <= MASS_BALANCE_RTOL
+
+
+def reference_step(state, c, dt):
+    # the same IMEX update with both solves done by Jacobi-CG to 1e-13
+    dom = c.domain
+    w = dom.cell_measures
+    S, I = state.S.values, state.I.values
+    transfer = c.beta.values * S**c.q * I**c.p
+    A_S = shifted_operator(dom, 1.0 / dt + 1.0, c.d_S)
+    rhs_S = S / dt + c.recruitment.values - transfer + c.gamma.values * I
+    S_new, _ = spd_solve(A_S, w * rhs_S, tol=1e-13, x0=S)
+    A_I = shifted_operator(dom, 1.0 / dt + c.eta.values, c.d_I)
+    I_new, _ = spd_solve(A_I, w * (I / dt + transfer - c.gamma.values * I), tol=1e-13, x0=I)
+    return S_new, I_new
+
+
+@pytest.mark.parametrize(
+    "spec", [DomainSpec.interval(0, 1, 41), DomainSpec.disk(1.0, cell_size=1 / 16)]
+)
+@pytest.mark.parametrize("dt", [0.01, 0.1])
+def test_step_matches_cg_reference(spec, dt):
+    dom = build_domain(spec)
+    x = dom.coords if dom.dim == 1 else dom.coords[:, 0]
+    c = CoefficientSet.from_values(
+        dom, beta=3.0 + 2.0 * np.sin(np.pi * x), gamma=1.0, eta=0.5 + 0.5 * x**2,
+        recruitment=1.0 + 0.5 * np.cos(np.pi * x), d_S=1.0, d_I=1e-3, p=1.0, q=0.5,
+    )
+    state = SimState(dom.field(0.8 + 0.1 * np.sin(3 * x)), dom.field(0.2 + 0.1 * np.cos(2 * x)))
+    new, _ = step_imex(state, c, dt)
+    S_ref, I_ref = reference_step(state, c, dt)
+    assert np.abs(new.S.values - S_ref).max() <= 1e-12
+    assert np.abs(new.I.values - I_ref).max() <= 1e-12
+
+
+def test_fixed_dt_run_factors_each_operator_once(monkeypatch):
+    built = []
+
+    def counting(dom, reaction, diffusion):
+        built.append(diffusion)
+        return shifted_operator(dom, reaction, diffusion)
+
+    monkeypatch.setattr(grid, "shifted_operator", counting)
+    dom, c = make(d_S=0.1, d_I=0.05)
+    state = SimState(dom.field(0.8), dom.field(0.2))
+    _, summary = run(state, c, t_final=100.0, dt_init=0.05, dt_max=0.05, max_steps=25)
+    assert summary.steps == 25
+    assert sorted(built) == [0.05, 0.1]
 
 
 def test_run_reaches_constant_equilibrium():

@@ -1,15 +1,19 @@
 """Disease-free and endemic steady states against independent oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from sisrd import equilibrium
 from sisrd.coefficients import CoefficientSet
-from sisrd.dynamics import SimState
+from sisrd.dynamics import SimState, run
 from sisrd.equilibrium import (
     conservation_gap,
     diagnostics,
     find_ee,
     grid_tolerance,
+    settle,
     solve_dfe,
 )
 from sisrd.grid import (
@@ -139,6 +143,34 @@ def test_newton_refines_to_tight_residual():
     assert max(sharp.residual_S, sharp.residual_I) < max(
         rough.residual_S, rough.residual_I
     )
+
+
+def test_newton_stop_reason_is_recorded():
+    dom, c = constants_p1()
+    assert find_ee(c).meta["newton_stop"] == "converged"
+    assert find_ee(c, newton=False).meta["newton_stop"] == "skipped"
+
+
+def _singular(J):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize(
+    "factor, reason",
+    [
+        (_singular, "singular"),
+        (lambda J: SimpleNamespace(solve=lambda b: np.full_like(b, np.nan)), "non-finite"),
+        (lambda J: SimpleNamespace(solve=np.zeros_like), "no descent"),
+    ],
+)
+def test_stalled_newton_keeps_marched_fields(monkeypatch, factor, reason):
+    dom, c = constants_p1()
+    state, summary = run(SimState(dom.field(0.8), dom.field(0.2)), c, steady_tol=1e-6)
+    monkeypatch.setattr(equilibrium, "splu", factor)
+    result = settle(c, state, summary, newton=True)
+    assert result.meta == {"march_reason": "steady", "newton_stop": reason}
+    np.testing.assert_array_equal(result.S.values, state.S.values)
+    np.testing.assert_array_equal(result.I.values, state.I.values)
 
 
 def test_ee_independent_of_initial_state():

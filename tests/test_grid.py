@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sisrd import grid
 from sisrd.grid import (
     DomainError,
     DomainMismatchError,
@@ -15,6 +16,7 @@ from sisrd.grid import (
     integrate,
     load_field_csv,
     shifted_operator,
+    shifted_solve,
     stiffness_matrix,
     write_field_csv,
 )
@@ -243,6 +245,41 @@ def test_shifted_operator_solves_reaction_diffusion_identity():
     b = A @ u / dom.cell_measures
     expected = 2.0 * u + 0.3 * np.pi**2 * u
     assert np.abs(b - expected).max() < 0.3 * np.pi**2 * np.abs(u).max() * 0.01
+
+
+def test_shifted_solve_matches_dense_solve():
+    dom = disk(0.125)
+    rate = 1.0 + dom.coords[:, 0] ** 2
+    b = np.sin(3 * dom.coords[:, 0]) + dom.coords[:, 1]
+    x = shifted_solve(dom, 0.1, rate, 0.3, b)
+    expected = np.linalg.solve(shifted_operator(dom, 10.0 + rate, 0.3).toarray(), b)
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_shifted_solve_refactors_on_new_dt_and_keeps_two_operators(monkeypatch):
+    built = []
+
+    def counting(dom, reaction, diffusion):
+        built.append((float(np.max(reaction)), diffusion))
+        return shifted_operator(dom, reaction, diffusion)
+
+    monkeypatch.setattr(grid, "shifted_operator", counting)
+    dom = interval(17)
+    b = np.ones(dom.n_nodes)
+    # (dt, rate, diffusion); operators A = (1, 0.1), B = (2, 0.1), C = (1, 0.3)
+    calls = [
+        (0.1, 1.0, 0.1),  # A at dt 0.1: built
+        (0.1, 1.0, 0.1),  # reused
+        (0.1, 2.0, 0.1),  # B: built
+        (0.1, 1.0, 0.1),  # A reused, B kept
+        (0.2, 1.0, 0.1),  # A at a new dt: rebuilt in place, B kept
+        (0.1, 2.0, 0.1),  # B reused
+        (0.1, 1.0, 0.3),  # C: built, evicts A, the least recently used
+        (0.2, 1.0, 0.1),  # A: rebuilt
+    ]
+    for dt, rate, diffusion in calls:
+        shifted_solve(dom, dt, rate, diffusion, b)
+    assert built == [(11.0, 0.1), (12.0, 0.1), (6.0, 0.1), (11.0, 0.3), (6.0, 0.1)]
 
 
 def test_mask_morphology():

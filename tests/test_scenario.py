@@ -220,6 +220,29 @@ def test_rejects_bad_snapshot_every():
         expect_error(data, "snapshot_every")
 
 
+def test_rejects_non_integer_domain_sizes():
+    for value in (17.9, 17.0, "17", True, None):
+        data = base_config()
+        data["domain"]["nodes"] = value
+        expect_error(data, "nodes must be an integer")
+    rect = {"kind": "rectangle", "x_range": [0, 1], "y_range": [0, 1]}
+    for shape in ([9, 9.5], [9, "9"], [True, 9]):
+        data = base_config()
+        data["domain"] = {**rect, "shape": shape}
+        expect_error(data, "shape must be an integer")
+    for shape in ([9], [9, 9, 9], 9, "99"):
+        data = base_config()
+        data["domain"] = {**rect, "shape": shape}
+        expect_error(data, "shape must be two integers")
+
+
+def test_rejects_nonpositive_zero_infection_tol():
+    for value in (-1, 0, 0.0, "0.1", True):
+        data = base_config()
+        data["outputs"] = {"zero_infection_tol": value}
+        expect_error(data, "zero_infection_tol")
+
+
 def test_rejects_bad_domain_kind():
     data = base_config()
     data["domain"] = {"kind": "annulus"}
