@@ -1,7 +1,9 @@
 """Steady states of the epidemic system.
 
 The disease-free equilibrium is the unique solution of the linear
-problem ``d_S Lap(S) - S + recruitment = 0`` with zero-flux boundaries.
+problem ``d_S Lap(S) - S + recruitment = 0`` with zero-flux boundaries,
+solved by one sparse LU factor (:func:`sisrd.grid.shifted_factor`) that
+is freed when :func:`solve_dfe` returns; it is not kept on the domain.
 Endemic equilibria are found by marching the time-dependent system to
 stationarity (the robust route for every parameter regime).  Every
 marched state then goes through :func:`settle`, which optionally polishes
@@ -26,8 +28,8 @@ from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientSet
 from .dynamics import RunSummary, SimState, run
-from .grid import ScalarField, assemble_neumann_laplacian, integrate, shifted_operator
-from .solvers import NonConvergenceError, spd_solve
+from .grid import ScalarField, assemble_neumann_laplacian, integrate, shifted_factor
+from .solvers import NonConvergenceError
 
 __all__ = [
     "ENDEMIC_MASS_RTOL",
@@ -71,14 +73,8 @@ class EquilibriumResult:
 def solve_dfe(c: CoefficientSet) -> ScalarField:
     """Susceptible profile with no infection: ``d_S Lap(S) - S + recruitment = 0``."""
     dom = c.domain
-    A = shifted_operator(dom, 1.0, c.d_S)
     b = dom.cell_measures * c.recruitment.values
-    x, report = spd_solve(A, b, tol=1e-12, x0=c.recruitment.values)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"disease-free solve stalled at relative residual {report.residual:.3e}"
-        )
-    return dom.field(x)
+    return dom.field(shifted_factor(dom, 1.0, c.d_S).solve(b))
 
 
 def elliptic_residuals(

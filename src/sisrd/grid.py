@@ -17,10 +17,15 @@ boundary row in 1D reads ``(-2, 2, 0)/h^2``.  Row sums vanish identically
 and the operator is symmetric with respect to the cell-measure inner
 product.  The assembly also exposes the symmetric positive-semidefinite
 stiffness form ``K = -(W L)`` (``W`` the diagonal of cell measures),
-which is what the implicit solvers consume.  :func:`shifted_solve`
-solves with the time-step form ``W diag(1/dt + rate) + d K`` through
-sparse LU factors cached on the domain, so a time march reuses one
-factorization per operator until dt changes.
+which is what the implicit solvers consume.
+
+Every linear solve in the package factors a :func:`shifted_operator`
+``W diag(reaction) + d K`` with :func:`shifted_factor`, a sparse LU.
+:func:`shifted_solve` serves the time marches from factors of the
+time-step form ``W diag(1/dt + rate) + d K`` cached on the domain, so a
+march reuses one factorization per operator until dt changes.  The
+disease-free solve and the two eigenproblems call :func:`shifted_factor`
+directly and keep their factor only for the length of the call.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "assemble_neumann_laplacian",
     "stiffness_matrix",
     "shifted_operator",
+    "shifted_factor",
     "shifted_solve",
     "integrate",
     "dilate_mask",
@@ -358,6 +364,22 @@ def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_
     return A
 
 
+def shifted_factor(dom: DiscreteDomain, reaction, diffusion: float):
+    """Sparse LU factor of ``shifted_operator(dom, reaction, diffusion)``.
+
+    The matrix is symmetric and, for ``reaction > 0``, a diagonally
+    dominant M-matrix, so the factorization uses a symmetric minimum-degree
+    ordering without pivoting.  The returned ``SuperLU`` object solves
+    with ``.solve(b)``; nothing is cached.
+    """
+    return splu(
+        shifted_operator(dom, reaction, diffusion).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
 _FACTORS_KEPT = 2  # the S and I operators of one IMEX step
 
 
@@ -368,9 +390,8 @@ def shifted_solve(dom: DiscreteDomain, dt: float, rate, diffusion: float, b: np.
     by their exact values, for the two most recently used operators: a
     march that alternates two operators factors each once per dt, and a
     factor is dropped before its replacement is built, when dt changes or
-    a third operator evicts the least recently used one.  The matrix is
-    symmetric and diagonally dominant, so the factorization uses a
-    symmetric minimum-degree ordering without pivoting.
+    a third operator evicts the least recently used one.  Factors come
+    from :func:`shifted_factor`.
     """
     rate = np.asarray(rate, dtype=float)
     operator = (float(diffusion), rate.shape, rate.tobytes())
@@ -382,12 +403,7 @@ def shifted_solve(dom: DiscreteDomain, dt: float, rate, diffusion: float, b: np.
     del entry  # a factor at another dt is freed before its successor is built
     if len(cache) >= _FACTORS_KEPT:
         del cache[next(iter(cache))]
-    lu = splu(
-        shifted_operator(dom, 1.0 / dt + rate, diffusion).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    lu = shifted_factor(dom, 1.0 / dt + rate, diffusion)
     cache[operator] = (dt, lu)
     return lu.solve(b)
 

@@ -33,6 +33,7 @@ domain's ``nodes`` and ``shape`` entries must be JSON integers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Optional
@@ -98,6 +99,15 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _pair(value, where: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where} must be two numbers, got {value!r}")
+    pair = tuple(_number(v, where) for v in value)
+    if not all(math.isfinite(v) for v in pair):
+        raise ConfigError(f"{where} must be two finite numbers, got {value!r}")
+    return pair
 
 
 def _integer(value, where: str) -> int:
@@ -274,13 +284,13 @@ class ScenarioConfig:
                 if not isinstance(shape, list) or len(shape) != 2:
                     raise ConfigError(f"{where}.shape must be two integers, got {shape!r}")
                 return DomainSpec.rectangle(
-                    tuple(_require(block, "x_range", where)),
-                    tuple(_require(block, "y_range", where)),
+                    _pair(_require(block, "x_range", where), f"{where}.x_range"),
+                    _pair(_require(block, "y_range", where), f"{where}.y_range"),
                     tuple(_integer(n, f"{where}.shape") for n in shape),
                 )
             return DomainSpec.disk(
                 _number(_require(block, "radius", where), f"{where}.radius"),
-                tuple(block.get("center", (0.0, 0.0))),
+                _pair(block["center"], f"{where}.center") if "center" in block else (0.0, 0.0),
                 _number(_require(block, "cell_size", where), f"{where}.cell_size"),
             )
         except ConfigError:

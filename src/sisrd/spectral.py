@@ -23,6 +23,12 @@ inverse is then nonnegative, the iteration on ``W phi = mu (M - shift W) phi``
 keeps the eigenvector positive, and ``lambda0 = shift + 1/mu``.  The sign
 of ``lambda0`` and the position of R0 relative to 1 flag the same
 threshold.
+
+Both problems have the form ``diag(a) phi = mu B phi`` with ``a`` a
+positive vector and ``B = shifted_operator(dom, reaction, d_I)``.  Each
+call factors its ``B`` once with :func:`sisrd.grid.shifted_factor`, so
+every power step is one pair of triangular solves; the factor is local to
+the call and never cached on the domain.
 """
 
 from __future__ import annotations
@@ -34,10 +40,13 @@ import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
 from .equilibrium import solve_dfe
-from .grid import ScalarField, stiffness_matrix
-from .solvers import NonConvergenceError, generalized_principal_eigenpair
+from .grid import ScalarField, shifted_factor, shifted_operator, stiffness_matrix
+from .solvers import NonConvergenceError
 
 __all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
+
+_POWER_TOL = 1e-10  # on ||a phi - mu B phi|| / ||B phi||
+_POWER_MAX_ITER = 50000
 
 
 @dataclass(frozen=True)
@@ -51,26 +60,42 @@ class SpectralResult:
     params: dict = dc_field(default_factory=dict)
 
 
-def _principal(c: CoefficientSet, A, B, what: str, params: dict) -> SpectralResult:
-    """Power iteration on ``A phi = mu B phi`` from the all-ones vector.
+def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str, params: dict) -> SpectralResult:
+    """Largest eigenpair of ``diag(a) phi = mu B phi`` with ``B = W diag(reaction) + d_I K``.
 
-    ``A`` is nonnegative and ``B`` an M-matrix in both uses, so every
-    iterate stays positive; ``value`` is ``mu`` and the field has sup-norm 1.
+    Power iteration on ``B^{-1} diag(a)`` from the all-ones vector, each step
+    solved with one LU factor of ``B``.  ``a`` is nonnegative and ``B`` an
+    M-matrix, so every iterate stays positive.  The estimate is the
+    Rayleigh quotient, and the iteration stops when
+    ``||a phi - mu B phi||_2 <= 1e-10 ||B phi||_2``; an identically zero
+    ``a`` short-circuits to the degenerate answer ``mu = 0``.  ``value`` is
+    ``mu`` and the field has sup-norm 1.
     """
-    mu, phi, report = generalized_principal_eigenpair(A, B)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"{what} power iteration stalled at residual {report.residual:.3e}"
-        )
+    dom = c.domain
+    if not np.any(a):
+        return SpectralResult(0.0, dom.field(1.0), 0.0, 0, True, degenerate=True, params=params)
+    B = shifted_operator(dom, reaction, c.d_I)
+    lu = shifted_factor(dom, reaction, c.d_I)
+    phi = np.ones(dom.n_nodes)
+    for iterations in range(1, _POWER_MAX_ITER + 1):
+        y = lu.solve(a * phi)
+        phi = y / float(np.max(np.abs(y)))
+        Aphi = a * phi
+        Bphi = B @ phi
+        mu = float(phi @ Aphi) / float(phi @ Bphi)
+        res = float(np.linalg.norm(Aphi - mu * Bphi)) / float(np.linalg.norm(Bphi))
+        if res <= _POWER_TOL:
+            break
+    else:
+        raise NonConvergenceError(f"{what} power iteration stalled at residual {res:.3e}")
     if phi.min() < -1e-10:
         raise NonConvergenceError("principal eigenfunction failed to stay one-signed")
     return SpectralResult(
-        value=float(mu),
-        field=c.domain.field(np.maximum(phi, 0.0)),
-        residual=report.residual,
-        iterations=report.iterations,
-        converged=report.converged,
-        degenerate=report.degenerate,
+        value=mu,
+        field=dom.field(np.maximum(phi, 0.0)),
+        residual=res,
+        iterations=iterations,
+        converged=True,
         params=params,
     )
 
@@ -85,10 +110,10 @@ def compute_r0(c: CoefficientSet) -> SpectralResult:
     dom = c.domain
     S_dfe = solve_dfe(c)
     gain = c.beta.values * S_dfe.values**c.q
-    w = dom.cell_measures
-    A = sp.diags(w * gain).tocsr()
-    B = (c.d_I * stiffness_matrix(dom) + sp.diags(w * (c.gamma.values + c.eta.values))).tocsr()
-    return _principal(c, A, B, "R0", {"d_I": c.d_I, "d_S": c.d_S, "q": c.q})
+    return _principal(
+        c, dom.cell_measures * gain, c.gamma.values + c.eta.values, "R0",
+        {"d_I": c.d_I, "d_S": c.d_S, "q": c.q},
+    )
 
 
 def compute_lambda0(c: CoefficientSet) -> SpectralResult:
@@ -100,12 +125,11 @@ def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     w = c.domain.cell_measures
     potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
     shift = -float(potential.max()) - 1.0
-    W = sp.diags(w).tocsr()
-    M = (c.d_I * stiffness_matrix(c.domain) - sp.diags(w * potential)).tocsr()
     res = _principal(
-        c, W, (M - shift * W).tocsr(), "principal-eigenvalue", {"d_I": c.d_I, "shift": shift}
+        c, w, -shift - potential, "principal-eigenvalue", {"d_I": c.d_I, "shift": shift}
     )
     lam0 = shift + 1.0 / res.value
     phi = res.field.values
+    M = (c.d_I * stiffness_matrix(c.domain) - sp.diags(w * potential)).tocsr()
     resid = float(np.linalg.norm(M @ phi - lam0 * (w * phi))) / float(np.linalg.norm(w * phi))
     return replace(res, value=lam0, residual=resid)

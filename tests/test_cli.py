@@ -193,6 +193,25 @@ def test_non_integer_nodes_exits_2(tmp_path, capsys, nodes):
     assert "nodes must be an integer" in capsys.readouterr().err
 
 
+RECTANGLE = {"kind": "rectangle", "x_range": [0, 1], "y_range": [0, 1], "shape": [9, 9]}
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ({**RECTANGLE, "x_range": [0, 1, 2]}, "x_range must be two numbers"),
+        ({**RECTANGLE, "y_range": ["a", 1]}, "y_range must be a number"),
+        ({**RECTANGLE, "x_range": [0, float("inf")]}, "x_range must be two finite numbers"),
+        ({"kind": "disk", "radius": 1.0, "center": [0.0], "cell_size": 0.25},
+         "center must be two numbers"),
+    ],
+)
+def test_malformed_domain_pair_exits_2(tmp_path, capsys, domain, message):
+    cfg = write_config(tmp_path, domain=domain)
+    assert main(["r0", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -7,10 +7,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from sisrd import spectral
 from sisrd.coefficients import CoefficientSet
 from sisrd.equilibrium import solve_dfe
-from sisrd.grid import DomainSpec, build_domain, stiffness_matrix
+from sisrd.grid import DomainSpec, build_domain, shifted_solve, stiffness_matrix
 from sisrd.scenario import load_scenario
+from sisrd.solvers import NonConvergenceError
 from sisrd.spectral import compute_lambda0, compute_r0
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -74,8 +76,39 @@ def test_r0_matches_dense_generalized_eigenproblem():
     B = c.d_I * stiffness_matrix(dom).toarray() + np.diag(
         w * (c.gamma.values + c.eta.values)
     )
-    vals = scipy.linalg.eigh(A, B, eigvals_only=True)
+    vals, vecs = scipy.linalg.eigh(A, B)
     assert res.value == pytest.approx(vals[-1], rel=1e-9)
+    ref = vecs[:, -1] / vecs[np.argmax(np.abs(vecs[:, -1])), -1]
+    np.testing.assert_allclose(res.field.values, ref, atol=1e-7)
+
+
+def test_r0_zero_transmission_is_degenerate():
+    _, c = constants()
+    # the constructor refuses beta <= 0, so zero it on the built set
+    object.__setattr__(c, "beta", c.domain.field(0.0))
+    res = compute_r0(c)
+    assert res.value == 0.0
+    assert res.degenerate and res.converged
+    assert res.iterations == 0
+
+
+@pytest.mark.parametrize("compute", [compute_r0, compute_lambda0], ids=["r0", "lambda0"])
+def test_power_iteration_cap_raises(monkeypatch, compute):
+    _, c = varying_1d()
+    monkeypatch.setattr(spectral, "_POWER_MAX_ITER", 2)
+    with pytest.raises(NonConvergenceError, match="stalled"):
+        compute(c)
+
+
+def test_threshold_solves_leave_the_march_factors_alone():
+    dom, c = varying_1d()
+    shifted_solve(dom, 0.1, 1.0, c.d_S, np.ones(dom.n_nodes))
+    before = dict(dom._factors)
+    solve_dfe(c)
+    compute_r0(c)
+    compute_lambda0(c)
+    assert dom._factors.keys() == before.keys()
+    assert all(dom._factors[k] is before[k] for k in before)
 
 
 def test_r0_nonincreasing_in_infected_diffusion():
