@@ -1,117 +1,50 @@
-"""Conjugate gradients and the generalized power iteration, against dense oracles."""
+"""The positive power iteration behind R0 and lambda0, against dense oracles.
+
+``spectral._principal`` solves ``diag(a) phi = mu B phi`` with
+``B = d_I K + W diag(reaction)``; these tests feed it operator pencils
+from an actual mesh and compare with a dense generalized eigensolver.
+"""
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
+from sisrd import spectral
+from sisrd.coefficients import CoefficientSet
 from sisrd.grid import DomainSpec, build_domain, stiffness_matrix
-from sisrd.solvers import (
-    NonConvergenceError,
-    generalized_principal_eigenpair,
-    spd_solve,
-)
 
 
-def random_spd(n, seed=0):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((n, n))
-    return sp.csr_matrix(B @ B.T + n * np.eye(n))
-
-
-def test_spd_solve_matches_dense_solver():
-    A = random_spd(40)
-    rng = np.random.default_rng(1)
-    b = rng.standard_normal(40)
-    x, report = spd_solve(A, b)
-    expected = np.linalg.solve(A.toarray(), b)
-    assert report.converged
-    assert report.iterations > 0
-    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-9 * np.abs(expected).max())
-    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_spd_solve_zero_rhs_short_circuits():
-    A = random_spd(10)
-    x, report = spd_solve(A, np.zeros(10))
-    np.testing.assert_array_equal(x, 0.0)
-    assert report.converged
-    assert report.iterations == 0
-
-
-def test_spd_solve_warm_start_skips_work():
-    A = random_spd(30, seed=3)
-    b = np.arange(30, dtype=float)
-    x, report = spd_solve(A, b)
-    x2, report2 = spd_solve(A, b, x0=x)
-    assert report2.iterations <= 1
-    np.testing.assert_allclose(x2, x, atol=1e-12)
-
-
-def test_spd_solve_rejects_bad_diagonal():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        spd_solve(A, np.ones(2))
-
-
-def test_spd_solve_detects_indefinite_matrix():
-    # positive diagonal but an eigenvalue at -1: the CG curvature test fires
-    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ValueError):
-        spd_solve(A, np.array([1.0, -1.0]))
-
-
-def test_spd_solve_nonconvergence_reports():
-    A = random_spd(50, seed=5)
-    b = np.ones(50)
-    _, report = spd_solve(A, b, tol=1e-16, max_iter=2)
-    assert not report.converged
+def pencil_owner(n_nodes, d_I):
+    # _principal reads only the domain and d_I of the coefficient set
+    dom = build_domain(DomainSpec.interval(0, 1, n_nodes))
+    c = CoefficientSet.from_values(
+        dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=1.0, d_S=0.1, d_I=d_I, p=1.0, q=1.0
+    )
+    return dom, c
 
 
 def test_eigenpair_matches_dense_generalized_solver():
     # an operator pencil from an actual mesh: A = W diag(a), B = d K + W diag(b)
-    dom = build_domain(DomainSpec.interval(0, 1, 41))
+    dom, c = pencil_owner(41, 0.05)
     w = dom.cell_measures
     a = 2.0 + np.sin(2 * np.pi * dom.coords)
     b = 1.0 + 0.5 * dom.coords
-    A = sp.diags(w * a).tocsr()
-    B = (0.05 * stiffness_matrix(dom) + sp.diags(w * b)).tocsr()
-    mu, phi, report = generalized_principal_eigenpair(A, B, tol=1e-12)
-    vals, vecs = scipy.linalg.eigh(A.toarray(), B.toarray())
-    assert report.converged
-    assert mu == pytest.approx(vals[-1], rel=1e-10)
+    res = spectral._principal(c, w * a, b, "test", {})
+    A = np.diag(w * a)
+    B = 0.05 * stiffness_matrix(dom).toarray() + np.diag(w * b)
+    vals, vecs = scipy.linalg.eigh(A, B)
+    assert res.converged
+    assert res.value == pytest.approx(vals[-1], rel=1e-10)
     ref = vecs[:, -1]
     ref = ref / ref[np.argmax(np.abs(ref))]
+    phi = res.field.values
     np.testing.assert_allclose(phi / phi[np.argmax(np.abs(ref))], ref, atol=1e-7)
 
 
 def test_eigenpair_positive_eigenvector():
-    dom = build_domain(DomainSpec.interval(0, 1, 31))
+    dom, c = pencil_owner(31, 0.1)
     w = dom.cell_measures
-    A = sp.diags(w * (1.0 + dom.coords)).tocsr()
-    B = (0.1 * stiffness_matrix(dom) + sp.diags(w)).tocsr()
-    _, phi, _ = generalized_principal_eigenpair(A, B)
+    res = spectral._principal(c, w * (1.0 + dom.coords), np.ones(dom.n_nodes), "test", {})
+    phi = res.field.values
     assert phi.min() > 0.0
     assert phi.max() == pytest.approx(1.0)
-
-
-def test_eigenpair_zero_operator_degenerate():
-    dom = build_domain(DomainSpec.interval(0, 1, 11))
-    w = dom.cell_measures
-    A = sp.csr_matrix((11, 11))
-    B = sp.diags(w).tocsr()
-    mu, phi, report = generalized_principal_eigenpair(A, B)
-    assert mu == 0.0
-    assert report.degenerate
-
-
-def test_eigenpair_iteration_cap():
-    # the low-level routine reports failure through the flag; callers that
-    # need a hard error (the spectral indicators) raise on this flag
-    dom = build_domain(DomainSpec.interval(0, 1, 21))
-    w = dom.cell_measures
-    A = sp.diags(w * (1.0 + dom.coords)).tocsr()
-    B = (0.1 * stiffness_matrix(dom) + sp.diags(w)).tocsr()
-    mu, phi, report = generalized_principal_eigenpair(A, B, tol=1e-15, max_iter=2)
-    assert not report.converged
-    assert report.iterations == 2
