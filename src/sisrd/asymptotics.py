@@ -21,8 +21,11 @@ can be computed without solving the full coupled system.  With
   when ``sigma >= max(eta)`` (envelope bounds otherwise), and for p < 1 a
   per-node scalar equation ``recruitment = eta t + h^(1/q) t^((1-p)/q)``
   (:func:`limit_joint_p1`, :func:`limit_joint_sublinear`).  The joint
-  limits are also bracketed from below and above by explicit monotone
-  iterations (:func:`monotone_joint_p1`, :func:`monotone_joint_sublinear`).
+  limits are also bracketed from below and above by one monotone
+  iteration that differs between p = 1 and p < 1 only in its inner map
+  (:func:`monotone_joint_p1`, :func:`monotone_joint_sublinear`); its limit
+  is taken from the joint-limit profile, and every round is checked for
+  monotonicity.
 
 :func:`limit_profile` picks the profile of a regime by name.
 
@@ -50,6 +53,7 @@ from .grid import (
     shifted_solve,
 )
 from .solvers import NonConvergenceError
+from .spectral import compute_lambda0
 
 __all__ = [
     "LimitProfile",
@@ -85,7 +89,7 @@ class LimitProfile:
 
 @dataclass(frozen=True)
 class MonotoneSequence:
-    """A bracketing iteration together with its independently computed limit."""
+    """A bracketing iteration together with the joint-limit profile it approaches."""
 
     direction: str  # "increasing" | "decreasing"
     u_iterates: list  # early iterates only (up to a storage cap)
@@ -281,8 +285,6 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
     step.  For p = 1 an endemic limit requires a negative principal
     eigenvalue; the request is refused otherwise.
     """
-    from .spectral import compute_lambda0  # local import to avoid a cycle
-
     dom = c.domain
     if c.p == 1.0:
         lam0 = compute_lambda0(c).value
@@ -431,40 +433,65 @@ def limit_profile(
 
 _SEQ_STORE_LIMIT = 200
 _SEQ_TOL = 1e-10  # stop once one round moves the iterates less than this
+_SEQ_SLACK = 1e-12  # rounding allowance against the direction of travel
 _SEQ_MAX_ITER = 100000
 
 
-def _require_sigma(c: CoefficientSet, sigma: float) -> None:
-    eta_max = float(c.eta.values.max())
-    if not sigma > eta_max:
-        raise ValueError(f"sigma = {sigma:g} must exceed max(eta) = {eta_max:g}")
-
-
-def _run_sequence(
-    u0: np.ndarray,
-    v0: np.ndarray,
-    advance: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    u_limit: np.ndarray,
-    v_limit: np.ndarray,
+def _bracketing_sequence(
+    c: CoefficientSet,
+    sigma: float,
     direction: str,
+    joint_limit: Callable[[CoefficientSet, float], LimitProfile],
+    inner: Callable[[np.ndarray], np.ndarray],
 ) -> MonotoneSequence:
-    u, v = u0.copy(), v0.copy()
-    u_iter, v_iter = [u.copy()], [v.copy()]
-    gaps = [max(float(np.max(np.abs(u - u_limit))), float(np.max(np.abs(v - v_limit))))]
-    converged = False
-    n = 0
+    """One monotone iteration behind both joint-limit bracketing sequences.
+
+    A round is ``v = inner(u)`` and ``u = recruitment + (1 - eta/sigma) v``: in
+    that order from ``(recruitment, 0)`` (increasing), in the other order from
+    the constant ``recruitment_max + (sigma+1) max(recruitment/eta)``
+    (decreasing).  The limit is ``v* = sigma I*`` with ``I*`` from
+    ``joint_limit``; a round against the direction raises NonConvergenceError.
+    """
+    eta = c.eta.values
+    if not sigma > float(eta.max()):
+        raise ValueError(f"sigma = {sigma:g} must exceed max(eta) = {float(eta.max()):g}")
+    if direction not in ("increasing", "decreasing"):
+        raise ValueError("direction must be 'increasing' or 'decreasing'")
+    lam = c.recruitment.values
+    factor = 1.0 - eta / sigma
+    v_limit = sigma * joint_limit(c, sigma).I_limit.values
+    u_limit = lam + factor * v_limit
+
+    increasing = direction == "increasing"
+    if increasing:
+        u, v = lam.copy(), np.zeros(c.domain.n_nodes)
+    else:
+        u = v = np.full(c.domain.n_nodes, lam.max() + (sigma + 1.0) * float((lam / eta).max()))
+
+    def gap(u: np.ndarray, v: np.ndarray) -> float:
+        return max(float(np.max(np.abs(u - u_limit))), float(np.max(np.abs(v - v_limit))))
+
+    u_iter, v_iter, gaps = [u], [v], [gap(u, v)]
     for n in range(1, _SEQ_MAX_ITER + 1):
-        u_next, v_next = advance(u, v)
-        step = max(float(np.max(np.abs(u_next - u))), float(np.max(np.abs(v_next - v))))
+        if increasing:
+            v_next = inner(u)
+            u_next = lam + factor * v_next
+        else:
+            u_next = lam + factor * v
+            v_next = inner(u_next)
+        du, dv = (u_next - u, v_next - v) if increasing else (u - u_next, v - v_next)
+        worst = min(float(du.min()), float(dv.min()))
+        if worst < -_SEQ_SLACK:
+            raise NonConvergenceError(
+                f"{direction} sequence lost monotonicity at round {n} (violation {worst:.3e})"
+            )
         u, v = u_next, v_next
         if len(u_iter) < _SEQ_STORE_LIMIT:
-            u_iter.append(u.copy())
-            v_iter.append(v.copy())
-        gaps.append(
-            max(float(np.max(np.abs(u - u_limit))), float(np.max(np.abs(v - v_limit))))
-        )
+            u_iter.append(u)
+            v_iter.append(v)
+        gaps.append(gap(u, v))
+        step = max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
         if step < _SEQ_TOL:
-            converged = True
             break
     return MonotoneSequence(
         direction=direction,
@@ -476,7 +503,7 @@ def _run_sequence(
         v_limit=v_limit,
         sup_gaps=gaps,
         n_iterations=n,
-        converged=converged,
+        converged=step < _SEQ_TOL,
     )
 
 
@@ -487,49 +514,16 @@ def monotone_joint_p1(
 ) -> MonotoneSequence:
     """Explicit bracketing iteration for the p = 1 joint limit.
 
-    Increasing from ``(u, v) = (recruitment, 0)`` or decreasing from the
-    constant ``recruitment_max + (sigma+1) max(recruitment/eta)``; one
-    round applies ``u = recruitment + (1 - eta/sigma) v`` and
-    ``v' = (u - h^(1/q))_+``.  Both directions converge to
-    ``v* = (sigma/eta)(recruitment - h^(1/q))_+`` and
-    ``u* = min(recruitment, h^(1/q)) + v*``.
+    The inner map is ``v = (u - h^(1/q))_+``; both directions converge to
+    the closed form of :func:`limit_joint_p1`,
+    ``v* = (sigma/eta)(recruitment - h^(1/q))_+``.
     """
     if c.p != 1.0:
         raise ValueError("this bracketing sequence requires p = 1")
-    _require_sigma(c, sigma)
-    dom = c.domain
-    lam = c.recruitment.values
-    eta = c.eta.values
     ceiling = c.risk_ceiling()
-    factor = 1.0 - eta / sigma
-
-    v_limit = (sigma / eta) * np.maximum(lam - ceiling, 0.0)
-    u_limit = np.minimum(lam, ceiling) + v_limit
-
-    if direction == "increasing":
-        v0 = np.zeros(dom.n_nodes)
-        u0 = lam + factor * v0
-
-        def advance(u, v):
-            v_next = np.maximum(u - ceiling, 0.0)
-            u_next = lam + factor * v_next
-            return u_next, v_next
-
-    elif direction == "decreasing":
-        start = lam.max() + (sigma + 1.0) * float((lam / eta).max())
-        u0 = np.full(dom.n_nodes, start)
-        v0 = np.full(dom.n_nodes, start)
-
-        def advance(u, v):
-            u_next = lam + factor * v
-            v_next = np.maximum(u - ceiling, 0.0)
-            return u_next, v_next
-
-    else:
-        raise ValueError("direction must be 'increasing' or 'decreasing'")
-    seq = _run_sequence(u0, v0, advance, u_limit, v_limit, direction)
-    _check_monotone(seq)
-    return seq
+    return _bracketing_sequence(
+        c, sigma, direction, limit_joint_p1, lambda u: np.maximum(u - ceiling, 0.0)
+    )
 
 
 def monotone_joint_sublinear(
@@ -539,73 +533,22 @@ def monotone_joint_sublinear(
 ) -> MonotoneSequence:
     """Bracketing iteration for the 0 < p < 1 joint limit.
 
-    The inner update inverts the strictly increasing map
-    ``v -> v + h^(1/q) (v/sigma)^((1-p)/q)`` by bisection.  Both directions
-    converge to the root ``v*`` of
-    ``recruitment = (eta/sigma) v + h^(1/q) (v/sigma)^((1-p)/q)`` with
-    ``u* = recruitment + (1 - eta/sigma) v*``; the infected limit is
-    ``v*/sigma``.
+    The inner map inverts the strictly increasing
+    ``v -> v + h^(1/q) (v/sigma)^((1-p)/q)`` by bisection; both directions
+    converge to ``v* = sigma I*`` with ``I*`` from :func:`limit_joint_sublinear`.
     """
     if not c.p < 1.0:
         raise ValueError("this bracketing sequence requires 0 < p < 1")
-    _require_sigma(c, sigma)
-    dom = c.domain
-    lam = c.recruitment.values
-    eta = c.eta.values
     ceiling = c.risk_ceiling()
     expo = (1.0 - c.p) / c.q
-    factor = 1.0 - eta / sigma
 
-    def solve_inner(target: np.ndarray) -> np.ndarray:
+    def inner(u: np.ndarray) -> np.ndarray:
         def f(v: np.ndarray) -> np.ndarray:
-            return v + ceiling * (v / sigma) ** expo - target
+            return v + ceiling * (v / sigma) ** expo - u
 
-        return bisect_increasing(f, np.zeros_like(target), target)
+        return bisect_increasing(f, np.zeros_like(u), u)
 
-    def f_limit(v: np.ndarray) -> np.ndarray:
-        return (eta / sigma) * v + ceiling * (v / sigma) ** expo - lam
-
-    hi = np.full(dom.n_nodes, sigma * (lam.max() / eta.min()) + 1.0)
-    v_limit = bisect_increasing(f_limit, np.zeros(dom.n_nodes), hi)
-    u_limit = lam + factor * v_limit
-
-    if direction == "increasing":
-        u0 = lam.copy()
-        v0 = np.zeros(dom.n_nodes)
-
-        def advance(u, v):
-            v_next = solve_inner(u)
-            u_next = lam + factor * v_next
-            return u_next, v_next
-
-    elif direction == "decreasing":
-        start = lam.max() + (1.0 + sigma) * float((lam / eta).max())
-        u0 = np.full(dom.n_nodes, start)
-        v0 = np.full(dom.n_nodes, start)
-
-        def advance(u, v):
-            u_next = lam + factor * v
-            v_next = solve_inner(u_next)
-            return u_next, v_next
-
-    else:
-        raise ValueError("direction must be 'increasing' or 'decreasing'")
-    seq = _run_sequence(u0, v0, advance, u_limit, v_limit, direction)
-    _check_monotone(seq)
-    return seq
-
-
-def _check_monotone(seq: MonotoneSequence, slack: float = 1e-12) -> None:
-    """Componentwise monotonicity of the stored iterates, within rounding."""
-    sign = 1.0 if seq.direction == "increasing" else -1.0
-    for name, iterates in (("u", seq.u_iterates), ("v", seq.v_iterates)):
-        for n in range(1, len(iterates)):
-            worst = float(np.min(sign * (iterates[n] - iterates[n - 1])))
-            if worst < -slack:
-                raise RuntimeError(
-                    f"{seq.direction} sequence lost monotonicity in {name} at "
-                    f"iterate {n} (violation {worst:.3e})"
-                )
+    return _bracketing_sequence(c, sigma, direction, limit_joint_sublinear, inner)
 
 
 # ---------------------------------------------------------------------------

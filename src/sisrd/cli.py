@@ -2,8 +2,8 @@
 
 Every subcommand takes a scenario JSON via ``--config`` (see
 :mod:`sisrd.scenario` for the schema).  Exit status: 0 on success, 1 when
-a computation fails or an audit finds a violated bound, 2 for bad usage or
-a malformed config.
+a computation fails or an audit finds a violated bound, 2 for bad usage, a
+malformed config, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ __all__ = ["main"]
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _number_list(text: str) -> list:
+    """Comma-separated numbers; an argparse ``type``, so a bad entry exits 2."""
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def _load(args) -> tuple:
@@ -117,9 +122,8 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config, _, c = _load(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
     sigma = args.sigma if args.sigma is not None else config.sigma
-    result = sweep(c, args.regime, values, sigma=sigma, out_csv=args.out)
+    result = sweep(c, args.regime, args.values, sigma=sigma, out_csv=args.out)
     print(f"wrote {len(result.rows)} rows to {result.csv_path}")
     failed = [r for r in result.rows if "error" in r]
     for r in failed:
@@ -183,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", _cmd_sweep, "equilibria along a shrinking-diffusion schedule")
     p.add_argument("--regime", required=True, choices=["d_I", "d_S", "joint"])
-    p.add_argument("--values", required=True, help="comma-separated descending values")
+    p.add_argument(
+        "--values", required=True, type=_number_list, help="comma-separated descending values"
+    )
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
 
@@ -202,6 +208,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every path a subcommand opens comes from the command line
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, MassBalanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Optional
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, evaluate_formula_on
 from .dynamics import SimState
 from .formula import FormulaError, free_variables, parse
 from .grid import DiscreteDomain, DomainSpec, build_domain
@@ -317,8 +317,6 @@ class ScenarioConfig:
         )
 
     def initial_state(self, dom: DiscreteDomain) -> SimState:
-        from .coefficients import evaluate_formula_on
-
         S0 = evaluate_formula_on(dom, self.initial_S)
         I0 = evaluate_formula_on(dom, self.initial_I)
         if S0.min() <= 0.0:

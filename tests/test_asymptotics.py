@@ -8,6 +8,7 @@ bisection on the defining scalar equations.
 import numpy as np
 import pytest
 
+from sisrd import asymptotics
 from sisrd.asymptotics import (
     bisect_increasing,
     bounds_audit,
@@ -24,6 +25,7 @@ from sisrd.asymptotics import (
 from sisrd.coefficients import CoefficientSet
 from sisrd.equilibrium import find_ee
 from sisrd.grid import DomainSpec, build_domain
+from sisrd.solvers import NonConvergenceError
 
 GOLDEN_S = 0.6180339887498949
 GOLDEN_I = 0.3819660112501051
@@ -315,6 +317,9 @@ def test_p1_decreasing_sequence_start_and_limit():
     # start value Lambda_max + (sigma+1) max(Lambda/eta) = 2 + 3*2 = 8
     assert seq.u_iterates[0][0] == pytest.approx(8.0)
     assert seq.v_iterates[0][0] == pytest.approx(8.0)
+    # first round: u = 2 + (1/2) 8 = 6, then v = (u - 1)_+ = 5 from the new u
+    assert seq.u_iterates[1][0] == pytest.approx(6.0)
+    assert seq.v_iterates[1][0] == pytest.approx(5.0)
     np.testing.assert_allclose(seq.final_u, 3.0, atol=1e-8)
     np.testing.assert_allclose(seq.final_v, 2.0, atol=1e-8)
 
@@ -397,6 +402,23 @@ def test_sublinear_sequences_converge_to_profile():
     inc = monotone_joint_sublinear(c, 2.0, "increasing")
     dec = monotone_joint_sublinear(c, 2.0, "decreasing")
     assert np.abs(inc.final_u - dec.final_u).max() <= 1e-8
+
+
+def test_sequence_checks_monotonicity_on_every_round(monkeypatch):
+    # one late round, past the stored iterates, is pushed against the
+    # direction of travel; the per-round check must catch it
+    c = golden_constants(interval(9))
+    calls = []
+
+    def shifted(f, lo, hi, iterations=100):
+        calls.append(None)
+        root = bisect_increasing(f, lo, hi, iterations)
+        return root - 1e-6 if len(calls) == 500 else root
+
+    monkeypatch.setattr(asymptotics, "bisect_increasing", shifted)
+    with pytest.raises(NonConvergenceError, match="monotonicity"):
+        monotone_joint_sublinear(c, 50.0, "increasing")
+    assert len(calls) == 500
 
 
 def test_sublinear_sequence_scenario_coefficients():

@@ -140,6 +140,15 @@ def test_sweep_rejects_bad_schedule(tmp_path, capsys):
     assert "decreasing" in capsys.readouterr().err
 
 
+def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--regime", "d_I", "--values", "0.05,abc",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--values" in capsys.readouterr().err
+
+
 def test_audit_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["audit", "--config", cfg]) == 0
@@ -157,6 +166,16 @@ def test_compare_command(tmp_path, capsys):
     assert main(["compare", "--config", cfg, s_csv, s_csv]) == 0
     out = capsys.readouterr().out
     assert "sup=0.0" in out
+
+
+def test_compare_missing_field_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    missing = str(tmp_path / "missing.csv")
+    assert main(["compare", "--config", cfg, missing, missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.csv" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
