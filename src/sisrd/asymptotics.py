@@ -29,8 +29,10 @@ can be computed without solving the full coupled system.  With
 
 :func:`limit_profile` picks the profile of a regime by name.
 
-Every pointwise scalar equation is solved by bisection on a monotone map
-with a verified sign change, so each returned root is its own certificate.
+Every pointwise scalar equation is solved by bracketed Newton on a monotone
+map (:func:`newton_increasing`): the sign change is verified up front and
+every iterate shrinks the bracket, so each returned root is its own
+certificate.
 :func:`bounds_audit` checks a computed equilibrium against the a-priori
 interior-extremum bounds (susceptible range for p = 1; infected range,
 diffusion-weighted caps, and the positive floor root ``c0`` for p < 1).
@@ -60,6 +62,7 @@ __all__ = [
     "MonotoneSequence",
     "BoundsReport",
     "bisect_increasing",
+    "newton_increasing",
     "classify_small_di",
     "limit_small_di",
     "limit_small_ds",
@@ -142,6 +145,58 @@ def bisect_increasing(
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+_NEWTON_MAX_ITER = 100  # the old halving count
+_NEWTON_ULPS = 4.0
+
+
+def newton_increasing(
+    f: Callable[[np.ndarray], np.ndarray],
+    df: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
+    start=None,
+) -> np.ndarray:
+    """Vectorized safeguarded Newton for a nondecreasing map with a sign change.
+
+    ``f(lo) <= 0 <= f(hi)`` is verified up front, and every node keeps a
+    bracket that the sign of ``f`` at each iterate shrinks.  The Newton step
+    from ``start`` (default: the bracket midpoint) is taken when the slope
+    ``df`` is finite and the step lands inside the closed bracket; otherwise
+    the node bisects.  A node has converged when an accepted Newton step
+    moved it by at most 4 ulp or its bracket is at most 4 ulp of ``hi``
+    wide.  :class:`NonConvergenceError` after 100 iterations.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
+    hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
+    if np.any(f(lo) > 0.0) or np.any(f(hi) < 0.0):
+        raise ValueError("root bracket does not straddle a sign change")
+    width_tol = _NEWTON_ULPS * np.spacing(np.abs(hi))
+    x = 0.5 * (lo + hi) if start is None else np.clip(start, lo, hi)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        fx = f(x)
+        lo = np.where(fx <= 0.0, x, lo)
+        hi = np.where(fx >= 0.0, x, hi)
+        # an infinite slope (a power below one at 0) gives a zero step that
+        # proves nothing, so it bisects like a step out of the bracket
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = df(x)
+            x_newton = x - fx / slope
+        newton = np.isfinite(slope) & (lo <= x_newton) & (x_newton <= hi)
+        x_next = np.where(newton, x_newton, 0.5 * (lo + hi))
+        converged = (
+            newton & (np.abs(x_next - x) <= _NEWTON_ULPS * np.spacing(np.abs(x)))
+        ) | (hi - lo <= width_tol)
+        x = np.where(done, x, x_next)
+        done |= converged
+        if done.all():
+            return x
+    raise NonConvergenceError(
+        f"Newton root not converged after {_NEWTON_MAX_ITER} iterations "
+        f"at {int((~done).sum())} of {done.size} nodes"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +314,14 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
 # ---------------------------------------------------------------------------
 
 
-def eliminate_susceptible(c: CoefficientSet, I: np.ndarray) -> np.ndarray:
+def eliminate_susceptible(c: CoefficientSet, I: np.ndarray, *, start=None) -> np.ndarray:
     """Per-node root of ``recruitment - s - beta s^q I^p + gamma I = 0``.
 
     The map ``s -> s + beta s^q I^p`` is strictly increasing, so the root
-    is unique; the bracket ``[0, recruitment + gamma I]`` always straddles.
+    is unique; the bracket ``[0, recruitment + gamma I]`` always straddles
+    and is verified on every call.  The root is found by
+    :func:`newton_increasing` from ``start`` (a nearby root, such as the
+    previous one along a march) or from the bracket midpoint.
     """
     lam = c.recruitment.values
     beta = c.beta.values
@@ -274,7 +332,10 @@ def eliminate_susceptible(c: CoefficientSet, I: np.ndarray) -> np.ndarray:
     def f(s: np.ndarray) -> np.ndarray:
         return s + beta * s**c.q * Ip - target
 
-    return bisect_increasing(f, np.zeros_like(target), target)
+    def df(s: np.ndarray) -> np.ndarray:
+        return 1.0 + c.q * beta * s ** (c.q - 1.0) * Ip
+
+    return newton_increasing(f, df, np.zeros_like(target), target, start)
 
 
 def limit_small_ds(c: CoefficientSet) -> LimitProfile:
@@ -282,8 +343,9 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
 
     Marches ``I_t = d_I Lap(I) + beta S(I)^q I^p - (gamma+eta) I`` from
     ``I = 0.2`` with the susceptible density eliminated pointwise at every
-    step.  For p = 1 an endemic limit requires a negative principal
-    eigenvalue; the request is refused otherwise.
+    step, each elimination starting from the previous step's ``S``.  For
+    p = 1 an endemic limit requires a negative principal eigenvalue; the
+    request is refused otherwise.
     """
     dom = c.domain
     if c.p == 1.0:
@@ -295,8 +357,11 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
     beta = c.beta.values
     rate = c.gamma.values + c.eta.values
 
+    S = None
+
     def source(I: np.ndarray) -> np.ndarray:
-        S = eliminate_susceptible(c, I)
+        nonlocal S
+        S = eliminate_susceptible(c, I, start=S)
         return beta * S**c.q * I**c.p
 
     I_star, info = _march_semilinear(
@@ -306,7 +371,7 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
         source=source,
         u0=np.full(dom.n_nodes, 0.2),
     )
-    S_star = eliminate_susceptible(c, I_star)
+    S_star = eliminate_susceptible(c, I_star, start=S)
     L = assemble_neumann_laplacian(dom)
     residual = c.d_I * (L @ I_star) + beta * S_star**c.q * I_star**c.p - rate * I_star
     return LimitProfile(
@@ -378,7 +443,9 @@ def limit_joint_sublinear(c: CoefficientSet, sigma: float) -> LimitProfile:
 
     Per node, ``I*`` is the unique positive root of
     ``recruitment = eta t + h^(1/q) t^((1-p)/q)`` and
-    ``S* = h^(1/q) (I*)^((1-p)/q)``, so ``S* + eta I* = recruitment``.
+    ``S* = h^(1/q) (I*)^((1-p)/q)``, so ``S* + eta I* = recruitment``.  The
+    root is found by :func:`newton_increasing` on
+    ``[0, recruitment_max/eta_min + 1]``.
     """
     if not c.p < 1.0:
         raise ValueError("this joint limit requires 0 < p < 1")
@@ -393,8 +460,11 @@ def limit_joint_sublinear(c: CoefficientSet, sigma: float) -> LimitProfile:
     def f(t: np.ndarray) -> np.ndarray:
         return eta * t + ceiling * t**expo - lam
 
+    def df(t: np.ndarray) -> np.ndarray:
+        return eta + expo * ceiling * t ** (expo - 1.0)
+
     hi = np.full(dom.n_nodes, lam.max() / eta.min() + 1.0)
-    I_star = bisect_increasing(f, np.zeros(dom.n_nodes), hi)
+    I_star = newton_increasing(f, df, np.zeros(dom.n_nodes), hi)
     S_star = ceiling * I_star**expo
     return LimitProfile(
         regime="joint",
@@ -534,7 +604,8 @@ def monotone_joint_sublinear(
     """Bracketing iteration for the 0 < p < 1 joint limit.
 
     The inner map inverts the strictly increasing
-    ``v -> v + h^(1/q) (v/sigma)^((1-p)/q)`` by bisection; both directions
+    ``v -> v + h^(1/q) (v/sigma)^((1-p)/q)`` on ``[0, u]`` by
+    :func:`newton_increasing`; both directions
     converge to ``v* = sigma I*`` with ``I*`` from :func:`limit_joint_sublinear`.
     """
     if not c.p < 1.0:
@@ -546,7 +617,10 @@ def monotone_joint_sublinear(
         def f(v: np.ndarray) -> np.ndarray:
             return v + ceiling * (v / sigma) ** expo - u
 
-        return bisect_increasing(f, np.zeros_like(u), u)
+        def df(v: np.ndarray) -> np.ndarray:
+            return 1.0 + (expo / sigma) * ceiling * (v / sigma) ** (expo - 1.0)
+
+        return newton_increasing(f, df, np.zeros_like(u), u)
 
     return _bracketing_sequence(c, sigma, direction, limit_joint_sublinear, inner)
 
@@ -574,7 +648,10 @@ def susceptible_floor_constant(c: CoefficientSet) -> float:
     def f(t: np.ndarray) -> np.ndarray:
         return t + t**c.q - target
 
-    root = bisect_increasing(f, np.zeros(1), np.full(1, target), iterations=200)
+    def df(t: np.ndarray) -> np.ndarray:
+        return 1.0 + c.q * t ** (c.q - 1.0)
+
+    root = newton_increasing(f, df, np.zeros(1), np.full(1, target))
     return float(root[0])
 
 

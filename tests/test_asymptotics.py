@@ -20,6 +20,7 @@ from sisrd.asymptotics import (
     limit_small_ds,
     monotone_joint_p1,
     monotone_joint_sublinear,
+    newton_increasing,
     susceptible_floor_constant,
 )
 from sisrd.coefficients import CoefficientSet
@@ -64,40 +65,86 @@ def scenario_disk(p=1.0, cell=0.0625):
 
 
 # ---------------------------------------------------------------------------
-# Bisection
+# Root finding
 # ---------------------------------------------------------------------------
 
 
+def bisect(f, df, lo, hi, start=None):
+    return bisect_increasing(f, lo, hi)
+
+
+# every root-finder test runs on both solvers, the slope supplied to both
+ROOT_FINDERS = (bisect, newton_increasing)
+
+
+def square_slope(t):
+    return 2.0 * t
+
+
 def test_bisection_scalar_root():
-    root = bisect_increasing(lambda t: t * t - 2.0, 0.0, 2.0)
-    assert root[0] == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    for solve in ROOT_FINDERS:
+        root = solve(lambda t: t * t - 2.0, square_slope, 0.0, 2.0)
+        assert root[0] == pytest.approx(np.sqrt(2.0), abs=1e-14), solve.__name__
 
 
 def test_bisection_vectorized_roots():
     targets = np.array([1.0, 4.0, 9.0, 2.5])
-    roots = bisect_increasing(lambda t: t * t - targets, np.zeros(4), np.full(4, 4.0))
-    np.testing.assert_allclose(roots, np.sqrt(targets), atol=1e-13)
+    for solve in ROOT_FINDERS:
+        roots = solve(lambda t: t * t - targets, square_slope, np.zeros(4), np.full(4, 4.0))
+        np.testing.assert_allclose(
+            roots, np.sqrt(targets), atol=1e-13, err_msg=solve.__name__
+        )
 
 
 def test_bisection_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        bisect_increasing(lambda t: t + 1.0, 0.0, 1.0)
+    for solve in ROOT_FINDERS:
+        with pytest.raises(ValueError):
+            solve(lambda t: t + 1.0, np.ones_like, 0.0, 1.0)
+
+
+def golden_map(t):
+    return t + np.sqrt(t) - 1.0
+
+
+def golden_slope(t):
+    return 1.0 + 0.5 / np.sqrt(t)
 
 
 def test_bisection_against_brute_force_scan():
     # scan the golden-pair equation eta*t + h^(1/q) t^((1-p)/q) - Lambda on a
-    # million-point grid, locate the sign change, and confirm the bisection
-    # root lands inside that bracket
-    def f(t):
-        return t + np.sqrt(t) - 1.0
-
+    # million-point grid, locate the sign change, and confirm that each
+    # solver's root lands inside that bracket
     grid = np.linspace(0.0, 1.0, 1_000_001)
-    signs = f(grid)
+    signs = golden_map(grid)
     k = int(np.argmax(signs > 0.0))
     assert signs[k - 1] <= 0.0 < signs[k]
-    root = bisect_increasing(f, 0.0, 1.0)[0]
-    assert grid[k - 1] <= root <= grid[k]
-    assert root == pytest.approx(GOLDEN_I, abs=1e-12)
+    for solve in ROOT_FINDERS:
+        root = solve(golden_map, golden_slope, 0.0, 1.0)[0]
+        assert grid[k - 1] <= root <= grid[k], solve.__name__
+        assert root == pytest.approx(GOLDEN_I, abs=1e-12), solve.__name__
+
+
+def test_newton_start_at_lower_end_with_infinite_slope():
+    # at t = 0 the slope of sqrt(t) is infinite, so the Newton step is 0;
+    # that must bisect, not count as converged at 0
+    root = newton_increasing(golden_map, golden_slope, 0.0, 1.0, start=0.0)
+    assert root[0] == pytest.approx(GOLDEN_I, abs=1e-15)
+
+
+def test_newton_converges_on_rounding_level_sign_flip():
+    # for these targets the Newton iterates of t^2 - c alternate between the
+    # two doubles around sqrt(c), where f changes sign
+    targets = np.array([2.00034, 2.00062, 2.00076])
+    roots = newton_increasing(
+        lambda t: t * t - targets, square_slope, np.ones(3), np.full(3, 2.0)
+    )
+    np.testing.assert_allclose(roots, np.sqrt(targets), rtol=2.0 * np.finfo(float).eps)
+
+
+def test_newton_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError, match="not converged"):
+        newton_increasing(lambda t: t * t - 2.0, square_slope, 0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +268,19 @@ def test_small_ds_limit_sublinear_close_to_ee():
     profile = limit_small_ds(c)
     assert np.abs(eq.S.values - profile.S_limit.values).max() <= 5e-3
     assert np.abs(eq.I.values - profile.I_limit.values).max() <= 5e-3
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_small_ds_limit_matches_bisection(monkeypatch, p):
+    # the warm-started Newton elimination leaves the march on the same steps
+    # as the 100-halving bisection it replaced
+    _, c = scenario_disk(p=p)
+    newton = limit_small_ds(c)
+    monkeypatch.setattr(asymptotics, "newton_increasing", bisect)
+    reference = limit_small_ds(c)
+    assert newton.meta["steps"] == reference.meta["steps"]
+    assert np.abs(newton.S_limit.values - reference.S_limit.values).max() <= 1e-13
+    assert np.abs(newton.I_limit.values - reference.I_limit.values).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +470,12 @@ def test_sequence_checks_monotonicity_on_every_round(monkeypatch):
     c = golden_constants(interval(9))
     calls = []
 
-    def shifted(f, lo, hi, iterations=100):
+    def shifted(f, df, lo, hi, start=None):
         calls.append(None)
-        root = bisect_increasing(f, lo, hi, iterations)
+        root = newton_increasing(f, df, lo, hi, start)
         return root - 1e-6 if len(calls) == 500 else root
 
-    monkeypatch.setattr(asymptotics, "bisect_increasing", shifted)
+    monkeypatch.setattr(asymptotics, "newton_increasing", shifted)
     with pytest.raises(NonConvergenceError, match="monotonicity"):
         monotone_joint_sublinear(c, 50.0, "increasing")
     assert len(calls) == 500
@@ -434,6 +494,17 @@ def test_sublinear_sequence_scenario_coefficients():
     assert inc.v_limit.min() > 0.0
     for n in range(1, 6):
         assert (inc.v_iterates[n] - inc.v_iterates[n - 1]).min() > 0.0
+
+
+def test_sublinear_sequences_match_bisection(monkeypatch):
+    _, c = scenario_disk(p=0.5)
+    newton = [monotone_joint_sublinear(c, 2.0, d) for d in ("increasing", "decreasing")]
+    monkeypatch.setattr(asymptotics, "newton_increasing", bisect)
+    for seq in newton:
+        reference = monotone_joint_sublinear(c, 2.0, seq.direction)
+        assert seq.n_iterations == reference.n_iterations
+        assert np.abs(seq.final_u - reference.final_u).max() <= 1e-13
+        assert np.abs(seq.final_v - reference.final_v).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
