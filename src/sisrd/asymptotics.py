@@ -52,7 +52,7 @@ from .grid import (
     DiscreteDomain,
     ScalarField,
     assemble_neumann_laplacian,
-    shifted_solve,
+    shifted_solver,
 )
 from .solvers import NonConvergenceError
 from .spectral import compute_lambda0
@@ -214,16 +214,18 @@ def _march_semilinear(
 ) -> tuple[np.ndarray, dict]:
     """March ``u_t = diffusion Lap(u) - linear_rate u + source(u)`` to steady state.
 
-    The linear sink and the diffusion are implicit, solved by
-    :func:`~sisrd.grid.shifted_solve` with one factor, rebuilt when dt
-    changes; the source is explicit, and a step that loses positivity is
-    rejected.  Steady means ``|u_new - u|_inf / dt < 1e-10``;
+    The linear sink and the diffusion are implicit, solved through one
+    :func:`~sisrd.grid.shifted_solver` that this march owns: its factor is
+    rebuilt when dt changes and freed when the march returns.  The source
+    is explicit, and a step that loses positivity is rejected.  Steady
+    means ``|u_new - u|_inf / dt < 1e-10``;
     :class:`NonConvergenceError` if not steady by t = 4000.
     """
     w = dom.cell_measures
+    solve = shifted_solver(dom, linear_rate, diffusion)
 
     def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-        u_new = shifted_solve(dom, dt, linear_rate, diffusion, w * (u / dt + source(u)))
+        u_new = solve(dt, w * (u / dt + source(u)))
         if u_new.min() <= 0.0:
             raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
         return u_new, float(np.max(np.abs(u_new - u)))

@@ -6,10 +6,10 @@ transfer terms explicitly.  With ``F = beta (S^n)^q (I^n)^p``:
     (1/dt + 1) S' - d_S Lap(S') = S^n/dt + recruitment - F + gamma I^n
     (1/dt) I' - d_I Lap(I') + eta I' = I^n/dt + F - gamma I^n
 
-Both updates are symmetric positive definite solves, done by
-:func:`sisrd.grid.shifted_solve` with sparse LU factors cached on the
-domain: an operator is factored again only when dt changes, so once the
-dt ramp reaches ``dt_max`` every step is two pairs of triangular solves.
+Both updates are symmetric positive definite solves, each through a
+:func:`sisrd.grid.shifted_solver` that :func:`run` holds for the march:
+an operator is factored again only when dt changes, so once the dt ramp
+reaches ``dt_max`` every step is two pairs of triangular solves.
 Because the transfer terms ``-F + gamma I`` and ``+F - gamma I`` appear
 explicitly with opposite signs, they cancel exactly in the discrete
 total-mass balance; integrating the two updates gives
@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .grid import ScalarField, shifted_solve
+from .grid import ScalarField, shifted_solver
 from .solvers import NonConvergenceError
 
 __all__ = [
@@ -102,20 +102,30 @@ class RunSummary:
     t: float = 0.0  # time reached
 
 
-def step_imex(state: SimState, c: CoefficientSet, dt: float) -> tuple[SimState, StepStats]:
-    """Advance one IMEX step; raises :class:`StepRejected` on lost positivity."""
+def _solvers(c: CoefficientSet) -> tuple[Callable, Callable]:
+    """The S and I time-step solves of one march, each holding its own factor."""
+    return shifted_solver(c.domain, 1.0, c.d_S), shifted_solver(c.domain, c.eta.values, c.d_I)
+
+
+def step_imex(state: SimState, c: CoefficientSet, dt: float, *, solvers=None) -> tuple[SimState, StepStats]:
+    """Advance one IMEX step; raises :class:`StepRejected` on lost positivity.
+
+    ``solvers`` are the S and I solves of a march (see :func:`run`); a
+    step taken alone factors its two operators for itself.
+    """
     dom = state.domain
     if dom is not c.domain:
         raise ValueError("state and coefficients live on different domains")
+    solve_S, solve_I = _solvers(c) if solvers is None else solvers
     w = dom.cell_measures
     S = state.S.values
     I = state.I.values
     transfer = c.beta.values * S**c.q * I**c.p
 
     rhs_S = S / dt + c.recruitment.values - transfer + c.gamma.values * I
-    S_new = shifted_solve(dom, dt, 1.0, c.d_S, w * rhs_S)
+    S_new = solve_S(dt, w * rhs_S)
     rhs_I = I / dt + transfer - c.gamma.values * I
-    I_new = shifted_solve(dom, dt, c.eta.values, c.d_I, w * rhs_I)
+    I_new = solve_I(dt, w * rhs_I)
 
     min_S = float(S_new.min())
     min_I = float(I_new.min())
@@ -199,11 +209,12 @@ def run(state: SimState, c: CoefficientSet, **controls) -> tuple[SimState, RunSu
     ``controls`` are the stopping and stepping keywords of :func:`march`,
     and its ``on_step`` callback.  Every accepted step must keep the
     discrete mass balance within ``MASS_BALANCE_RTOL``, or the run aborts
-    with :class:`MassBalanceError`.
+    with :class:`MassBalanceError`.  The march's LU factors die with it.
     """
+    solvers = _solvers(c)
 
     def advance(s: SimState, dt: float) -> tuple[SimState, float]:
-        new, stats = step_imex(s, c, dt)
+        new, stats = step_imex(s, c, dt, solvers=solvers)
         if stats.mass_defect > MASS_BALANCE_RTOL:
             raise MassBalanceError(
                 f"mass-balance defect {stats.mass_defect:.3e} exceeds "

@@ -3,9 +3,9 @@
 The disease-free equilibrium is the unique solution of the linear
 problem ``d_S Lap(S) - S + recruitment = 0`` with zero-flux boundaries,
 solved by one sparse LU factor (:func:`sisrd.grid.shifted_factor`) that
-is freed when :func:`solve_dfe` returns; it is not kept on the domain.
-Endemic equilibria are found by marching the time-dependent system to
-stationarity (the robust route for every parameter regime).  Every
+is freed when :func:`solve_dfe` returns.  Endemic equilibria are found by
+marching the time-dependent system to stationarity (the robust route for
+every parameter regime).  Every
 marched state then goes through :func:`settle`, which optionally polishes
 it with a damped Newton iteration on the coupled elliptic system until the
 sup-norm residual drops below ~1e-11; why Newton stopped is recorded in

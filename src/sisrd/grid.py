@@ -13,25 +13,24 @@ nodes:
 
 The zero-flux Laplacian uses 3-point (1D) / 5-point (2D) stencils with
 ghost-point reflection: a missing neighbor mirrors the center value, so a
-boundary row in 1D reads ``(-2, 2, 0)/h^2``.  Row sums vanish identically
-and the operator is symmetric with respect to the cell-measure inner
-product.  The assembly also exposes the symmetric positive-semidefinite
-stiffness form ``K = -(W L)`` (``W`` the diagonal of cell measures),
-which is what the implicit solvers consume.
+boundary row in 1D reads ``(-2, 2, 0)/h^2``.  The mesh edges assemble
+the symmetric positive-semidefinite stiffness form ``K`` (``W`` the
+diagonal of cell measures), which is what the implicit solvers consume;
+the Laplacian is its row scaling ``L = -W^{-1} K``, so row sums vanish
+and ``L`` is symmetric with respect to the cell-measure inner product.
 
 Every linear solve in the package factors a :func:`shifted_operator`
-``W diag(reaction) + d K`` with :func:`shifted_factor`, a sparse LU.
-:func:`shifted_solve` serves the time marches from factors of the
-time-step form ``W diag(1/dt + rate) + d K`` cached on the domain, so a
-march reuses one factorization per operator until dt changes.  The
-disease-free solve and the two eigenproblems call :func:`shifted_factor`
-directly and keep their factor only for the length of the call.
+``W diag(reaction) + d K`` with :func:`shifted_factor`, a sparse LU owned
+by its caller, never by the domain.  A time march holds the factor of its
+time-step form ``W diag(1/dt + rate) + d K`` in a :func:`shifted_solver`,
+rebuilt only when dt changes and freed when the march returns.  The
+disease-free solve and the two eigenproblems keep theirs for one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +47,7 @@ __all__ = [
     "stiffness_matrix",
     "shifted_operator",
     "shifted_factor",
-    "shifted_solve",
+    "shifted_solver",
     "integrate",
     "dilate_mask",
     "erode_mask",
@@ -98,9 +97,10 @@ class DomainSpec:
 class DiscreteDomain:
     """A meshed domain: node coordinates, cell measures, and adjacency.
 
-    Instances are immutable by convention; operators assembled from them
-    are cached on first use.  Node order is lexicographic in the grid
-    index, which fixes the order of every serialized field.
+    Instances are immutable by convention; the geometric operators
+    (stiffness form, Laplacian, adjacency) are cached on first use, and no
+    solver state is kept.  Node order is lexicographic in the grid index,
+    which fixes the order of every serialized field.
     """
 
     def __init__(
@@ -121,7 +121,6 @@ class DiscreteDomain:
         self._laplacian: Optional[sp.csr_matrix] = None
         self._stiffness: Optional[sp.csr_matrix] = None
         self._adjacency: Optional[sp.csr_matrix] = None
-        self._factors: dict = {}  # operator -> (dt, LU factor), least recently used first
 
         degree = np.zeros(self.n_nodes, dtype=int)
         np.add.at(degree, self.edges_i, 1)
@@ -326,23 +325,15 @@ def stiffness_matrix(dom: DiscreteDomain) -> sp.csr_matrix:
 def assemble_neumann_laplacian(dom: DiscreteDomain) -> sp.csr_matrix:
     """Zero-flux Laplacian in operator form: ``(L u)_i ~ (Delta u)(x_i)``.
 
-    Diagonal entries are the negated row sums of the off-diagonal part, so
-    ``L 1 = 0`` to rounding; symmetry holds in the cell-measure inner
-    product.
+    The row scaling ``-W^{-1} K`` of :func:`stiffness_matrix`, so
+    ``L 1 = 0`` to rounding and symmetry holds in the cell-measure inner
+    product.  Dividing the rows of ``K`` in place keeps its sorted column
+    indices, which fix the summation order of ``L @ x``.
     """
     if dom._laplacian is None:
-        w = dom.cell_measures
-        i, j, c = dom.edges_i, dom.edges_j, dom.edge_weights
-        off_ij = c / w[i]
-        off_ji = c / w[j]
-        diag = np.zeros(dom.n_nodes)
-        np.add.at(diag, i, -off_ij)
-        np.add.at(diag, j, -off_ji)
-        rows = np.concatenate([i, j, np.arange(dom.n_nodes)])
-        cols = np.concatenate([j, i, np.arange(dom.n_nodes)])
-        data = np.concatenate([off_ij, off_ji, diag])
-        L = sp.coo_matrix((data, (rows, cols)), shape=(dom.n_nodes, dom.n_nodes)).tocsr()
-        L.sum_duplicates()
+        K = stiffness_matrix(dom)
+        L = K.copy()
+        L.data /= -np.repeat(dom.cell_measures, np.diff(K.indptr))
         dom._laplacian = L
     return dom._laplacian
 
@@ -380,32 +371,25 @@ def shifted_factor(dom: DiscreteDomain, reaction, diffusion: float):
     )
 
 
-_FACTORS_KEPT = 2  # the S and I operators of one IMEX step
+def shifted_solver(dom: DiscreteDomain, rate, diffusion: float) -> Callable[[float, np.ndarray], np.ndarray]:
+    """One-slot LU holder for the time-step operator of a march.
 
-
-def shifted_solve(dom: DiscreteDomain, dt: float, rate, diffusion: float, b: np.ndarray) -> np.ndarray:
-    """Solve ``shifted_operator(dom, 1/dt + rate, diffusion) x = b`` by sparse LU.
-
-    The domain keeps one factor per operator ``(rate, diffusion)``, keyed
-    by their exact values, for the two most recently used operators: a
-    march that alternates two operators factors each once per dt, and a
-    factor is dropped before its replacement is built, when dt changes or
-    a third operator evicts the least recently used one.  Factors come
-    from :func:`shifted_factor`.
+    Returns ``solve(dt, b)``, which solves
+    ``shifted_operator(dom, 1/dt + rate, diffusion) x = b``.  The holder
+    keeps the factor of the last dt: a repeated dt reuses it, and a new dt
+    frees it before its successor is built by :func:`shifted_factor`.  The
+    factor lives as long as ``solve`` does.
     """
-    rate = np.asarray(rate, dtype=float)
-    operator = (float(diffusion), rate.shape, rate.tobytes())
-    cache = dom._factors
-    entry = cache.pop(operator, None)
-    if entry is not None and entry[0] == dt:
-        cache[operator] = entry
-        return entry[1].solve(b)
-    del entry  # a factor at another dt is freed before its successor is built
-    if len(cache) >= _FACTORS_KEPT:
-        del cache[next(iter(cache))]
-    lu = shifted_factor(dom, 1.0 / dt + rate, diffusion)
-    cache[operator] = (dt, lu)
-    return lu.solve(b)
+    held_dt, lu = None, None
+
+    def solve(dt: float, b: np.ndarray) -> np.ndarray:
+        nonlocal held_dt, lu
+        if dt != held_dt:
+            lu = None  # free the old factor before its successor is built
+            lu, held_dt = shifted_factor(dom, 1.0 / dt + rate, diffusion), dt
+        return lu.solve(b)
+
+    return solve
 
 
 def integrate(dom: DiscreteDomain, f) -> float:

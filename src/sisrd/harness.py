@@ -117,15 +117,13 @@ def check_trend(series, factor: float = 1.1, floor: float = 1e-9) -> list:
 
 
 def compare_fields(dom: DiscreteDomain, coords_a, values_a, coords_b, values_b) -> dict:
-    """Distances between two saved fields after checking mesh agreement."""
+    """Distances between two saved fields after checking both lie on ``dom``'s mesh."""
     ca = np.asarray(coords_a, dtype=float)
     cb = np.asarray(coords_b, dtype=float)
     if ca.shape != cb.shape or not np.allclose(ca, cb, rtol=0.0, atol=1e-12):
         raise ValueError("fields were saved on different meshes")
-    if len(values_a) != dom.n_nodes:
-        raise ValueError(
-            f"field length {len(values_a)} does not match domain ({dom.n_nodes})"
-        )
+    if ca.shape != dom.coords.shape or not np.allclose(ca, dom.coords, rtol=0.0, atol=1e-12):
+        raise ValueError(f"fields of length {len(ca)} were not saved on the config's mesh")
     sup, l1 = field_distances(dom, values_a, values_b)
     return {"sup": sup, "l1": l1, "n_nodes": dom.n_nodes}
 

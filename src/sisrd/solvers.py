@@ -2,7 +2,8 @@
 
 The time marches and the power iteration of :mod:`sisrd.spectral` raise
 it.  Linear systems need no iteration: each is solved with a sparse LU
-factor of a shifted operator, :func:`sisrd.grid.shifted_factor`.
+factor of a shifted operator, :func:`sisrd.grid.shifted_factor`, which
+the solve that builds it owns and frees.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ threshold.
 Both problems have the form ``diag(a) phi = mu B phi`` with ``a`` a
 positive vector and ``B = shifted_operator(dom, reaction, d_I)``.  Each
 call factors its ``B`` once with :func:`sisrd.grid.shifted_factor`, so
-every power step is one pair of triangular solves; the factor is local to
-the call and never cached on the domain.
+every power step is one pair of triangular solves; the factor is freed
+when the call returns.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
 from .equilibrium import solve_dfe
-from .grid import ScalarField, shifted_factor, shifted_operator, stiffness_matrix
+from .grid import ScalarField, shifted_factor, shifted_operator
 from .solvers import NonConvergenceError
 
 __all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
@@ -130,6 +129,6 @@ def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     )
     lam0 = shift + 1.0 / res.value
     phi = res.field.values
-    M = (c.d_I * stiffness_matrix(c.domain) - sp.diags(w * potential)).tocsr()
+    M = shifted_operator(c.domain, -potential, c.d_I)
     resid = float(np.linalg.norm(M @ phi - lam0 * (w * phi))) / float(np.linalg.norm(w * phi))
     return replace(res, value=lam0, residual=resid)

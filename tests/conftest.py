@@ -1,9 +1,16 @@
-"""Shared test plumbing: the acceptance-criteria scoreboard.
+"""Shared test plumbing: the acceptance-criteria scoreboard and a factor log.
 
 ``tests/test_acceptance.py`` records every check it makes through
 :func:`record_acceptance`; at the end of the session one PASS/FAIL line is
 printed per criterion, independent of pytest's own reporting.
+
+The ``factor_log`` fixture routes ``grid.shifted_factor`` through a
+:class:`FactorLog`, which counts the LU factors alive at every moment.
 """
+
+import pytest
+
+from sisrd import grid
 
 ACCEPTANCE_LOG: list = []  # entries: (number, title, passed, detail)
 
@@ -43,3 +50,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             line = f"ACCEPTANCE {number:02d} PASS: {ACCEPTANCE_TITLES[number]}"
         terminalreporter.write_line(line)
+
+
+class FactorLog:
+    """Builds factors through the real ``shifted_factor`` and tracks which are alive.
+
+    Operators are keyed by their diffusion.  ``builds`` records, for each
+    factorization, the key and how many factors of that key were alive just
+    before it; ``live`` counts the factors alive now, per key.
+    """
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.live: dict = {}
+        self.builds: list = []
+
+    def __call__(self, dom, reaction, diffusion):
+        self.builds.append((diffusion, self.live.get(diffusion, 0)))
+        return _TrackedFactor(self, diffusion, self.factor(dom, reaction, diffusion))
+
+
+class _TrackedFactor:
+    def __init__(self, log: FactorLog, key, lu):
+        self.log, self.key, self.lu = log, key, lu
+        log.live[key] = log.live.get(key, 0) + 1
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+    def __del__(self):
+        self.log.live[self.key] -= 1
+
+
+@pytest.fixture
+def factor_log(monkeypatch) -> FactorLog:
+    log = FactorLog(grid.shifted_factor)
+    monkeypatch.setattr(grid, "shifted_factor", log)
+    return log

@@ -146,6 +146,27 @@ def test_fixed_dt_run_factors_each_operator_once(monkeypatch):
     assert sorted(built) == [0.05, 0.1]
 
 
+def test_run_owns_one_factor_per_operator_and_frees_them(factor_log, monkeypatch):
+    step_dts = []
+    real_step = dynamics.step_imex
+
+    def recording_step(state, c, dt, **kw):
+        step_dts.append(dt)
+        return real_step(state, c, dt, **kw)
+
+    monkeypatch.setattr(dynamics, "step_imex", recording_step)
+    dom, c = make(d_S=0.1, d_I=0.05)
+    state = SimState(dom.field(0.8), dom.field(0.2))
+    _, summary = run(state, c, t_final=100.0, dt_init=0.01, dt_max=0.05, max_steps=40)
+    assert summary.steps == 40
+    # the dt ramp changes dt on some steps and repeats it once capped
+    new_dts = 1 + sum(a != b for a, b in zip(step_dts, step_dts[1:]))
+    assert 1 < new_dts < len(step_dts)
+    # one factorization per operator and new dt, each after its predecessor was freed
+    assert sorted(factor_log.builds) == [(0.05, 0)] * new_dts + [(0.1, 0)] * new_dts
+    assert factor_log.live == {0.05: 0, 0.1: 0}
+
+
 def test_run_reaches_constant_equilibrium():
     dom, c = make()  # Lambda=2, beta=1, gamma=eta=0.5: EE = (1, 2)
     state = SimState(dom.field(0.8), dom.field(0.2))

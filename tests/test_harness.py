@@ -110,6 +110,12 @@ def test_compare_fields_checks_meshes():
         compare_fields(dom, dom.coords, vals, dom.coords + 1e-6, vals)
     with pytest.raises(ValueError, match="length"):
         compare_fields(dom, dom.coords[:5], vals[:5], dom.coords[:5], vals[:5])
+    # same node count as the config's mesh, but saved on a larger square
+    unit = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (5, 5)))
+    big = build_domain(DomainSpec.rectangle((0, 2), (0, 2), (5, 5)))
+    ones = np.ones(big.n_nodes)
+    with pytest.raises(ValueError, match="config's mesh"):
+        compare_fields(unit, big.coords, ones, big.coords, 2 * ones)
 
 
 # ---------------------------------------------------------------------------

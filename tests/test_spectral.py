@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from sisrd import spectral
 from sisrd.coefficients import CoefficientSet
 from sisrd.equilibrium import solve_dfe
-from sisrd.grid import DomainSpec, build_domain, shifted_solve, stiffness_matrix
+from sisrd.grid import DomainSpec, build_domain, stiffness_matrix
 from sisrd.scenario import load_scenario
 from sisrd.solvers import NonConvergenceError
 from sisrd.spectral import compute_lambda0, compute_r0
@@ -98,17 +98,6 @@ def test_power_iteration_cap_raises(monkeypatch, compute):
     monkeypatch.setattr(spectral, "_POWER_MAX_ITER", 2)
     with pytest.raises(NonConvergenceError, match="stalled"):
         compute(c)
-
-
-def test_threshold_solves_leave_the_march_factors_alone():
-    dom, c = varying_1d()
-    shifted_solve(dom, 0.1, 1.0, c.d_S, np.ones(dom.n_nodes))
-    before = dict(dom._factors)
-    solve_dfe(c)
-    compute_r0(c)
-    compute_lambda0(c)
-    assert dom._factors.keys() == before.keys()
-    assert all(dom._factors[k] is before[k] for k in before)
 
 
 def test_r0_nonincreasing_in_infected_diffusion():
