@@ -100,6 +100,7 @@ class RunSummary:
     converged_steady: bool = False
     reason: str = ""
     t: float = 0.0  # time reached
+    dt: float = 0.0  # step the march would take next; resumes it as ``dt_init``
 
 
 def _solvers(c: CoefficientSet) -> tuple[Callable, Callable]:
@@ -200,6 +201,7 @@ def march(
             summary.reason = "steady"
             break
     summary.t = t
+    summary.dt = dt
     return u, summary
 
 

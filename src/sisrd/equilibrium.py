@@ -4,12 +4,21 @@ The disease-free equilibrium is the unique solution of the linear
 problem ``d_S Lap(S) - S + recruitment = 0`` with zero-flux boundaries,
 solved by one sparse LU factor (:func:`sisrd.grid.shifted_factor`) that
 is freed when :func:`solve_dfe` returns.  Endemic equilibria are found by
-marching the time-dependent system to stationarity (the robust route for
-every parameter regime).  Every
-marched state then goes through :func:`settle`, which optionally polishes
-it with a damped Newton iteration on the coupled elliptic system until the
-sup-norm residual drops below ~1e-11; why Newton stopped is recorded in
-``EquilibriumResult.meta["newton_stop"]``.
+marching the time-dependent system towards stationarity (the robust route
+for every parameter regime) and polishing the marched state with a damped
+Newton iteration on the coupled elliptic system until the sup-norm
+residual drops below ~1e-11 (:func:`settle`); why Newton stopped is
+recorded in ``EquilibriumResult.meta["newton_stop"]``.
+
+The march only has to reach Newton's basin, not the steady state itself:
+with Newton on, it stops at the loose rate test ``|du|/dt < 1e-2`` and
+hands its state to Newton, the first stage of pseudo-transient
+continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  Newton's
+answer is kept only if it converged to an endemic state with ``I > 0``
+everywhere and a conservation gap within 1e-6; otherwise the march resumes
+from its own state to the caller's steady test.  ``meta["handoff"]`` says
+which happened.  :func:`find_ee` and :func:`sisrd.harness.run_scenario`
+share this one path from a march to an :class:`EquilibriumResult`.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -19,7 +28,7 @@ relative defect is reported as the conservation gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,6 +53,8 @@ __all__ = [
 ]
 
 ENDEMIC_MASS_RTOL = 1e-10
+_HANDOFF_TOL = 1e-2  # steady test at which the march hands its state to Newton
+_HANDOFF_GAP = 1e-6  # largest conservation gap of an accepted hand-off
 
 
 def grid_tolerance(dom) -> float:
@@ -107,20 +118,69 @@ def find_ee(
 
     ``controls`` are the stopping and stepping keywords of
     :func:`~sisrd.dynamics.march`; ``steady_tol`` defaults to 1e-9 and
-    ``t_final`` to 4000.  Raises :class:`NonConvergenceError` if the march
-    has not flattened out by ``t_final``; otherwise the marched state goes
-    through :func:`settle`, which applies Newton when ``newton`` is set.
+    ``t_final`` to 4000.  With ``newton`` set, the march is handed to
+    Newton at the loose steady test and resumed to ``steady_tol`` only if
+    Newton's answer is refused (see the module docstring); without it the
+    march runs to ``steady_tol`` and the marched state is returned.
+    Raises :class:`NonConvergenceError` if the march has not flattened out
+    by ``t_final``.
     """
     dom = c.domain
     if init is None:
         init = SimState(dom.field(0.8), dom.field(0.2))
     controls = {"steady_tol": 1e-9, "t_final": 4000.0, **controls}
-    state, summary = run(init, c, **controls)
+    _, summary, result = _equilibrate(c, init, newton, **controls)
     if not summary.converged_steady:
         raise NonConvergenceError(
             f"no steady state by t = {controls['t_final']:g} (stopped on {summary.reason})"
         )
-    return settle(c, state, summary, newton)
+    return result
+
+
+def _equilibrate(
+    c: CoefficientSet, init: SimState, newton: bool, **controls
+) -> tuple[SimState, RunSummary, EquilibriumResult]:
+    """March ``init`` with ``controls`` and :func:`settle` the marched state.
+
+    Returns the last marched state, the summary of the whole march and the
+    settled result.  When ``newton`` is set and ``steady_tol`` is below
+    ``_HANDOFF_TOL``, the march first stops at ``_HANDOFF_TOL`` and Newton
+    runs from there.  Its answer is accepted (``meta["handoff"] ==
+    "newton"``) if Newton converged, the result is endemic with ``I > 0``
+    everywhere, and its conservation gap is at most ``_HANDOFF_GAP``.
+    Otherwise the march resumes from the marched state, at the step it
+    would have taken next, to ``steady_tol`` and is settled again
+    (``"resumed"``).  ``t_final`` and ``max_steps`` bound both legs
+    together, and ``on_step`` keeps counting steps across them.
+    """
+    steady_tol = controls.get("steady_tol")
+    if not newton or steady_tol is None or steady_tol >= _HANDOFF_TOL:
+        state, summary = run(init, c, **controls)
+        return state, summary, settle(c, state, summary, newton)
+    state, first = run(init, c, **{**controls, "steady_tol": _HANDOFF_TOL})
+    result = settle(c, state, first, newton)
+    if not first.converged_steady:  # t_final or max_steps: nothing left to resume
+        return state, first, result
+    if (
+        result.meta["newton_stop"] == "converged"
+        and result.endemic
+        and result.I.values.min() > 0.0
+        and result.conservation_gap <= _HANDOFF_GAP
+    ):
+        return state, first, replace(result, meta={**result.meta, "handoff": "newton"})
+
+    rest = {**controls, "dt_init": first.dt}
+    if "max_steps" in controls:
+        rest["max_steps"] = controls["max_steps"] - first.steps
+    on_step = controls.get("on_step")
+    if on_step is not None:
+        rest["on_step"] = lambda u, steps: on_step(u, first.steps + steps)
+    state, second = run(state, c, **rest)
+    summary = replace(
+        second, steps=first.steps + second.steps, rejected=first.rejected + second.rejected
+    )
+    result = settle(c, state, summary, newton)
+    return state, summary, replace(result, meta={**result.meta, "handoff": "resumed"})
 
 
 def settle(

@@ -1,8 +1,10 @@
 """Batch drivers: scenario runs with on-disk artifacts, and diffusion sweeps.
 
 :func:`run_scenario` realizes a :class:`~sisrd.scenario.ScenarioConfig`,
-marches it to its stopping rule, and writes a fixed set of files into an
-output directory:
+takes it to an equilibrium on the same path as
+:func:`~sisrd.equilibrium.find_ee` (the march stops at its stopping rule,
+or earlier where Newton's polished answer is accepted), and writes a fixed
+set of files into an output directory:
 
 * ``S.csv`` / ``I.csv`` — final fields, one node per line in mesh order;
 * ``coincidence_mask_<k>.csv`` — nodes where the susceptible field is
@@ -16,9 +18,11 @@ every run (no timestamps, no wall-clock fields, platform-independent
 are removed.
 
 :func:`sweep` shrinks one or both diffusion rates over a descending list
-of values, solves for the equilibrium at each, and measures the distance
-to the predicted small-diffusion profile.  Rows go to a CSV with the fixed
-header ``d_S,d_I,sigma,dist_S_sup,dist_I_sup,dist_S_L1,dist_I_L1,R0,gap,seconds``;
+of values, solves for the equilibrium at each (rows after the first are
+warm-started from the previous equilibrium at the march's ``dt_max``), and
+measures the distance to the predicted small-diffusion profile.  Rows go
+to a CSV with the fixed header
+``d_S,d_I,sigma,dist_S_sup,dist_I_sup,dist_S_L1,dist_I_L1,R0,gap,seconds``;
 ``seconds`` (wall time per row) is the one column exempt from
 byte-reproducibility, and ``R0`` is ``nan`` when the incidence is
 sublinear.  A failed row records ``nan`` distances and the sweep moves on.
@@ -27,6 +31,7 @@ sublinear.  A failed row records ``nan`` distances and the sweep moves on.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -36,8 +41,8 @@ import numpy as np
 
 from .asymptotics import LimitProfile, limit_profile
 from .coefficients import CoefficientSet
-from .dynamics import SimState, run
-from .equilibrium import EquilibriumResult, find_ee, settle
+from .dynamics import SimState
+from .equilibrium import EquilibriumResult, _equilibrate, find_ee
 from .grid import DiscreteDomain, erode_mask, integrate, write_field_csv
 from .scenario import ScenarioConfig
 from .solvers import NonConvergenceError
@@ -55,6 +60,9 @@ __all__ = [
 ]
 
 SWEEP_HEADER = "d_S,d_I,sigma,dist_S_sup,dist_I_sup,dist_S_L1,dist_I_L1,R0,gap,seconds"
+# a warm sweep row starts from an equilibrium, so it skips the dt ramp:
+# the march clips this ``dt_init`` to its ``dt_max``
+_WARM_DT_INIT = math.inf
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,16 @@ def compare_fields(dom: DiscreteDomain, coords_a, values_a, coords_b, values_b) 
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
-    """March a scenario to its stopping rule and write the artifact set."""
+    """Take a scenario to its equilibrium and write the artifact set.
+
+    The march and the settle step are those of
+    :func:`~sisrd.equilibrium.find_ee` with the config's controls, except
+    that a march stopped by ``t_final`` is written out instead of raising.
+    When Newton's answer at the loose steady test is accepted, the march
+    ends there, and ``steps``, ``rejected`` and ``final_t`` in
+    ``summary.json`` count the march up to that hand-off; when the march
+    resumes, they cover both legs, and snapshots keep their step numbers.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -154,8 +171,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
                 write_field_csv(_path(f"S_{step:06d}.csv"), state.S)
                 write_field_csv(_path(f"I_{step:06d}.csv"), state.I)
 
-        state, summary = run(state0, c, on_step=snapshot, **config.controls)
-        result = settle(c, state, summary, config.newton_refine)
+        state, summary, result = _equilibrate(
+            c, state0, config.newton_refine, on_step=snapshot, **config.controls
+        )
         S = result.S.values
         I = result.I.values
 
@@ -257,9 +275,11 @@ def sweep(
     ``regime`` picks what shrinks: ``"d_I"`` (d_S fixed at the base value),
     ``"d_S"`` (d_I fixed), or ``"joint"`` (``d_S = v`` and ``d_I = sigma v``).
     Each row is a :func:`~sisrd.equilibrium.find_ee` call with its default
-    controls, warm-started from the previous equilibrium.  The returned
-    ``violations`` map flags rows where a distance column stopped shrinking
-    (beyond slack; see :func:`check_trend`).
+    controls.  Rows after the first are warm-started from the previous
+    equilibrium and start at the march's ``dt_max``, not at the bottom of
+    its dt ramp.  The returned ``violations`` map flags rows where a
+    distance column stopped shrinking (beyond slack; see
+    :func:`check_trend`).
     """
     vals = [float(v) for v in values]
     if len(vals) == 0:
@@ -284,7 +304,10 @@ def sweep(
         row = {"d_S": c.d_S, "d_I": c.d_I, "sigma": c.sigma()}
         t0 = time.perf_counter()
         try:
-            eq = find_ee(c, init=init)
+            if init is None:
+                eq = find_ee(c, init=init)
+            else:
+                eq = find_ee(c, init=init, dt_init=_WARM_DT_INIT)
             s_sup, i_sup, s_l1, i_l1 = _row_distances(c, eq, oracle)
             row.update(
                 dist_S_sup=s_sup,

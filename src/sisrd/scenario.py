@@ -27,7 +27,9 @@ diffusion ratio used by sweep drivers).  The ``stopping`` and ``stepping``
 values must be positive; those set (``null`` counts as unset) become
 :attr:`ScenarioConfig.controls`, the keywords of
 :func:`sisrd.dynamics.march`, which supplies the stepping defaults.  The
-domain's ``nodes`` and ``shape`` entries must be JSON integers.
+domain's ``nodes`` and ``shape`` entries must be JSON integers, and every
+number in the file must be finite (``json`` reads ``Infinity`` and
+``NaN``, which are refused).
 """
 
 from __future__ import annotations
@@ -95,19 +97,25 @@ def _block(data: dict, key: str, origin: str, allowed: set, required: bool = Tru
     return block
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite JSON number (``json`` reads ``Infinity`` and ``NaN`` too)."""
+    if not _is_number(value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _pair(value, where: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{where} must be two numbers, got {value!r}")
-    pair = tuple(_number(v, where) for v in value)
-    if not all(math.isfinite(v) for v in pair):
+    if any(_is_number(v) and not math.isfinite(v) for v in value):
         raise ConfigError(f"{where} must be two finite numbers, got {value!r}")
-    return pair
+    return tuple(_number(v, where) for v in value)
 
 
 def _integer(value, where: str) -> int:
@@ -117,9 +125,9 @@ def _integer(value, where: str) -> int:
 
 
 def _formula_source(value, where: str, dim: int) -> str:
-    """Accept a number or a formula string; parse-check strings eagerly."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return repr(float(value))
+    """Accept a finite number or a formula string; parse-check strings eagerly."""
+    if _is_number(value):
+        return repr(_number(value, where))
     if not isinstance(value, str):
         raise ConfigError(f"{where} must be a number or a formula string")
     try:
@@ -224,8 +232,7 @@ class ScenarioConfig:
             raise ConfigError(f"outputs.snapshot_every must be nonnegative, got {every!r}")
         deltas = outputs.get("mask_deltas", [1e-2, 1e-4])
         if not isinstance(deltas, list) or not all(
-            isinstance(d, (int, float)) and not isinstance(d, bool) and d > 0
-            for d in deltas
+            _number(d, "outputs.mask_deltas") > 0.0 for d in deltas
         ):
             raise ConfigError("outputs.mask_deltas must be a list of positive numbers")
 

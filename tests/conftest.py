@@ -1,4 +1,5 @@
-"""Shared test plumbing: the acceptance-criteria scoreboard and a factor log.
+"""Shared test plumbing: the acceptance-criteria scoreboard, a factor log,
+and a Newton that stalls once.
 
 ``tests/test_acceptance.py`` records every check it makes through
 :func:`record_acceptance`; at the end of the session one PASS/FAIL line is
@@ -10,7 +11,7 @@ The ``factor_log`` fixture routes ``grid.shifted_factor`` through a
 
 import pytest
 
-from sisrd import grid
+from sisrd import equilibrium, grid
 
 ACCEPTANCE_LOG: list = []  # entries: (number, title, passed, detail)
 
@@ -87,3 +88,23 @@ def factor_log(monkeypatch) -> FactorLog:
     log = FactorLog(grid.shifted_factor)
     monkeypatch.setattr(grid, "shifted_factor", log)
     return log
+
+
+@pytest.fixture
+def newton_stall_once(monkeypatch) -> list:
+    """Make the first Newton attempt stall on the fields it was given.
+
+    Later attempts run the real Newton.  The returned list gains one entry
+    per attempt.
+    """
+    real = equilibrium._newton_refine
+    calls: list = []
+
+    def stall_once(c, S, I, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            return S, I, 0, "no descent"
+        return real(c, S, I, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "_newton_refine", stall_once)
+    return calls

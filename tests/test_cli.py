@@ -231,6 +231,36 @@ def test_malformed_domain_pair_exits_2(tmp_path, capsys, domain, message):
     assert message in capsys.readouterr().err
 
 
+INF, NAN = float("inf"), float("nan")
+FINITE_BLOCKS = {
+    "params": {"d_S": 0.1, "d_I": 0.05, "p": 1, "q": 1},
+    "stopping": {"steady_tol": 1e-9, "t_final": 400.0},
+    "stepping": {},
+    "outputs": {},
+}
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("params", "d_I", INF),
+        ("params", "q", INF),
+        ("params", "d_S", NAN),
+        ("stopping", "t_final", INF),
+        ("stepping", "dt_max", NAN),
+        ("outputs", "zero_infection_tol", INF),
+        ("outputs", "mask_deltas", [1e-2, INF]),
+        (None, "sigma", NAN),
+    ],
+)
+def test_non_finite_number_exits_2(tmp_path, capsys, block, key, value):
+    # json writes and reads these as Infinity / NaN
+    tweak = {key: value} if block is None else {block: {**FINITE_BLOCKS[block], key: value}}
+    cfg = write_config(tmp_path, **tweak)
+    assert main(["r0", "--config", cfg]) == 2
+    assert f"{key} must be a finite number" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

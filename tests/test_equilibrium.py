@@ -173,6 +173,70 @@ def test_stalled_newton_keeps_marched_fields(monkeypatch, factor, reason):
     np.testing.assert_array_equal(result.I.values, state.I.values)
 
 
+def _long_march(c, init):
+    """The equilibrium without a hand-off: march to 1e-9, then settle."""
+    state, summary = run(init, c, steady_tol=1e-9, t_final=4000.0)
+    return settle(c, state, summary, newton=True)
+
+
+def test_handoff_accepts_newton_at_the_loose_steady_test():
+    dom, c = constants_p1()
+    init = SimState(dom.field(0.8), dom.field(0.2))
+    eq = find_ee(c, init)
+    long = _long_march(c, init)
+    assert eq.meta == {"march_reason": "steady", "newton_stop": "converged", "handoff": "newton"}
+    assert eq.steps < long.steps
+    np.testing.assert_allclose(eq.S.values, long.S.values, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(eq.I.values, long.I.values, rtol=0.0, atol=1e-10)
+
+
+def test_stalled_handoff_resumes_the_march(newton_stall_once):
+    dom = build_domain(DomainSpec.interval(0, 1, 65))
+    lam = 1.0 + 0.5 * np.sin(np.pi * dom.coords)
+    c = CoefficientSet.from_values(
+        dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=lam,
+        d_S=0.05, d_I=0.02, p=0.5, q=1.0,
+    )
+    init = SimState(dom.field(0.8), dom.field(0.2))
+    eq = find_ee(c, init)
+    # the stalled hand-off, then Newton after the resumed march
+    assert len(newton_stall_once) == 2
+    long = _long_march(c, init)
+    assert eq.meta == {"march_reason": "steady", "newton_stop": "converged", "handoff": "resumed"}
+    # the resumed leg continues the march exactly, so both legs together
+    # take the long march's steps
+    assert (eq.steps, eq.rejected) == (long.steps, long.rejected)
+    np.testing.assert_allclose(eq.S.values, long.S.values, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(eq.I.values, long.I.values, rtol=0.0, atol=1e-10)
+
+
+def test_subcritical_handoff_resumes_to_the_dfe():
+    dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
+    c = CoefficientSet.from_values(
+        dom, beta=0.4, gamma=0.5, eta=0.5, recruitment=1.0,
+        d_S=0.1, d_I=0.05, p=1.0, q=1.0,
+    )  # R0 = 0.4 < 1: Newton's answer is disease-free, so the march resumes
+    init = SimState(dom.field(0.8), dom.field(0.2))
+    eq = find_ee(c, init)
+    long = _long_march(c, init)
+    assert not eq.endemic and not long.endemic
+    assert eq.meta == {**long.meta, "handoff": "resumed"}
+    assert eq.steps == long.steps
+    np.testing.assert_array_equal(eq.S.values, long.S.values)
+    np.testing.assert_array_equal(eq.I.values, long.I.values)
+
+
+def test_find_ee_without_newton_marches_as_run():
+    dom, c = constants_p1()
+    init = SimState(dom.field(0.8), dom.field(0.2))
+    eq = find_ee(c, init, newton=False, steady_tol=1e-8)
+    state, summary = run(init, c, steady_tol=1e-8, t_final=4000.0)
+    assert (eq.steps, eq.rejected) == (summary.steps, summary.rejected)
+    assert "handoff" not in eq.meta
+    np.testing.assert_array_equal(eq.S.values, state.S.values)
+    np.testing.assert_array_equal(eq.I.values, state.I.values)
+
+
 def test_ee_independent_of_initial_state():
     dom, c = constants_p1()
     a = find_ee(c, init=SimState(dom.field(0.8), dom.field(0.2)))

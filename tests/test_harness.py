@@ -7,7 +7,7 @@ import pytest
 
 from sisrd import harness
 from sisrd.coefficients import CoefficientSet
-from sisrd.dynamics import TimeStepUnderflowError
+from sisrd.dynamics import TimeStepUnderflowError, run
 from sisrd.grid import DomainSpec, build_domain
 from sisrd.harness import (
     SWEEP_HEADER,
@@ -176,6 +176,30 @@ def test_run_scenario_snapshots(tmp_path):
     i_snaps = sorted(n for n in art.paths if n.startswith("I_"))
     assert s_snaps and len(s_snaps) == len(i_snaps)
     assert all(n.endswith(".csv") for n in s_snaps)
+
+
+def test_resumed_march_keeps_counting_snapshots_and_summary(tmp_path, newton_stall_once):
+    data = rect_scenario_dict()
+    data["outputs"] = {"snapshot_every": 7}
+    cfg = ScenarioConfig.from_dict(data)
+    # the first Newton attempt stalls, so the march resumes to steady_tol
+    art = run_scenario(cfg, tmp_path / "resumed")
+    assert len(newton_stall_once) == 2
+    s = art.summary
+    handed_off = run_scenario(cfg, tmp_path / "handoff").summary
+    assert set(s) == set(handed_off)
+    # both legs together are the plain march to steady_tol
+    dom = cfg.build_domain()
+    state, summary = run(cfg.initial_state(dom), cfg.build_coefficients(dom), **cfg.controls)
+    assert s["steps"] > handed_off["steps"]
+    assert (s["steps"], s["rejected"], s["final_t"]) == (summary.steps, summary.rejected, state.t)
+    # snapshot numbers run on through the second leg: none is overwritten
+    expected = [f"{k:06d}" for k in range(7, summary.steps + 1, 7)]
+    assert sorted(n[2:8] for n in art.paths if n.startswith("S_")) == expected
+    assert sorted(n[2:8] for n in art.paths if n.startswith("I_")) == expected
+    assert sorted(p.name for p in (tmp_path / "resumed").glob("S_*.csv")) == [
+        f"S_{k}.csv" for k in expected
+    ]
 
 
 def test_run_scenario_cleans_up_on_failure(tmp_path):
