@@ -27,6 +27,14 @@ can be computed without solving the full coupled system.  With
   is taken from the joint-limit profile, and every round is checked for
   monotonicity.
 
+Both scalar limit problems are solved on the package's one hand-off,
+:func:`sisrd.dynamics.march_with_handoff`: a march stops at the loose
+steady test ``|du|/dt < 1e-2`` and hands its state to a damped scalar
+Newton iteration, whose answer is kept when its sup residual reaches 1e-11;
+otherwise the march resumes to ``|du|/dt < 1e-10``.  ``LimitProfile.meta``
+records both legs' ``steps``, the ``handoff`` outcome, and Newton's
+``newton_iterations`` and ``newton_stop``.
+
 :func:`limit_profile` picks the profile of a regime by name.
 
 Every pointwise scalar equation is solved by bracketed Newton on a monotone
@@ -46,22 +54,23 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .dynamics import StepRejected, march
+from .dynamics import RunSummary, StepRejected, march, march_with_handoff
 from .equilibrium import EquilibriumResult, grid_tolerance, solve_dfe
 from .grid import (
     DiscreteDomain,
     ScalarField,
     assemble_neumann_laplacian,
+    shifted_factor,
     shifted_solver,
+    stiffness_matrix,
 )
-from .solvers import NonConvergenceError
+from .solvers import NonConvergenceError, damped_newton
 from .spectral import compute_lambda0
 
 __all__ = [
     "LimitProfile",
     "MonotoneSequence",
     "BoundsReport",
-    "bisect_increasing",
     "newton_increasing",
     "classify_small_di",
     "limit_small_di",
@@ -122,31 +131,6 @@ class BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def bisect_increasing(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    iterations: int = 100,
-) -> np.ndarray:
-    """Vectorized bisection for a nondecreasing map with a sign change.
-
-    ``f(lo) <= 0 <= f(hi)`` is verified up front; 100 halvings put the
-    bracket width at the rounding floor for every practical scale.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
-    hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if np.any(f_lo > 0.0) or np.any(f_hi < 0.0):
-        raise ValueError("bisection bracket does not straddle a sign change")
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) <= 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 _NEWTON_MAX_ITER = 100  # the old halving count
 _NEWTON_ULPS = 4.0
 
@@ -204,36 +188,115 @@ def newton_increasing(
 # ---------------------------------------------------------------------------
 
 
+_SOLVE_RTOL = 1e-8  # largest backward error of a Newton solve, relative to its right side
+
+
 def _march_semilinear(
     dom: DiscreteDomain,
     *,
     diffusion: float,
     linear_rate,
     source: Callable[[np.ndarray], np.ndarray],
+    slope: Callable[[np.ndarray], np.ndarray],
     u0: np.ndarray,
 ) -> tuple[np.ndarray, dict]:
-    """March ``u_t = diffusion Lap(u) - linear_rate u + source(u)`` to steady state.
+    """Steady state of ``u_t = diffusion Lap(u) - linear_rate u + source(u)``.
 
-    The linear sink and the diffusion are implicit, solved through one
-    :func:`~sisrd.grid.shifted_solver` that this march owns: its factor is
-    rebuilt when dt changes and freed when the march returns.  The source
-    is explicit, and a step that loses positivity is rejected.  Steady
-    means ``|u_new - u|_inf / dt < 1e-10``;
-    :class:`NonConvergenceError` if not steady by t = 4000.
+    ``slope(u)`` is the pointwise derivative of ``source``.  The march and
+    Newton meet in :func:`~sisrd.dynamics.march_with_handoff`: the march
+    stops at the loose steady test and :func:`_newton_semilinear` runs from
+    its state.  Newton's answer is accepted when its sup residual reached
+    1e-11 with ``u > 0``; otherwise the march resumes to its own steady
+    test ``|u_new - u|_inf / dt < 1e-10``, and the marched state is kept
+    unless a second Newton from there is accepted.  The linear sink and the
+    diffusion are implicit, solved through one
+    :func:`~sisrd.grid.shifted_solver` that each leg of the march owns: its
+    factor is rebuilt when dt changes and freed when the leg returns, so
+    it is gone before Newton builds its own.  The source is explicit, and
+    a step that loses positivity is rejected.  :class:`NonConvergenceError`
+    if the march is not steady by t = 4000.
+    ``info`` holds ``steps`` (both legs), ``t``, ``steady``, ``handoff``,
+    ``newton_iterations`` and ``newton_stop``.
     """
     w = dom.cell_measures
-    solve = shifted_solver(dom, linear_rate, diffusion)
+    t = 0.0  # the resumed leg continues the first leg's clock
 
-    def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-        u_new = solve(dt, w * (u / dt + source(u)))
-        if u_new.min() <= 0.0:
-            raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
-        return u_new, float(np.max(np.abs(u_new - u)))
+    def leg(u: np.ndarray, **controls) -> tuple[np.ndarray, RunSummary]:
+        nonlocal t
+        solve = shifted_solver(dom, linear_rate, diffusion)  # freed before Newton factors
 
-    u, summary = march(advance, np.array(u0, dtype=float), t_final=4000.0, steady_tol=1e-10)
+        def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+            u_new = solve(dt, w * (u / dt + source(u)))
+            if u_new.min() <= 0.0:
+                raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
+            return u_new, float(np.max(np.abs(u_new - u)))
+
+        u, summary = march(advance, u, t=t, **controls)
+        t = summary.t
+        return u, summary
+
+    def certify(u: np.ndarray, summary: RunSummary) -> tuple[tuple, bool]:
+        if not summary.converged_steady:
+            return (u, 0, "skipped"), False
+        u_newton, iters, stop = _newton_semilinear(
+            dom, diffusion, linear_rate, source, slope, u
+        )
+        accepted = stop == "converged" and u_newton.min() > 0.0
+        return (u_newton if accepted else u, iters, stop), accepted
+
+    _, summary, (u, iters, stop), handoff = march_with_handoff(
+        leg, np.array(u0, dtype=float), certify, t_final=4000.0, steady_tol=1e-10
+    )
     if not summary.converged_steady:
         raise NonConvergenceError("limit-profile march not steady by t = 4000")
-    return u, {"steps": summary.steps, "t": summary.t, "steady": True}
+    return u, {
+        "steps": summary.steps,
+        "t": summary.t,
+        "steady": True,
+        "handoff": handoff,
+        "newton_iterations": iters,
+        "newton_stop": stop,
+    }
+
+
+def _newton_semilinear(
+    dom: DiscreteDomain,
+    diffusion: float,
+    linear_rate,
+    source: Callable[[np.ndarray], np.ndarray],
+    slope: Callable[[np.ndarray], np.ndarray],
+    u: np.ndarray,
+) -> tuple[np.ndarray, int, str]:
+    """:func:`~sisrd.solvers.damped_newton` on ``diffusion Lap(u) - linear_rate u + source(u) = 0``.
+
+    With ``g = slope(u) - linear_rate``, each correction solves
+    ``(diffusion K - W g) delta = W G`` for the residual ``G`` by one
+    :func:`~sisrd.grid.shifted_factor`.  The factor is not pivoted, and
+    ``-g`` is negative where the source grows faster than the sink, so the
+    matrix need not be an M-matrix: a solve whose backward error exceeds
+    ``_SOLVE_RTOL`` of its right side stops Newton with
+    ``"inaccurate solve"``.
+    """
+    w = dom.cell_measures
+    L = assemble_neumann_laplacian(dom)
+    K = stiffness_matrix(dom)
+
+    def residual(v: np.ndarray) -> np.ndarray:
+        return diffusion * (L @ v) - linear_rate * v + source(v)
+
+    def correction(v: np.ndarray, G: np.ndarray):
+        shift = linear_rate - slope(v)  # -g
+        b = w * G
+        try:
+            delta = shifted_factor(dom, shift, diffusion).solve(b)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return "singular"
+        backward = w * shift * delta + diffusion * (K @ delta) - b
+        if np.max(np.abs(backward)) > _SOLVE_RTOL * np.max(np.abs(b)):
+            return "inaccurate solve"
+        return delta
+
+    return damped_newton(residual, correction, u)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +341,9 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
     """Small-``d_I`` limit profile for 0 < p < 1.
 
     The susceptible limit solves the scalar semilinear problem
-    ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0``;
+    ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0``, marched
+    from the disease-free profile and handed to Newton (see
+    :func:`_march_semilinear`, whose hand-off keys ``meta`` carries);
     the infected limit is the pointwise slave ``(S^q/h)^(1/(1-p))``.
     """
     if not c.p < 1.0:
@@ -292,12 +357,16 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
     def slave(S: np.ndarray) -> np.ndarray:
         return (S**c.q / h) ** expo
 
+    def slope(S: np.ndarray) -> np.ndarray:
+        return -eta * expo * c.q * slave(S) / S
+
     S0 = solve_dfe(c).values
     S_star, info = _march_semilinear(
         dom,
         diffusion=c.d_S,
         linear_rate=1.0,
         source=lambda S: lam - eta * slave(S),
+        slope=slope,
         u0=S0,
     )
     I_star = slave(S_star)
@@ -345,9 +414,13 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
 
     Marches ``I_t = d_I Lap(I) + beta S(I)^q I^p - (gamma+eta) I`` from
     ``I = 0.2`` with the susceptible density eliminated pointwise at every
-    step, each elimination starting from the previous step's ``S``.  For
-    p = 1 an endemic limit requires a negative principal eigenvalue; the
-    request is refused otherwise.
+    step, each elimination starting from the previous one's ``S``, and
+    hands the marched ``I`` to Newton (see :func:`_march_semilinear`, whose
+    hand-off keys ``meta`` carries).  Newton's slope of the source is
+    ``dF/dI + dF/dS dS/dI`` with ``F = beta S^q I^p`` and
+    ``dS/dI = (gamma - dF/dI) / (1 + dF/dS)`` from the balance.  For p = 1
+    an endemic limit requires a negative principal eigenvalue; the request
+    is refused otherwise.
     """
     dom = c.domain
     if c.p == 1.0:
@@ -357,20 +430,29 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
                 f"no endemic small-d_S limit: principal eigenvalue {lam0:.6g} >= 0"
             )
     beta = c.beta.values
-    rate = c.gamma.values + c.eta.values
+    gamma = c.gamma.values
+    rate = gamma + c.eta.values
 
-    S = None
+    S = None  # the last eliminated S, the warm start of the next elimination
 
     def source(I: np.ndarray) -> np.ndarray:
         nonlocal S
         S = eliminate_susceptible(c, I, start=S)
         return beta * S**c.q * I**c.p
 
+    def slope(I: np.ndarray) -> np.ndarray:
+        nonlocal S
+        S = eliminate_susceptible(c, I, start=S)
+        dF_dS = c.q * beta * S ** (c.q - 1.0) * I**c.p
+        dF_dI = c.p * beta * S**c.q * I ** (c.p - 1.0)
+        return dF_dI + dF_dS * (gamma - dF_dI) / (1.0 + dF_dS)
+
     I_star, info = _march_semilinear(
         dom,
         diffusion=c.d_I,
         linear_rate=rate,
         source=source,
+        slope=slope,
         u0=np.full(dom.n_nodes, 0.2),
     )
     S_star = eliminate_susceptible(c, I_star, start=S)

@@ -26,11 +26,20 @@ and shares its rejection policy: a step that raises :class:`StepRejected`
 with half the step; dt stays at the accepted value after a rejection and
 otherwise grows by 1.1x, capped at ``dt_max``; once dt falls below
 ``dt_min`` the march aborts with :class:`TimeStepUnderflowError`.
+
+A march only has to reach Newton's basin, not the steady state itself.
+:func:`march_with_handoff` stops it at the loose rate test
+``|du|/dt < 1e-2``, hands its state to a Newton solve of the stationary
+problem, and resumes the march to the caller's steady test only if
+Newton's answer is refused: the first stage of pseudo-transient
+continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  The
+coupled equilibrium (:mod:`sisrd.equilibrium`) and the scalar limit
+profiles (:mod:`sisrd.asymptotics`) share this one hand-off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -49,11 +58,13 @@ __all__ = [
     "RunSummary",
     "step_imex",
     "march",
+    "march_with_handoff",
     "run",
 ]
 
 MASS_BALANCE_RTOL = 1e-10
 _DT_GROWTH = 1.1
+_HANDOFF_TOL = 1e-2  # steady test at which a march hands its state to Newton
 
 
 class StepRejected(RuntimeError):
@@ -229,3 +240,51 @@ def run(state: SimState, c: CoefficientSet, **controls) -> tuple[SimState, RunSu
         return new, change
 
     return march(advance, state, t=state.t, **controls)
+
+
+def march_with_handoff(
+    leg: Callable[..., tuple[Any, RunSummary]],
+    u: Any,
+    certify: Callable[[Any, RunSummary], tuple[Any, bool]],
+    **controls,
+) -> tuple[Any, RunSummary, Any, Optional[str]]:
+    """March ``u`` to a steady state, handing it to Newton at a loose steady test.
+
+    ``leg(u, **controls) -> (u, RunSummary)`` marches from ``u`` with the
+    keywords of :func:`march`; ``certify(u, summary) -> (result, accepted)``
+    runs Newton from a marched state and says whether its answer is kept.
+    When ``steady_tol`` is below ``_HANDOFF_TOL``, the first leg stops at
+    ``_HANDOFF_TOL`` and is certified.  An accepted answer ends the march
+    (handoff ``"newton"``).  Otherwise the march resumes from its own state,
+    at the dt it would have taken next, to ``steady_tol`` and is certified
+    again (``"resumed"``); ``max_steps`` bounds both legs together, and
+    ``on_step`` and the step and rejection counts run on across them.  A
+    leg continues the clock of the leg before it, so ``t_final`` bounds
+    both legs as well.  With
+    no hand-off to make (``steady_tol`` unset or not below ``_HANDOFF_TOL``)
+    or a first leg stopped by ``t_final`` or ``max_steps``, the handoff is
+    ``None``.  Returns the last marched state, the summary of the whole
+    march, the last certified result and the handoff.
+    """
+    steady_tol = controls.get("steady_tol")
+    if steady_tol is None or steady_tol >= _HANDOFF_TOL:
+        u, summary = leg(u, **controls)
+        return u, summary, certify(u, summary)[0], None
+    u, first = leg(u, **{**controls, "steady_tol": _HANDOFF_TOL})
+    result, accepted = certify(u, first)
+    if not first.converged_steady:  # t_final or max_steps: nothing left to resume
+        return u, first, result, None
+    if accepted:
+        return u, first, result, "newton"
+
+    rest = {**controls, "dt_init": first.dt}
+    if "max_steps" in controls:
+        rest["max_steps"] = controls["max_steps"] - first.steps
+    on_step = controls.get("on_step")
+    if on_step is not None:
+        rest["on_step"] = lambda v, steps: on_step(v, first.steps + steps)
+    u, second = leg(u, **rest)
+    summary = replace(
+        second, steps=first.steps + second.steps, rejected=first.rejected + second.rejected
+    )
+    return u, summary, certify(u, summary)[0], "resumed"

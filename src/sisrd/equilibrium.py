@@ -11,9 +11,9 @@ residual drops below ~1e-11 (:func:`settle`); why Newton stopped is
 recorded in ``EquilibriumResult.meta["newton_stop"]``.
 
 The march only has to reach Newton's basin, not the steady state itself:
-with Newton on, it stops at the loose rate test ``|du|/dt < 1e-2`` and
-hands its state to Newton, the first stage of pseudo-transient
-continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  Newton's
+with Newton on, it runs through the package's one hand-off,
+:func:`sisrd.dynamics.march_with_handoff`, which stops it at the loose
+rate test ``|du|/dt < 1e-2`` and hands its state to Newton.  Newton's
 answer is kept only if it converged to an endemic state with ``I > 0``
 everywhere and a conservation gap within 1e-6; otherwise the march resumes
 from its own state to the caller's steady test.  ``meta["handoff"]`` says
@@ -36,9 +36,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientSet
-from .dynamics import RunSummary, SimState, run
+from .dynamics import RunSummary, SimState, march_with_handoff, run
 from .grid import ScalarField, assemble_neumann_laplacian, integrate, shifted_factor
-from .solvers import NonConvergenceError
+from .solvers import NonConvergenceError, damped_newton
 
 __all__ = [
     "ENDEMIC_MASS_RTOL",
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 ENDEMIC_MASS_RTOL = 1e-10
-_HANDOFF_TOL = 1e-2  # steady test at which the march hands its state to Newton
 _HANDOFF_GAP = 1e-6  # largest conservation gap of an accepted hand-off
 
 
@@ -143,44 +142,34 @@ def _equilibrate(
     """March ``init`` with ``controls`` and :func:`settle` the marched state.
 
     Returns the last marched state, the summary of the whole march and the
-    settled result.  When ``newton`` is set and ``steady_tol`` is below
-    ``_HANDOFF_TOL``, the march first stops at ``_HANDOFF_TOL`` and Newton
-    runs from there.  Its answer is accepted (``meta["handoff"] ==
-    "newton"``) if Newton converged, the result is endemic with ``I > 0``
-    everywhere, and its conservation gap is at most ``_HANDOFF_GAP``.
-    Otherwise the march resumes from the marched state, at the step it
-    would have taken next, to ``steady_tol`` and is settled again
-    (``"resumed"``).  ``t_final`` and ``max_steps`` bound both legs
-    together, and ``on_step`` keeps counting steps across them.
+    settled result.  With ``newton`` set, the march goes through
+    :func:`~sisrd.dynamics.march_with_handoff`, and Newton's answer at the
+    loose steady test is accepted (``meta["handoff"] == "newton"``) if
+    Newton converged, the result is endemic with ``I > 0`` everywhere, and
+    its conservation gap is at most ``_HANDOFF_GAP``; otherwise the march
+    resumes to ``steady_tol`` and is settled again (``"resumed"``).
     """
-    steady_tol = controls.get("steady_tol")
-    if not newton or steady_tol is None or steady_tol >= _HANDOFF_TOL:
+    if not newton:
         state, summary = run(init, c, **controls)
-        return state, summary, settle(c, state, summary, newton)
-    state, first = run(init, c, **{**controls, "steady_tol": _HANDOFF_TOL})
-    result = settle(c, state, first, newton)
-    if not first.converged_steady:  # t_final or max_steps: nothing left to resume
-        return state, first, result
-    if (
-        result.meta["newton_stop"] == "converged"
-        and result.endemic
-        and result.I.values.min() > 0.0
-        and result.conservation_gap <= _HANDOFF_GAP
-    ):
-        return state, first, replace(result, meta={**result.meta, "handoff": "newton"})
+        return state, summary, settle(c, state, summary, False)
 
-    rest = {**controls, "dt_init": first.dt}
-    if "max_steps" in controls:
-        rest["max_steps"] = controls["max_steps"] - first.steps
-    on_step = controls.get("on_step")
-    if on_step is not None:
-        rest["on_step"] = lambda u, steps: on_step(u, first.steps + steps)
-    state, second = run(state, c, **rest)
-    summary = replace(
-        second, steps=first.steps + second.steps, rejected=first.rejected + second.rejected
-    )
-    result = settle(c, state, summary, newton)
-    return state, summary, replace(result, meta={**result.meta, "handoff": "resumed"})
+    def leg(state: SimState, **leg_controls) -> tuple[SimState, RunSummary]:
+        return run(state, c, **leg_controls)
+
+    def certify(state: SimState, summary: RunSummary) -> tuple[EquilibriumResult, bool]:
+        result = settle(c, state, summary, True)
+        accepted = (
+            result.meta["newton_stop"] == "converged"
+            and result.endemic
+            and result.I.values.min() > 0.0
+            and result.conservation_gap <= _HANDOFF_GAP
+        )
+        return result, accepted
+
+    state, summary, result, handoff = march_with_handoff(leg, init, certify, **controls)
+    if handoff is not None:
+        result = replace(result, meta={**result.meta, "handoff": handoff})
+    return state, summary, result
 
 
 def settle(
@@ -223,33 +212,22 @@ def settle(
 
 
 def _newton_refine(
-    c: CoefficientSet,
-    S: np.ndarray,
-    I: np.ndarray,
-    target: float = 1e-11,
-    max_iter: int = 15,
+    c: CoefficientSet, S: np.ndarray, I: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Damped Newton on the stationary system; also returns why it stopped."""
-    dom = c.domain
-    L = assemble_neumann_laplacian(dom)
-    ident = sp.identity(dom.n_nodes, format="csr")
+    n = c.domain.n_nodes
+    L = assemble_neumann_laplacian(c.domain)
+    ident = sp.identity(n, format="csr")
     beta, gamma, eta = c.beta.values, c.gamma.values, c.eta.values
     p, q = c.p, c.q
 
-    def res_norm(Sv, Iv):
-        rS, rI = elliptic_residuals(c, Sv, Iv)
-        return max(float(np.max(np.abs(rS))), float(np.max(np.abs(rI))))
+    def residual(x: np.ndarray) -> np.ndarray:
+        return np.concatenate(elliptic_residuals(c, x[:n], x[n:]))
 
-    best = res_norm(S, I)
-    stop = "max_iter"
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        if best <= target:
-            iters -= 1
-            break
-        rS, rI = elliptic_residuals(c, S, I)
-        dF_dS = q * beta * S ** (q - 1.0) * I**p
-        dF_dI = p * beta * S**c.q * I ** (p - 1.0)
+    def correction(x: np.ndarray, G: np.ndarray):
+        Sv, Iv = x[:n], x[n:]
+        dF_dS = q * beta * Sv ** (q - 1.0) * Iv**p
+        dF_dI = p * beta * Sv**q * Iv ** (p - 1.0)
         J = sp.bmat(
             [
                 [c.d_S * L - ident - sp.diags(dF_dS), sp.diags(gamma - dF_dI)],
@@ -258,31 +236,12 @@ def _newton_refine(
             format="csc",
         )
         try:
-            delta = splu(J).solve(-np.concatenate([rS, rI]))
+            return splu(J).solve(-G)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            stop = "singular"
-            break
-        if not np.all(np.isfinite(delta)):
-            stop = "non-finite"
-            break
-        improved = False
-        lam = 1.0
-        for _ in range(9):
-            S_try = S + lam * delta[: dom.n_nodes]
-            I_try = I + lam * delta[dom.n_nodes :]
-            if S_try.min() > 0.0 and I_try.min() > 0.0:
-                norm_try = res_norm(S_try, I_try)
-                if norm_try < best:
-                    S, I, best = S_try, I_try, norm_try
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            stop = "no descent"
-            break
-    if best <= target:
-        stop = "converged"
-    return S, I, iters, stop
+            return "singular"
+
+    x, iters, stop = damped_newton(residual, correction, np.concatenate([S, I]))
+    return x[:n], x[n:], iters, stop
 
 
 def diagnostics(c: CoefficientSet, result: EquilibriumResult) -> dict:

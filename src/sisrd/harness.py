@@ -54,7 +54,6 @@ __all__ = [
     "run_scenario",
     "sweep",
     "field_distances",
-    "interior_max",
     "check_trend",
     "compare_fields",
 ]
@@ -92,20 +91,6 @@ def field_distances(dom: DiscreteDomain, a, b) -> tuple[float, float]:
     """Sup-norm and measure-weighted L1 distance between two node arrays."""
     diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return float(diff.max()), integrate(dom, diff)
-
-
-def interior_max(
-    dom: DiscreteDomain, mask: np.ndarray, values, erode_cells: int = 2
-) -> float:
-    """Max of ``values`` over ``mask`` eroded by ``erode_cells`` grid layers.
-
-    Returns 0.0 when the eroded region is empty — a collar of the given
-    width around the region's edge is deliberately ignored.
-    """
-    inner = erode_mask(dom, mask, erode_cells)
-    if not inner.any():
-        return 0.0
-    return float(np.asarray(values, dtype=float)[inner].max())
 
 
 def check_trend(series, factor: float = 1.1, floor: float = 1e-9) -> list:

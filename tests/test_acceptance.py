@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import record_acceptance
+from oracles import bisect_increasing, interior_max
 
 from sisrd.asymptotics import (
-    bisect_increasing,
     bounds_audit,
     monotone_joint_p1,
     monotone_joint_sublinear,
@@ -23,7 +23,7 @@ from sisrd.asymptotics import (
 from sisrd.coefficients import CoefficientSet
 from sisrd.equilibrium import find_ee, grid_tolerance, solve_dfe
 from sisrd.grid import DomainSpec, build_domain, dilate_mask
-from sisrd.harness import interior_max, run_scenario, sweep
+from sisrd.harness import run_scenario, sweep
 from sisrd.scenario import ScenarioConfig, load_scenario
 from sisrd.spectral import compute_lambda0, compute_r0
 

@@ -7,10 +7,10 @@ bisection on the defining scalar equations.
 
 import numpy as np
 import pytest
+from oracles import bisect_increasing
 
-from sisrd import asymptotics
+from sisrd import asymptotics, dynamics
 from sisrd.asymptotics import (
-    bisect_increasing,
     bounds_audit,
     classify_small_di,
     eliminate_susceptible,
@@ -281,6 +281,75 @@ def test_small_ds_limit_matches_bisection(monkeypatch, p):
     assert newton.meta["steps"] == reference.meta["steps"]
     assert np.abs(newton.S_limit.values - reference.S_limit.values).max() <= 1e-13
     assert np.abs(newton.I_limit.values - reference.I_limit.values).max() <= 1e-13
+
+
+def refuse_newton(dom, diffusion, linear_rate, source, slope, u):
+    return u, 0, "max_iter"
+
+
+LIMIT_MARCHES = [(limit_small_ds, 1.0), (limit_small_ds, 0.5), (limit_small_di, 0.5)]
+
+
+@pytest.mark.parametrize("limit, p", LIMIT_MARCHES)
+def test_limit_handoff_matches_the_long_march(monkeypatch, limit, p):
+    # the reference refuses Newton, so its march resumes to the 1e-10 steady test
+    _, c = scenario_disk(p=p)
+    profile = limit(c)
+    monkeypatch.setattr(asymptotics, "_newton_semilinear", refuse_newton)
+    reference = limit(c)
+    assert profile.meta["handoff"] == "newton"
+    assert profile.meta["newton_stop"] == "converged"
+    assert profile.meta["newton_iterations"] >= 1
+    assert reference.meta["handoff"] == "resumed"
+    assert profile.meta["steps"] < reference.meta["steps"]
+    assert profile.meta["residual_sup"] <= 1e-11
+    assert reference.meta["residual_sup"] <= 1e-8
+    assert np.abs(profile.S_limit.values - reference.S_limit.values).max() <= 1e-8
+    assert np.abs(profile.I_limit.values - reference.I_limit.values).max() <= 1e-8
+
+
+def test_resumed_limit_march_continues_where_it_stopped(monkeypatch):
+    # march to 1e-2, refuse, resume: the same steps, clock and fields as
+    # one march to 1e-10 with no hand-off
+    _, c = scenario_disk()
+    monkeypatch.setattr(asymptotics, "_newton_semilinear", refuse_newton)
+    resumed = limit_small_ds(c)
+    monkeypatch.setattr(dynamics, "_HANDOFF_TOL", 0.0)
+    single = limit_small_ds(c)
+    assert resumed.meta["handoff"] == "resumed"
+    assert single.meta["handoff"] is None
+    assert resumed.meta["steps"] == single.meta["steps"]
+    assert resumed.meta["t"] == single.meta["t"]
+    np.testing.assert_array_equal(resumed.I_limit.values, single.I_limit.values)
+
+
+class InaccurateFactor:
+    """A real factor whose solutions are off by a relative 1e-6."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b) * (1.0 + 1e-6)
+
+
+def test_inaccurate_newton_solve_resumes_the_march(monkeypatch):
+    _, c = scenario_disk()
+    monkeypatch.setattr(asymptotics, "_newton_semilinear", refuse_newton)
+    reference = limit_small_ds(c)
+    monkeypatch.undo()
+    real = asymptotics.shifted_factor
+    monkeypatch.setattr(
+        asymptotics, "shifted_factor", lambda *args: InaccurateFactor(real(*args))
+    )
+    profile = limit_small_ds(c)
+    assert profile.meta["newton_stop"] == "inaccurate solve"
+    assert profile.meta["newton_iterations"] == 1
+    assert profile.meta["handoff"] == "resumed"
+    assert profile.meta["steps"] == reference.meta["steps"]
+    np.testing.assert_array_equal(profile.I_limit.values, reference.I_limit.values)
+    # S is eliminated from a different warm start, so it may differ in the last bits
+    assert np.abs(profile.S_limit.values - reference.S_limit.values).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

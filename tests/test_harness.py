@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import interior_max
 
 from sisrd import harness
 from sisrd.coefficients import CoefficientSet
@@ -14,7 +15,6 @@ from sisrd.harness import (
     check_trend,
     compare_fields,
     field_distances,
-    interior_max,
     run_scenario,
     sweep,
 )

@@ -1,4 +1,7 @@
-"""Property tests: invariants of the IMEX step over random inputs."""
+"""Property tests: invariants of the IMEX step and of the bracketed Newton
+root finder over random inputs."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +11,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sisrd import asymptotics
+from sisrd.asymptotics import newton_increasing
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MASS_BALANCE_RTOL, SimState, StepRejected, step_imex
 from sisrd.grid import DomainSpec, build_domain
+from sisrd.solvers import NonConvergenceError
 
 DOMAINS = (
     build_domain(DomainSpec.interval(0, 1, 13)),
@@ -56,3 +62,67 @@ def test_step_keeps_positivity_and_mass_balance(case):
     assert new.I.values.min() >= 0.0
     assert stats.mass_defect <= MASS_BALANCE_RTOL
     assert new.t == state.t + dt
+
+
+@st.composite
+def monotone_maps(draw):
+    """Per-node maps ``a x + b x^k - c`` with a root bracket ``[0, hi]``.
+
+    ``a``, ``b`` and ``c`` are positive, so ``f(0) = -c < 0`` and
+    ``f(s c/a) >= b (c/a)^k > 0`` for ``s >= 1``; each node draws its own
+    exponent, and the start is unset or anywhere in the bracket.
+    """
+    n = draw(st.integers(1, 6))
+
+    def positive(lo, hi):
+        return draw(arrays(np.float64, n, elements=st.floats(lo, hi)))
+
+    a, b, c = positive(0.01, 100.0), positive(0.01, 100.0), positive(0.01, 100.0)
+    k = positive(0.25, 4.0)
+    hi = positive(1.0, 10.0) * c / a
+    start = draw(st.one_of(st.none(), st.builds(lambda t: t * hi, st.floats(0.0, 1.0))))
+
+    def f(x):
+        return a * x + b * x**k - c
+
+    def df(x):
+        return a + k * b * x ** (k - 1.0)
+
+    return f, df, hi, start
+
+
+# a node converges on a Newton step of 4 ulp or a bracket of 4 ulp of hi,
+# so a root is pinned to a few ulps of the bracket's scale, not its own
+ROOT_ULPS = 16
+
+
+@PROPERTY_SETTINGS
+@given(monotone_maps())
+def test_newton_roots_lie_in_the_bracket_at_a_sign_change(case):
+    f, df, hi, start = case
+    lo = np.zeros_like(hi)
+    root = newton_increasing(f, df, lo, hi, start)
+    assert np.all((lo <= root) & (root <= hi))
+    slack = ROOT_ULPS * np.spacing(hi)
+    assert np.all(f(np.maximum(root - slack, 0.0)) <= 0.0)
+    assert np.all(f(root + slack) >= 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(monotone_maps())
+def test_newton_rejects_a_bracket_without_sign_change(case):
+    f, df, hi, _ = case
+    with pytest.raises(ValueError, match="sign change"):
+        newton_increasing(f, df, hi, 2.0 * hi)  # f > 0 on the whole bracket
+
+
+@PROPERTY_SETTINGS
+@given(monotone_maps())
+def test_newton_cap_raises_nonconvergence(case):
+    # one iteration from the lower end is a step of at least a bisection
+    # or a Newton step to the root, never a converged one
+    f, df, hi, _ = case
+    lo = np.zeros_like(hi)
+    with mock.patch.object(asymptotics, "_NEWTON_MAX_ITER", 1):
+        with pytest.raises(NonConvergenceError, match="not converged"):
+            newton_increasing(f, df, lo, hi, start=lo)
