@@ -30,8 +30,10 @@ can be computed without solving the full coupled system.  With
 Both scalar limit problems are solved on the package's one hand-off,
 :func:`sisrd.dynamics.march_with_handoff`: a march stops at the loose
 steady test ``|du|/dt < 1e-2`` and hands its state to a damped scalar
-Newton iteration, whose answer is kept when its sup residual reaches 1e-11;
-otherwise the march resumes to ``|du|/dt < 1e-10``.  ``LimitProfile.meta``
+Newton iteration (:func:`_newton_semilinear`, on the one guarded Newton
+loop :func:`sisrd.solvers.damped_newton`), whose answer is kept when its
+sup residual reaches 1e-11; otherwise the march resumes to
+``|du|/dt < 1e-10``.  ``LimitProfile.meta``
 records both legs' ``steps``, the ``handoff`` outcome, and Newton's
 ``newton_iterations`` and ``newton_stop``.
 
@@ -60,9 +62,8 @@ from .grid import (
     DiscreteDomain,
     ScalarField,
     assemble_neumann_laplacian,
-    shifted_factor,
+    shifted_operator,
     shifted_solver,
-    stiffness_matrix,
 )
 from .solvers import NonConvergenceError, damped_newton
 from .spectral import compute_lambda0
@@ -188,9 +189,6 @@ def newton_increasing(
 # ---------------------------------------------------------------------------
 
 
-_SOLVE_RTOL = 1e-8  # largest backward error of a Newton solve, relative to its right side
-
-
 def _march_semilinear(
     dom: DiscreteDomain,
     *,
@@ -269,34 +267,23 @@ def _newton_semilinear(
 ) -> tuple[np.ndarray, int, str]:
     """:func:`~sisrd.solvers.damped_newton` on ``diffusion Lap(u) - linear_rate u + source(u) = 0``.
 
-    With ``g = slope(u) - linear_rate``, each correction solves
-    ``(diffusion K - W g) delta = W G`` for the residual ``G`` by one
-    :func:`~sisrd.grid.shifted_factor`.  The factor is not pivoted, and
-    ``-g`` is negative where the source grows faster than the sink, so the
-    matrix need not be an M-matrix: a solve whose backward error exceeds
-    ``_SOLVE_RTOL`` of its right side stops Newton with
-    ``"inaccurate solve"``.
+    For the residual ``G``, the Newton system is
+    ``shifted_operator(dom, linear_rate - slope(u), diffusion) delta = W G``.
+    Its reaction is negative where the source grows faster than the sink,
+    so the matrix need not be an M-matrix; the backward-error guard of
+    :func:`~sisrd.solvers.damped_newton` stops Newton with
+    ``"inaccurate solve"`` if the unpivoted factor loses accuracy.
     """
     w = dom.cell_measures
     L = assemble_neumann_laplacian(dom)
-    K = stiffness_matrix(dom)
 
     def residual(v: np.ndarray) -> np.ndarray:
         return diffusion * (L @ v) - linear_rate * v + source(v)
 
-    def correction(v: np.ndarray, G: np.ndarray):
-        shift = linear_rate - slope(v)  # -g
-        b = w * G
-        try:
-            delta = shifted_factor(dom, shift, diffusion).solve(b)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            return "singular"
-        backward = w * shift * delta + diffusion * (K @ delta) - b
-        if np.max(np.abs(backward)) > _SOLVE_RTOL * np.max(np.abs(b)):
-            return "inaccurate solve"
-        return delta
+    def system(v: np.ndarray, G: np.ndarray):
+        return shifted_operator(dom, linear_rate - slope(v), diffusion), w * G
 
-    return damped_newton(residual, correction, u)
+    return damped_newton(residual, system, u)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     config, dom, c = _load(args)
-    eq = find_ee(c, config.initial_state(dom), newton=config.newton_refine, **config.controls)
+    eq = find_ee(c, config.initial_state(dom), **config.controls)
     print(f"endemic={eq.endemic} steps={eq.steps} newton={eq.newton_iterations}")
     print(
         f"residual_S={_fmt(eq.residual_S)} residual_I={_fmt(eq.residual_I)} "
@@ -136,7 +136,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     config, dom, c = _load(args)
-    eq = find_ee(c, config.initial_state(dom), newton=config.newton_refine, **config.controls)
+    eq = find_ee(c, config.initial_state(dom), **config.controls)
     report = bounds_audit(c, eq)
     for ch in report.checks:
         status = "ok " if ch["passed"] else "FAIL"

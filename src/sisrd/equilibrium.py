@@ -11,7 +11,7 @@ residual drops below ~1e-11 (:func:`settle`); why Newton stopped is
 recorded in ``EquilibriumResult.meta["newton_stop"]``.
 
 The march only has to reach Newton's basin, not the steady state itself:
-with Newton on, it runs through the package's one hand-off,
+it runs through the package's one hand-off,
 :func:`sisrd.dynamics.march_with_handoff`, which stops it at the loose
 rate test ``|du|/dt < 1e-2`` and hands its state to Newton.  Newton's
 answer is kept only if it converged to an endemic state with ``I > 0``
@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientSet
 from .dynamics import RunSummary, SimState, march_with_handoff, run
@@ -106,29 +105,21 @@ def conservation_gap(c: CoefficientSet, S: np.ndarray, I: np.ndarray) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
-def find_ee(
-    c: CoefficientSet,
-    init: Optional[SimState] = None,
-    *,
-    newton: bool = True,
-    **controls,
-) -> EquilibriumResult:
+def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> EquilibriumResult:
     """March to a steady state from ``init`` (default constants 0.8 / 0.2).
 
     ``controls`` are the stopping and stepping keywords of
     :func:`~sisrd.dynamics.march`; ``steady_tol`` defaults to 1e-9 and
-    ``t_final`` to 4000.  With ``newton`` set, the march is handed to
-    Newton at the loose steady test and resumed to ``steady_tol`` only if
-    Newton's answer is refused (see the module docstring); without it the
-    march runs to ``steady_tol`` and the marched state is returned.
-    Raises :class:`NonConvergenceError` if the march has not flattened out
-    by ``t_final``.
+    ``t_final`` to 4000.  The march is handed to Newton at the loose
+    steady test and resumed to ``steady_tol`` only if Newton's answer is
+    refused (see the module docstring).  Raises :class:`NonConvergenceError`
+    if the march has not flattened out by ``t_final``.
     """
     dom = c.domain
     if init is None:
         init = SimState(dom.field(0.8), dom.field(0.2))
     controls = {"steady_tol": 1e-9, "t_final": 4000.0, **controls}
-    _, summary, result = _equilibrate(c, init, newton, **controls)
+    _, summary, result = _equilibrate(c, init, **controls)
     if not summary.converged_steady:
         raise NonConvergenceError(
             f"no steady state by t = {controls['t_final']:g} (stopped on {summary.reason})"
@@ -137,27 +128,24 @@ def find_ee(
 
 
 def _equilibrate(
-    c: CoefficientSet, init: SimState, newton: bool, **controls
+    c: CoefficientSet, init: SimState, **controls
 ) -> tuple[SimState, RunSummary, EquilibriumResult]:
     """March ``init`` with ``controls`` and :func:`settle` the marched state.
 
     Returns the last marched state, the summary of the whole march and the
-    settled result.  With ``newton`` set, the march goes through
+    settled result.  The march goes through
     :func:`~sisrd.dynamics.march_with_handoff`, and Newton's answer at the
     loose steady test is accepted (``meta["handoff"] == "newton"``) if
     Newton converged, the result is endemic with ``I > 0`` everywhere, and
     its conservation gap is at most ``_HANDOFF_GAP``; otherwise the march
     resumes to ``steady_tol`` and is settled again (``"resumed"``).
     """
-    if not newton:
-        state, summary = run(init, c, **controls)
-        return state, summary, settle(c, state, summary, False)
 
     def leg(state: SimState, **leg_controls) -> tuple[SimState, RunSummary]:
         return run(state, c, **leg_controls)
 
     def certify(state: SimState, summary: RunSummary) -> tuple[EquilibriumResult, bool]:
-        result = settle(c, state, summary, True)
+        result = settle(c, state, summary)
         accepted = (
             result.meta["newton_stop"] == "converged"
             and result.endemic
@@ -172,19 +160,17 @@ def _equilibrate(
     return state, summary, result
 
 
-def settle(
-    c: CoefficientSet, state: SimState, summary: RunSummary, newton: bool
-) -> EquilibriumResult:
+def settle(c: CoefficientSet, state: SimState, summary: RunSummary) -> EquilibriumResult:
     """Classify a marched state, polish it and certify it by its residuals.
 
-    When ``newton`` is set, the march stopped on its steady test, and the
-    state is endemic with strictly positive infection, a damped Newton
-    iteration refines the profile; if Newton stalls, the fields of its last
-    accepted iterate (the marched fields if none) are kept.  ``meta`` holds
-    the march's stop reason and Newton's (``"converged"``, ``"singular"``,
-    ``"non-finite"``, ``"no descent"``, ``"max_iter"``, or ``"skipped"``
-    when Newton does not run).  The result carries the elliptic residuals
-    and conservation gap of the returned fields.
+    When the march stopped on its steady test and the state is endemic with
+    strictly positive infection, a damped Newton iteration refines the
+    profile; if Newton stalls, the fields of its last accepted iterate (the
+    marched fields if none) are kept.  ``meta`` holds the march's stop
+    reason and Newton's (``"converged"``, ``"singular"``, ``"non-finite"``,
+    ``"inaccurate solve"``, ``"no descent"``, ``"max_iter"``, or
+    ``"skipped"`` when Newton does not run).  The result carries the
+    elliptic residuals and conservation gap of the returned fields.
     """
     dom = c.domain
     S = state.S.values.copy()
@@ -192,8 +178,8 @@ def settle(
     newton_iters = 0
     newton_stop = "skipped"
     endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
-    if newton and summary.converged_steady and endemic and I.min() > 0.0:
-        S, I, newton_iters, newton_stop = _newton_refine(c, S, I)
+    if summary.converged_steady and endemic and I.min() > 0.0:
+        S, I, newton_iters, newton_stop = _newton_coupled(c, S, I)
         endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
     res_S, res_I = elliptic_residuals(c, S, I)
     return EquilibriumResult(
@@ -211,10 +197,14 @@ def settle(
     )
 
 
-def _newton_refine(
+def _newton_coupled(
     c: CoefficientSet, S: np.ndarray, I: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """Damped Newton on the stationary system; also returns why it stopped."""
+    """Damped Newton on the stationary system; also returns why it stopped.
+
+    The Jacobian is structurally symmetric (two Laplacian blocks and two
+    diagonals), the pattern :func:`~sisrd.solvers.sparse_lu` orders.
+    """
     n = c.domain.n_nodes
     L = assemble_neumann_laplacian(c.domain)
     ident = sp.identity(n, format="csr")
@@ -224,7 +214,7 @@ def _newton_refine(
     def residual(x: np.ndarray) -> np.ndarray:
         return np.concatenate(elliptic_residuals(c, x[:n], x[n:]))
 
-    def correction(x: np.ndarray, G: np.ndarray):
+    def system(x: np.ndarray, G: np.ndarray):
         Sv, Iv = x[:n], x[n:]
         dF_dS = q * beta * Sv ** (q - 1.0) * Iv**p
         dF_dI = p * beta * Sv**q * Iv ** (p - 1.0)
@@ -235,12 +225,9 @@ def _newton_refine(
             ],
             format="csc",
         )
-        try:
-            return splu(J).solve(-G)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            return "singular"
+        return J, -G
 
-    x, iters, stop = damped_newton(residual, correction, np.concatenate([S, I]))
+    x, iters, stop = damped_newton(residual, system, np.concatenate([S, I]))
     return x[:n], x[n:], iters, stop
 
 

@@ -327,8 +327,9 @@ def pretty(e: Expr) -> str:
         else:
             if lp < _PREC[e.op]:
                 left = f"({left})"
-            # - and / do not associate on the right
-            if rp < _PREC[e.op] or (rp == _PREC[e.op] and e.op in ("-", "/")):
+            # left-associative: an equal-precedence right operand keeps its
+            # parentheses, since x+(y+z) and (x+y)+z round differently
+            if rp <= _PREC[e.op]:
                 right = f"({right})"
         return f"{left}{e.op}{right}"
     if isinstance(e, Call):

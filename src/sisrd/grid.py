@@ -19,12 +19,15 @@ diagonal of cell measures), which is what the implicit solvers consume;
 the Laplacian is its row scaling ``L = -W^{-1} K``, so row sums vanish
 and ``L`` is symmetric with respect to the cell-measure inner product.
 
-Every linear solve in the package factors a :func:`shifted_operator`
-``W diag(reaction) + d K`` with :func:`shifted_factor`, a sparse LU owned
-by its caller, never by the domain.  A time march holds the factor of its
-time-step form ``W diag(1/dt + rate) + d K`` in a :func:`shifted_solver`,
-rebuilt only when dt changes and freed when the march returns.  The
-disease-free solve and the two eigenproblems keep theirs for one call.
+Every linear solve outside Newton factors a :func:`shifted_operator`
+``W diag(reaction) + d K`` with :func:`shifted_factor`, the package's one
+sparse LU (:func:`sisrd.solvers.sparse_lu`) owned by its caller, never by
+the domain.  With ``reaction > 0`` the operator is a symmetric, diagonally
+dominant M-matrix, which is what lets that LU skip pivoting.  A time march
+holds the factor of its time-step form ``W diag(1/dt + rate) + d K`` in a
+:func:`shifted_solver`, rebuilt only when dt changes and freed when the
+march returns.  The disease-free solve and the two eigenproblems keep
+theirs for one call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+
+from .solvers import sparse_lu
 
 __all__ = [
     "DomainError",
@@ -356,19 +360,12 @@ def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_
 
 
 def shifted_factor(dom: DiscreteDomain, reaction, diffusion: float):
-    """Sparse LU factor of ``shifted_operator(dom, reaction, diffusion)``.
+    """:func:`~sisrd.solvers.sparse_lu` of ``shifted_operator(dom, reaction, diffusion)``.
 
-    The matrix is symmetric and, for ``reaction > 0``, a diagonally
-    dominant M-matrix, so the factorization uses a symmetric minimum-degree
-    ordering without pivoting.  The returned ``SuperLU`` object solves
-    with ``.solve(b)``; nothing is cached.
+    The CSR operator is freed before the factorization starts.  The
+    returned ``SuperLU`` object solves with ``.solve(b)``.
     """
-    return splu(
-        shifted_operator(dom, reaction, diffusion).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    return sparse_lu(shifted_operator(dom, reaction, diffusion).tocsc())
 
 
 def shifted_solver(dom: DiscreteDomain, rate, diffusion: float) -> Callable[[float, np.ndarray], np.ndarray]:

@@ -156,9 +156,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
                 write_field_csv(_path(f"S_{step:06d}.csv"), state.S)
                 write_field_csv(_path(f"I_{step:06d}.csv"), state.I)
 
-        state, summary, result = _equilibrate(
-            c, state0, config.newton_refine, on_step=snapshot, **config.controls
-        )
+        state, summary, result = _equilibrate(c, state0, on_step=snapshot, **config.controls)
         S = result.S.values
         I = result.I.values
 

@@ -21,10 +21,10 @@ Example::
     }
 
 Optional blocks: ``"stepping"`` (``dt_init``, ``dt_max``, ``dt_min``),
-``"outputs"`` (``newton_refine``, ``snapshot_every``, ``mask_deltas``,
-``zero_infection_tol``), a free-text ``"comment"``, and ``"sigma"`` (a
-diffusion ratio used by sweep drivers).  The ``stopping`` and ``stepping``
-values must be positive; those set (``null`` counts as unset) become
+``"outputs"`` (``snapshot_every``, ``mask_deltas``, ``zero_infection_tol``),
+a free-text ``"comment"``, and ``"sigma"`` (a diffusion ratio used by sweep
+drivers).  The ``stopping`` and ``stepping`` values must be positive;
+those set (``null`` counts as unset) become
 :attr:`ScenarioConfig.controls`, the keywords of
 :func:`sisrd.dynamics.march`, which supplies the stepping defaults.  The
 domain's ``nodes`` and ``shape`` entries must be JSON integers, and every
@@ -61,7 +61,7 @@ _COEFF_KEYS = {"beta", "gamma", "eta", "lambda"}
 _PARAM_KEYS = {"d_S", "d_I", "p", "q"}
 _STOP_KEYS = {"t_final", "steady_tol"}
 _STEP_KEYS = {"dt_init", "dt_max", "dt_min"}
-_OUTPUT_KEYS = {"newton_refine", "snapshot_every", "mask_deltas", "zero_infection_tol"}
+_OUTPUT_KEYS = {"snapshot_every", "mask_deltas", "zero_infection_tol"}
 _TOP_KEYS = {
     "version",
     "name",
@@ -157,7 +157,6 @@ class ScenarioConfig:
     initial_S: str
     initial_I: str
     controls: dict  # the march's stopping/stepping keywords the file sets
-    newton_refine: bool
     snapshot_every: int
     mask_deltas: tuple
     zero_infection_tol: float
@@ -224,9 +223,6 @@ class ScenarioConfig:
             raise ConfigError(f"{origin}.stopping needs t_final, steady_tol, or both")
 
         outputs = _block(data, "outputs", origin, _OUTPUT_KEYS, required=False)
-        newton_refine = outputs.get("newton_refine", True)
-        if not isinstance(newton_refine, bool):
-            raise ConfigError(f"outputs.newton_refine must be a boolean, got {newton_refine!r}")
         every = _integer(outputs.get("snapshot_every", 0), "outputs.snapshot_every")
         if every < 0:
             raise ConfigError(f"outputs.snapshot_every must be nonnegative, got {every!r}")
@@ -261,7 +257,6 @@ class ScenarioConfig:
             initial_S=init_S,
             initial_I=init_I,
             controls=controls,
-            newton_refine=newton_refine,
             snapshot_every=every,
             mask_deltas=tuple(float(d) for d in deltas),
             zero_infection_tol=zero_tol,

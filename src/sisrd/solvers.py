@@ -1,60 +1,88 @@
-"""The damped Newton iteration of the steady problems, and the error raised
-when an iterative computation exhausts its budget.
+"""The package's one sparse LU, the guarded Newton loop of the steady
+problems, and the error raised when an iterative computation exhausts its
+budget.
 
-:func:`damped_newton` is the one Newton loop behind the coupled
-equilibrium (:mod:`sisrd.equilibrium`) and the scalar limit profiles
+:func:`sparse_lu` factors without pivoting on a symmetric minimum-degree
+ordering; :func:`sisrd.grid.shifted_factor` uses it for the M-matrices of
+the marches, the disease-free solve and the eigenproblems.
+:func:`damped_newton` is the one Newton loop behind the coupled equilibrium
+(:mod:`sisrd.equilibrium`) and the scalar limit profiles
 (:mod:`sisrd.asymptotics`); each caller supplies its residual and its
-Newton correction.  The time marches and the power iteration of
-:mod:`sisrd.spectral` raise :class:`NonConvergenceError`.  Linear systems
-need no iteration: each is solved with a sparse LU factor of a shifted
-operator, :func:`sisrd.grid.shifted_factor`, which the solve that builds
-it owns and frees.
+Newton system.  A Newton matrix need not be an M-matrix, so every Newton
+solve is checked by its backward error, with no fallback to a pivoted
+factor.  The time marches and the power iteration of :mod:`sisrd.spectral`
+raise :class:`NonConvergenceError`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
-__all__ = ["NonConvergenceError", "damped_newton"]
+__all__ = ["NonConvergenceError", "damped_newton", "sparse_lu"]
+
+_NEWTON_TARGET = 1e-11  # sup residual at which Newton has converged
+_NEWTON_MAX_ITER = 15
+_SOLVE_RTOL = 1e-8  # largest backward error of a Newton solve, relative to its right side
 
 
 class NonConvergenceError(RuntimeError):
     """An iterative solver exhausted its budget without meeting tolerance."""
 
 
+def sparse_lu(A):
+    """SuperLU factor of the structurally symmetric CSC matrix ``A``.
+
+    Ordered by minimum degree on ``A^T + A``, with the diagonal as pivots
+    (no row interchanges).  Raises ``RuntimeError`` when a pivot is exactly
+    zero.  The returned object solves with ``.solve(b)``; nothing is cached.
+    """
+    return splu(
+        A,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
 def damped_newton(
     residual: Callable[[np.ndarray], np.ndarray],
-    correction: Callable[[np.ndarray, np.ndarray], Union[np.ndarray, str]],
+    system: Callable[[np.ndarray, np.ndarray], tuple],
     x: np.ndarray,
-    target: float = 1e-11,
-    max_iter: int = 15,
 ) -> tuple[np.ndarray, int, str]:
     """Damped Newton on ``residual(x) = 0`` from a positive ``x``.
 
-    ``correction(x, G)`` returns the Newton step for the residual ``G`` at
-    ``x``, or the reason it could not (such as ``"singular"``).  The step
-    is halved, at most eight times, until ``x`` stays positive and the sup
-    residual falls.  Returns the last accepted iterate, the number of
-    iterations and why Newton stopped: ``"converged"`` (sup residual at
-    most ``target``), the correction's reason, ``"non-finite"``,
-    ``"no descent"`` or ``"max_iter"``.
+    ``system(x, G)`` returns the Newton system ``(A, b)`` for the residual
+    ``G`` at ``x``; the step ``delta`` solves ``A delta = b`` with one
+    :func:`sparse_lu`.  The step is halved, at most eight times, until
+    ``x`` stays positive and the sup residual falls.  Returns the last
+    accepted iterate, the number of iterations and why Newton stopped:
+    ``"converged"`` (sup residual at most 1e-11), ``"singular"`` (a zero
+    pivot), ``"non-finite"``, ``"inaccurate solve"`` (backward error above
+    ``_SOLVE_RTOL`` of ``b``), ``"no descent"`` or ``"max_iter"``.
     """
     G = residual(x)
     best = float(np.max(np.abs(G)))
     stop = "max_iter"
     iters = 0
-    for iters in range(1, max_iter + 1):
-        if best <= target:
+    for iters in range(1, _NEWTON_MAX_ITER + 1):
+        if best <= _NEWTON_TARGET:
             iters -= 1
             break
-        delta = correction(x, G)
-        if isinstance(delta, str):
-            stop = delta
+        A, b = system(x, G)
+        A = A.tocsc()  # a CSR operator is freed before the factorization
+        try:
+            delta = sparse_lu(A).solve(b)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            stop = "singular"
             break
         if not np.all(np.isfinite(delta)):
             stop = "non-finite"
+            break
+        if np.max(np.abs(A @ delta - b)) > _SOLVE_RTOL * np.max(np.abs(b)):
+            stop = "inaccurate solve"
             break
         improved = False
         lam = 1.0
@@ -71,6 +99,6 @@ def damped_newton(
         if not improved:
             stop = "no descent"
             break
-    if best <= target:
+    if best <= _NEWTON_TARGET:
         stop = "converged"
     return x, iters, stop

@@ -1,5 +1,5 @@
 """Shared test plumbing: the acceptance-criteria scoreboard, a factor log,
-and a Newton that stalls once.
+a Newton that stalls once, and Newton solves that miss their system.
 
 ``tests/test_acceptance.py`` records every check it makes through
 :func:`record_acceptance`; at the end of the session one PASS/FAIL line is
@@ -11,7 +11,7 @@ The ``factor_log`` fixture routes ``grid.shifted_factor`` through a
 
 import pytest
 
-from sisrd import equilibrium, grid
+from sisrd import equilibrium, grid, solvers
 
 ACCEPTANCE_LOG: list = []  # entries: (number, title, passed, detail)
 
@@ -97,7 +97,7 @@ def newton_stall_once(monkeypatch) -> list:
     Later attempts run the real Newton.  The returned list gains one entry
     per attempt.
     """
-    real = equilibrium._newton_refine
+    real = equilibrium._newton_coupled
     calls: list = []
 
     def stall_once(c, S, I, *args, **kwargs):
@@ -106,5 +106,25 @@ def newton_stall_once(monkeypatch) -> list:
             return S, I, 0, "no descent"
         return real(c, S, I, *args, **kwargs)
 
-    monkeypatch.setattr(equilibrium, "_newton_refine", stall_once)
+    monkeypatch.setattr(equilibrium, "_newton_coupled", stall_once)
     return calls
+
+
+class _InaccurateFactor:
+    """A real factor whose solutions are off by a relative 1e-6."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b) * (1.0 + 1e-6)
+
+
+@pytest.fixture
+def inaccurate_newton_solves(monkeypatch) -> None:
+    """Make every Newton solve of ``solvers.damped_newton`` inaccurate.
+
+    The factors of the marches and the other linear solves stay exact.
+    """
+    real = solvers.sparse_lu
+    monkeypatch.setattr(solvers, "sparse_lu", lambda A: _InaccurateFactor(real(A)))

@@ -323,25 +323,11 @@ def test_resumed_limit_march_continues_where_it_stopped(monkeypatch):
     np.testing.assert_array_equal(resumed.I_limit.values, single.I_limit.values)
 
 
-class InaccurateFactor:
-    """A real factor whose solutions are off by a relative 1e-6."""
-
-    def __init__(self, lu):
-        self.lu = lu
-
-    def solve(self, b):
-        return self.lu.solve(b) * (1.0 + 1e-6)
-
-
-def test_inaccurate_newton_solve_resumes_the_march(monkeypatch):
+def test_inaccurate_newton_solve_resumes_the_march(monkeypatch, inaccurate_newton_solves):
     _, c = scenario_disk()
-    monkeypatch.setattr(asymptotics, "_newton_semilinear", refuse_newton)
-    reference = limit_small_ds(c)
-    monkeypatch.undo()
-    real = asymptotics.shifted_factor
-    monkeypatch.setattr(
-        asymptotics, "shifted_factor", lambda *args: InaccurateFactor(real(*args))
-    )
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics, "_newton_semilinear", refuse_newton)
+        reference = limit_small_ds(c)
     profile = limit_small_ds(c)
     assert profile.meta["newton_stop"] == "inaccurate solve"
     assert profile.meta["newton_iterations"] == 1

@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sisrd import equilibrium
+from sisrd import solvers
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import SimState, run
 from sisrd.equilibrium import (
     conservation_gap,
     diagnostics,
+    elliptic_residuals,
     find_ee,
     grid_tolerance,
     settle,
@@ -136,19 +137,24 @@ def test_newton_refines_to_tight_residual():
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=lam,
         d_S=0.05, d_I=0.02, p=0.5, q=1.0,
     )
-    rough = find_ee(c, newton=False, steady_tol=1e-7)
-    sharp = find_ee(c, newton=True)
+    init = SimState(dom.field(0.8), dom.field(0.2))
+    state, _ = run(init, c, steady_tol=1e-7, t_final=4000.0)
+    rough = max(np.abs(r).max() for r in elliptic_residuals(c, state.S.values, state.I.values))
+    sharp = find_ee(c, init)
     assert sharp.newton_applied
     assert max(sharp.residual_S, sharp.residual_I) <= 1e-10
-    assert max(sharp.residual_S, sharp.residual_I) < max(
-        rough.residual_S, rough.residual_I
-    )
+    assert max(sharp.residual_S, sharp.residual_I) < rough
 
 
 def test_newton_stop_reason_is_recorded():
     dom, c = constants_p1()
     assert find_ee(c).meta["newton_stop"] == "converged"
-    assert find_ee(c, newton=False).meta["newton_stop"] == "skipped"
+    # a march stopped by t_final, not by its steady test, is not polished
+    state, summary = run(SimState(dom.field(0.8), dom.field(0.2)), c, t_final=0.5)
+    assert not summary.converged_steady
+    result = settle(c, state, summary)
+    assert result.meta == {"march_reason": summary.reason, "newton_stop": "skipped"}
+    np.testing.assert_array_equal(result.I.values, state.I.values)
 
 
 def _singular(J):
@@ -160,14 +166,14 @@ def _singular(J):
     [
         (_singular, "singular"),
         (lambda J: SimpleNamespace(solve=lambda b: np.full_like(b, np.nan)), "non-finite"),
-        (lambda J: SimpleNamespace(solve=np.zeros_like), "no descent"),
+        (lambda J: SimpleNamespace(solve=np.zeros_like), "inaccurate solve"),
     ],
 )
 def test_stalled_newton_keeps_marched_fields(monkeypatch, factor, reason):
     dom, c = constants_p1()
     state, summary = run(SimState(dom.field(0.8), dom.field(0.2)), c, steady_tol=1e-6)
-    monkeypatch.setattr(equilibrium, "splu", factor)
-    result = settle(c, state, summary, newton=True)
+    monkeypatch.setattr(solvers, "sparse_lu", factor)
+    result = settle(c, state, summary)
     assert result.meta == {"march_reason": "steady", "newton_stop": reason}
     np.testing.assert_array_equal(result.S.values, state.S.values)
     np.testing.assert_array_equal(result.I.values, state.I.values)
@@ -176,7 +182,7 @@ def test_stalled_newton_keeps_marched_fields(monkeypatch, factor, reason):
 def _long_march(c, init):
     """The equilibrium without a hand-off: march to 1e-9, then settle."""
     state, summary = run(init, c, steady_tol=1e-9, t_final=4000.0)
-    return settle(c, state, summary, newton=True)
+    return settle(c, state, summary)
 
 
 def test_handoff_accepts_newton_at_the_loose_steady_test():
@@ -190,13 +196,17 @@ def test_handoff_accepts_newton_at_the_loose_steady_test():
     np.testing.assert_allclose(eq.I.values, long.I.values, rtol=0.0, atol=1e-10)
 
 
-def test_stalled_handoff_resumes_the_march(newton_stall_once):
+def sublinear_sine():
     dom = build_domain(DomainSpec.interval(0, 1, 65))
     lam = 1.0 + 0.5 * np.sin(np.pi * dom.coords)
-    c = CoefficientSet.from_values(
+    return dom, CoefficientSet.from_values(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=lam,
         d_S=0.05, d_I=0.02, p=0.5, q=1.0,
     )
+
+
+def test_stalled_handoff_resumes_the_march(newton_stall_once):
+    dom, c = sublinear_sine()
     init = SimState(dom.field(0.8), dom.field(0.2))
     eq = find_ee(c, init)
     # the stalled hand-off, then Newton after the resumed march
@@ -226,15 +236,19 @@ def test_subcritical_handoff_resumes_to_the_dfe():
     np.testing.assert_array_equal(eq.I.values, long.I.values)
 
 
-def test_find_ee_without_newton_marches_as_run():
-    dom, c = constants_p1()
+def test_inaccurate_newton_solve_resumes_the_march(inaccurate_newton_solves):
+    # every Newton solve is refused by the backward-error guard, so the
+    # march resumes to its own steady test and keeps its own fields
+    dom, c = sublinear_sine()
     init = SimState(dom.field(0.8), dom.field(0.2))
-    eq = find_ee(c, init, newton=False, steady_tol=1e-8)
-    state, summary = run(init, c, steady_tol=1e-8, t_final=4000.0)
-    assert (eq.steps, eq.rejected) == (summary.steps, summary.rejected)
-    assert "handoff" not in eq.meta
-    np.testing.assert_array_equal(eq.S.values, state.S.values)
-    np.testing.assert_array_equal(eq.I.values, state.I.values)
+    eq = find_ee(c, init)
+    long = _long_march(c, init)
+    assert long.meta == {"march_reason": "steady", "newton_stop": "inaccurate solve"}
+    assert eq.meta == {**long.meta, "handoff": "resumed"}
+    assert eq.newton_iterations == 1
+    assert (eq.steps, eq.rejected) == (long.steps, long.rejected)
+    np.testing.assert_array_equal(eq.S.values, long.S.values)
+    np.testing.assert_array_equal(eq.I.values, long.I.values)
 
 
 def test_ee_independent_of_initial_state():

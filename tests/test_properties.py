@@ -1,5 +1,6 @@
-"""Property tests: invariants of the IMEX step and of the bracketed Newton
-root finder over random inputs."""
+"""Property tests over random inputs: invariants of the IMEX step and of the
+bracketed Newton root finder, the conservation identity at Newton-certified
+equilibria, and the formula printer's round trip."""
 
 from unittest import mock
 
@@ -15,6 +16,8 @@ from sisrd import asymptotics
 from sisrd.asymptotics import newton_increasing
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MASS_BALANCE_RTOL, SimState, StepRejected, step_imex
+from sisrd.equilibrium import find_ee
+from sisrd.formula import BinOp, Call, Neg, Num, Pi, Piecewise, Var, parse, pretty
 from sisrd.grid import DomainSpec, build_domain
 from sisrd.solvers import NonConvergenceError
 
@@ -126,3 +129,83 @@ def test_newton_cap_raises_nonconvergence(case):
     with mock.patch.object(asymptotics, "_NEWTON_MAX_ITER", 1):
         with pytest.raises(NonConvergenceError, match="not converged"):
             newton_increasing(f, df, lo, hi, start=lo)
+
+
+EE_DOMAIN = build_domain(DomainSpec.interval(0, 1, 17))
+
+
+@st.composite
+def mass_action_constants(draw):
+    """Constant coefficients, p = 1, a drawn endemic equilibrium, and a start.
+
+    The closed form ``S* = ((gamma+eta)/beta)^(1/q)``,
+    ``I* = (lambda - S*)/eta`` is drawn, and ``beta`` and ``lambda``
+    follow from it.  The march starts from ``(a S*, b I*)`` with ``a, b``
+    in [0.5, 1.5], so the test is about Newton rather than the march: from
+    the default start (0.8, 0.2) the loose steady test can fire in the slow
+    passage near the disease-free state, and for ``S*`` near 0.1 with a
+    large ``beta`` the march does not settle by t = 4000.
+    """
+    gamma = draw(st.floats(0.01, 2.0))
+    eta = draw(st.floats(0.1, 2.0))
+    q = draw(st.floats(0.25, 2.0))
+    S_star = draw(st.floats(0.25, 2.0))
+    I_star = draw(st.floats(0.2, 2.0))
+    c = CoefficientSet.from_values(
+        EE_DOMAIN, beta=(gamma + eta) / S_star**q, gamma=gamma, eta=eta,
+        recruitment=S_star + eta * I_star, d_S=draw(st.floats(1e-3, 1.0)),
+        d_I=draw(st.floats(1e-3, 1.0)), p=1.0, q=q,
+    )
+    start = SimState(
+        EE_DOMAIN.field(S_star * draw(st.floats(0.5, 1.5))),
+        EE_DOMAIN.field(I_star * draw(st.floats(0.5, 1.5))),
+    )
+    return c, start, S_star, I_star
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mass_action_constants())
+def test_newton_certified_equilibrium_meets_the_closed_form(case):
+    c, start, S_star, I_star = case
+    eq = find_ee(c, start)
+    assert eq.meta["handoff"] == "newton"
+    assert eq.meta["newton_stop"] == "converged"
+    assert eq.conservation_gap <= 1e-10
+    np.testing.assert_allclose(eq.S.values, S_star, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(eq.I.values, I_star, rtol=0.0, atol=1e-8)
+
+
+ONE_ARGUMENT = ("sin", "cos", "exp", "sqrt", "abs", "pos")
+
+
+def _formula_nodes(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(ONE_ARGUMENT), children),
+        st.builds(lambda f, a, b: Call(f, (a, b)), st.sampled_from(("min", "max")), children, children),
+        st.builds(
+            Piecewise,
+            st.sampled_from("xy"),
+            st.lists(st.tuples(children, children), max_size=2).map(tuple),
+            children,
+        ),
+    )
+
+
+# literals are unsigned in the grammar: a sign is a Neg node
+FORMULAS = st.recursive(
+    st.one_of(
+        st.builds(Num, st.floats(0.0, 1e6)),
+        st.just(Pi()),
+        st.sampled_from((Var("x"), Var("y"))),
+    ),
+    _formula_nodes,
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(FORMULAS)
+def test_pretty_round_trips_through_parse(tree):
+    assert parse(pretty(tree)) == tree

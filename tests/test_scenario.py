@@ -39,7 +39,6 @@ def test_minimal_config_defaults():
     assert cfg.name == "unit-test"
     assert cfg.recruitment == "1"
     assert cfg.controls == {"steady_tol": 1e-9, "t_final": 400.0}
-    assert cfg.newton_refine is True
     assert cfg.snapshot_every == 0
     assert cfg.mask_deltas == (1e-2, 1e-4)
     assert cfg.zero_infection_tol == 1e-2
@@ -75,7 +74,6 @@ def test_stepping_and_outputs_blocks():
     data = base_config()
     data["stepping"] = {"dt_init": 0.005, "dt_max": 0.2}
     data["outputs"] = {
-        "newton_refine": False,
         "snapshot_every": 7,
         "mask_deltas": [0.1],
         "zero_infection_tol": 0.05,
@@ -88,7 +86,6 @@ def test_stepping_and_outputs_blocks():
         "dt_init": 0.005,
         "dt_max": 0.2,
     }
-    assert cfg.newton_refine is False
     assert cfg.snapshot_every == 7
     assert cfg.mask_deltas == (0.1,)
     assert cfg.zero_infection_tol == 0.05
@@ -123,6 +120,10 @@ def test_rejects_unknown_keys_everywhere():
 
     data = base_config()
     data["stopping"]["tolerance"] = 1e-8
+    expect_error(data, "unknown key")
+
+    data = base_config()
+    data["outputs"] = {"newton_refine": True}
     expect_error(data, "unknown key")
 
 
@@ -204,13 +205,6 @@ def test_rejects_bad_mask_deltas():
         data = base_config()
         data["outputs"] = {"mask_deltas": deltas}
         expect_error(data, "mask_deltas")
-
-
-def test_rejects_non_boolean_newton_refine():
-    for value in ("false", 0, 1, None):
-        data = base_config()
-        data["outputs"] = {"newton_refine": value}
-        expect_error(data, "newton_refine")
 
 
 def test_rejects_bad_snapshot_every():

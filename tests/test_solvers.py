@@ -1,4 +1,5 @@
-"""The positive power iteration behind R0 and lambda0, against dense oracles.
+"""The solver layer: the guarded damped Newton loop, and the positive power
+iteration behind R0 and lambda0 against dense oracles.
 
 ``spectral._principal`` solves ``diag(a) phi = mu B phi`` with
 ``B = d_I K + W diag(reaction)``; these tests feed it operator pencils
@@ -8,10 +9,27 @@ from an actual mesh and compare with a dense generalized eigensolver.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from sisrd import spectral
 from sisrd.coefficients import CoefficientSet
 from sisrd.grid import DomainSpec, build_domain, stiffness_matrix
+from sisrd.solvers import damped_newton
+
+
+def test_damped_newton_stops_on_an_ascent_direction():
+    # a wrong-sign Newton system for x^2 = 2: the step solves accurately
+    # but climbs the residual, so no halving of it descends
+    def residual(x):
+        return x**2 - 2.0
+
+    def system(x, G):
+        return sp.diags(2.0 * x), G
+
+    x0 = np.array([1.0, 3.0])
+    x, iters, stop = damped_newton(residual, system, x0)
+    assert (iters, stop) == (1, "no descent")
+    np.testing.assert_array_equal(x, x0)
 
 
 def pencil_owner(n_nodes, d_I):
