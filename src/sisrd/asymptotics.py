@@ -27,15 +27,15 @@ can be computed without solving the full coupled system.  With
   is taken from the joint-limit profile, and every round is checked for
   monotonicity.
 
-Both scalar limit problems are solved on the package's one hand-off,
-:func:`sisrd.dynamics.march_with_handoff`: a march stops at the loose
-steady test ``|du|/dt < 1e-2`` and hands its state to a damped scalar
+Both scalar limit problems are solved on the package's one hand-off (the
+``handoff`` callback of :func:`sisrd.dynamics.march`): a march offers its
+state at the loose steady test ``|du|/dt < 1e-2`` to a damped scalar
 Newton iteration (:func:`_newton_semilinear`, on the one guarded Newton
 loop :func:`sisrd.solvers.damped_newton`), whose answer is kept when its
-sup residual reaches 1e-11; otherwise the march resumes to
-``|du|/dt < 1e-10``.  ``LimitProfile.meta``
-records both legs' ``steps``, the ``handoff`` outcome, and Newton's
-``newton_iterations`` and ``newton_stop``.
+sup residual reaches 1e-11; otherwise the same march goes on to
+``|du|/dt < 1e-10``.  ``LimitProfile.meta`` records the march's
+``steps``, the ``handoff`` outcome, and Newton's ``newton_iterations``
+and ``newton_stop``.
 
 :func:`limit_profile` picks the profile of a regime by name.
 
@@ -56,7 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .dynamics import RunSummary, StepRejected, march, march_with_handoff
+from .dynamics import StepRejected, march
 from .equilibrium import EquilibriumResult, grid_tolerance, solve_dfe
 from .grid import (
     DiscreteDomain,
@@ -200,58 +200,56 @@ def _march_semilinear(
 ) -> tuple[np.ndarray, dict]:
     """Steady state of ``u_t = diffusion Lap(u) - linear_rate u + source(u)``.
 
-    ``slope(u)`` is the pointwise derivative of ``source``.  The march and
-    Newton meet in :func:`~sisrd.dynamics.march_with_handoff`: the march
-    stops at the loose steady test and :func:`_newton_semilinear` runs from
-    its state.  Newton's answer is accepted when its sup residual reached
-    1e-11 with ``u > 0``; otherwise the march resumes to its own steady
-    test ``|u_new - u|_inf / dt < 1e-10``, and the marched state is kept
-    unless a second Newton from there is accepted.  The linear sink and the
-    diffusion are implicit, solved through one
-    :func:`~sisrd.grid.shifted_solver` that each leg of the march owns: its
-    factor is rebuilt when dt changes and freed when the leg returns, so
-    it is gone before Newton builds its own.  The source is explicit, and
-    a step that loses positivity is rejected.  :class:`NonConvergenceError`
-    if the march is not steady by t = 4000.
-    ``info`` holds ``steps`` (both legs), ``t``, ``steady``, ``handoff``,
+    ``slope(u)`` is the pointwise derivative of ``source``.  At the march's
+    hand-off (see :func:`~sisrd.dynamics.march`) :func:`_newton_semilinear`
+    runs from the marched state, and its answer is accepted when its sup
+    residual reached 1e-11 with ``u > 0``; otherwise the march goes on to
+    its own steady test ``|u_new - u|_inf / dt < 1e-10``, and the marched
+    state is kept unless a second Newton from there is accepted.  The linear
+    sink and the diffusion are implicit, solved through one
+    :func:`~sisrd.grid.shifted_solver` that the march owns: its factor is
+    rebuilt when dt changes, and the holder is dropped before Newton builds
+    its own factor (and built again if the march goes on).  The source is
+    explicit, and a step that loses positivity is rejected.
+    :class:`NonConvergenceError` if the march is not steady by t = 4000.
+    ``info`` holds ``steps``, ``t``, ``steady``, ``handoff``,
     ``newton_iterations`` and ``newton_stop``.
     """
     w = dom.cell_measures
-    t = 0.0  # the resumed leg continues the first leg's clock
+    solve = None  # the march's factor holder; dropped while Newton factors
 
-    def leg(u: np.ndarray, **controls) -> tuple[np.ndarray, RunSummary]:
-        nonlocal t
-        solve = shifted_solver(dom, linear_rate, diffusion)  # freed before Newton factors
+    def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+        nonlocal solve
+        if solve is None:
+            solve = shifted_solver(dom, linear_rate, diffusion)
+        u_new = solve(dt, w * (u / dt + source(u)))
+        if u_new.min() <= 0.0:
+            raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
+        return u_new, float(np.max(np.abs(u_new - u)))
 
-        def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-            u_new = solve(dt, w * (u / dt + source(u)))
-            if u_new.min() <= 0.0:
-                raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
-            return u_new, float(np.max(np.abs(u_new - u)))
+    newton = None  # (u, iterations, stop) of the last Newton run
 
-        u, summary = march(advance, u, t=t, **controls)
-        t = summary.t
-        return u, summary
-
-    def certify(u: np.ndarray, summary: RunSummary) -> tuple[tuple, bool]:
-        if not summary.converged_steady:
-            return (u, 0, "skipped"), False
-        u_newton, iters, stop = _newton_semilinear(
-            dom, diffusion, linear_rate, source, slope, u
-        )
+    def certify(u: np.ndarray, summary) -> bool:
+        nonlocal solve, newton
+        solve = None
+        u_newton, iters, stop = _newton_semilinear(dom, diffusion, linear_rate, source, slope, u)
         accepted = stop == "converged" and u_newton.min() > 0.0
-        return (u_newton if accepted else u, iters, stop), accepted
+        newton = (u_newton if accepted else u, iters, stop)
+        return accepted
 
-    _, summary, (u, iters, stop), handoff = march_with_handoff(
-        leg, np.array(u0, dtype=float), certify, t_final=4000.0, steady_tol=1e-10
+    u, summary = march(
+        advance, np.array(u0, dtype=float), t_final=4000.0, steady_tol=1e-10, handoff=certify
     )
     if not summary.converged_steady:
         raise NonConvergenceError("limit-profile march not steady by t = 4000")
+    if summary.handoff != "newton":
+        certify(u, summary)
+    u, iters, stop = newton
     return u, {
         "steps": summary.steps,
         "t": summary.t,
         "steady": True,
-        "handoff": handoff,
+        "handoff": summary.handoff,
         "newton_iterations": iters,
         "newton_stop": stop,
     }

@@ -30,9 +30,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _finite(text: str) -> float:
+    """A finite number; an argparse ``type``, so anything else exits 2."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _number_list(text: str) -> list:
-    """Comma-separated numbers; an argparse ``type``, so a bad entry exits 2."""
-    return [float(v) for v in text.split(",") if v.strip()]
+    """Comma-separated finite numbers; an argparse ``type``, so a bad entry exits 2."""
+    return [_finite(v) for v in text.split(",") if v.strip()]
 
 
 def _load(args) -> tuple:
@@ -182,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("asymptotics", _cmd_asymptotics, "small-diffusion limit profile")
     p.add_argument("--regime", required=True, choices=["d_I", "d_S", "joint"])
-    p.add_argument("--sigma", type=float, default=None, help="ratio d_I/d_S (joint)")
+    p.add_argument("--sigma", type=_finite, default=None, help="ratio d_I/d_S (joint)")
     p.add_argument("--out", default=None, help="optional directory for profile CSVs")
 
     p = add("sweep", _cmd_sweep, "equilibria along a shrinking-diffusion schedule")
@@ -190,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--values", required=True, type=_number_list, help="comma-separated descending values"
     )
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=_finite, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
 
     add("audit", _cmd_audit, "check an equilibrium against a-priori bounds")

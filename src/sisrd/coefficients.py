@@ -55,6 +55,9 @@ class CoefficientSet:
             object.__setattr__(self, name, f)
             if f.values.min() <= 0.0:
                 raise ValueError(f"{name} must be strictly positive everywhere")
+        for name in ("d_S", "d_I", "q"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.d_S > 0.0 and self.d_I > 0.0):
             raise ValueError("diffusion rates d_S and d_I must be positive")
         if not (0.0 < self.p <= 1.0):

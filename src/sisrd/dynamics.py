@@ -28,13 +28,14 @@ otherwise grows by 1.1x, capped at ``dt_max``; once dt falls below
 ``dt_min`` the march aborts with :class:`TimeStepUnderflowError`.
 
 A march only has to reach Newton's basin, not the steady state itself.
-:func:`march_with_handoff` stops it at the loose rate test
-``|du|/dt < 1e-2``, hands its state to a Newton solve of the stationary
-problem, and resumes the march to the caller's steady test only if
-Newton's answer is refused: the first stage of pseudo-transient
-continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  The
-coupled equilibrium (:mod:`sisrd.equilibrium`) and the scalar limit
-profiles (:mod:`sisrd.asymptotics`) share this one hand-off.
+Given a ``handoff`` callback, :func:`march` offers its state to a Newton
+solve of the stationary problem at the first step that passes the loose
+rate test ``|du|/dt < 1e-2``, stops there if Newton's answer is accepted,
+and otherwise simply marches on to the caller's steady test: the first
+stage of pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer.
+Anal. 35, 1998).  The coupled equilibrium (:mod:`sisrd.equilibrium`) and
+the scalar limit profiles (:mod:`sisrd.asymptotics`) share this one
+hand-off.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "RunSummary",
     "step_imex",
     "march",
-    "march_with_handoff",
     "run",
 ]
 
@@ -111,7 +111,7 @@ class RunSummary:
     converged_steady: bool = False
     reason: str = ""
     t: float = 0.0  # time reached
-    dt: float = 0.0  # step the march would take next; resumes it as ``dt_init``
+    handoff: Optional[str] = None  # "newton" (accepted) | "resumed" (refused) | None
 
 
 def _solvers(c: CoefficientSet) -> tuple[Callable, Callable]:
@@ -166,6 +166,7 @@ def march(
     dt_min: float = 1e-9,
     max_steps: int = 2_000_000,
     on_step: Optional[Callable[[Any, int], None]] = None,
+    handoff: Optional[Callable[[Any, RunSummary], bool]] = None,
 ) -> tuple[Any, RunSummary]:
     """Adaptive time loop: advance ``u`` from time ``t`` to a stopping rule.
 
@@ -176,11 +177,20 @@ def march(
     ``change / dt < steady_tol`` over one accepted step.  At least one of
     ``t_final`` and ``steady_tol`` must be given.  ``on_step(u, steps)``
     is called after every accepted step.
+
+    ``handoff(u, summary) -> bool`` is offered the state once, at the first
+    accepted step with ``change / dt < _HANDOFF_TOL``, before that step's
+    steady test; only a ``steady_tol`` below ``_HANDOFF_TOL`` asks for it.
+    ``summary`` is the one the march would return if it stopped there.  An
+    accepted hand-off ends the march as steady (``summary.handoff ==
+    "newton"``); a refused one lets the same loop go on (``"resumed"``).
     """
     if t_final is None and steady_tol is None:
         raise ValueError("need t_final, steady_tol, or both")
     summary = RunSummary()
     dt = min(dt_init, dt_max)
+    loose = _HANDOFF_TOL
+    offer = handoff is not None and steady_tol is not None and steady_tol < loose
     while True:
         if t_final is not None and t >= t_final - 1e-14:
             summary.reason = "t_final"
@@ -207,26 +217,40 @@ def march(
         if on_step is not None:
             on_step(u, summary.steps)
         dt = min(step_dt * _DT_GROWTH, dt_max) if rejected == 0 else step_dt
+        if offer and change / step_dt < loose:
+            offer = False
+            stop = replace(summary, converged_steady=True, reason="steady", t=t)
+            if handoff(u, stop):
+                summary = replace(stop, handoff="newton")
+                break
+            summary.handoff = "resumed"
         if steady_tol is not None and change / step_dt < steady_tol:
             summary.converged_steady = True
             summary.reason = "steady"
             break
     summary.t = t
-    summary.dt = dt
     return u, summary
 
 
-def run(state: SimState, c: CoefficientSet, **controls) -> tuple[SimState, RunSummary]:
+def run(
+    state: SimState, c: CoefficientSet, *, handoff: Optional[Callable] = None, **controls
+) -> tuple[SimState, RunSummary]:
     """March the system by :func:`step_imex` on the :func:`march` driver.
 
     ``controls`` are the stopping and stepping keywords of :func:`march`,
-    and its ``on_step`` callback.  Every accepted step must keep the
-    discrete mass balance within ``MASS_BALANCE_RTOL``, or the run aborts
-    with :class:`MassBalanceError`.  The march's LU factors die with it.
+    and its ``on_step`` callback; ``handoff`` is passed on to it.  Every
+    accepted step must keep the discrete mass balance within
+    ``MASS_BALANCE_RTOL``, or the run aborts with :class:`MassBalanceError`.
+    The march's LU factors die with it, and are freed before ``handoff``
+    runs, so none is alive while Newton factors; a refused hand-off
+    rebuilds them.
     """
-    solvers = _solvers(c)
+    solvers = None
 
     def advance(s: SimState, dt: float) -> tuple[SimState, float]:
+        nonlocal solvers
+        if solvers is None:
+            solvers = _solvers(c)
         new, stats = step_imex(s, c, dt, solvers=solvers)
         if stats.mass_defect > MASS_BALANCE_RTOL:
             raise MassBalanceError(
@@ -239,52 +263,10 @@ def run(state: SimState, c: CoefficientSet, **controls) -> tuple[SimState, RunSu
         )
         return new, change
 
-    return march(advance, state, t=state.t, **controls)
+    def hand_off(s: SimState, summary: RunSummary) -> bool:
+        nonlocal solvers
+        solvers = None  # no march factor is alive while the hand-off factors
+        return handoff(s, summary)
 
+    return march(advance, state, t=state.t, handoff=hand_off if handoff else None, **controls)
 
-def march_with_handoff(
-    leg: Callable[..., tuple[Any, RunSummary]],
-    u: Any,
-    certify: Callable[[Any, RunSummary], tuple[Any, bool]],
-    **controls,
-) -> tuple[Any, RunSummary, Any, Optional[str]]:
-    """March ``u`` to a steady state, handing it to Newton at a loose steady test.
-
-    ``leg(u, **controls) -> (u, RunSummary)`` marches from ``u`` with the
-    keywords of :func:`march`; ``certify(u, summary) -> (result, accepted)``
-    runs Newton from a marched state and says whether its answer is kept.
-    When ``steady_tol`` is below ``_HANDOFF_TOL``, the first leg stops at
-    ``_HANDOFF_TOL`` and is certified.  An accepted answer ends the march
-    (handoff ``"newton"``).  Otherwise the march resumes from its own state,
-    at the dt it would have taken next, to ``steady_tol`` and is certified
-    again (``"resumed"``); ``max_steps`` bounds both legs together, and
-    ``on_step`` and the step and rejection counts run on across them.  A
-    leg continues the clock of the leg before it, so ``t_final`` bounds
-    both legs as well.  With
-    no hand-off to make (``steady_tol`` unset or not below ``_HANDOFF_TOL``)
-    or a first leg stopped by ``t_final`` or ``max_steps``, the handoff is
-    ``None``.  Returns the last marched state, the summary of the whole
-    march, the last certified result and the handoff.
-    """
-    steady_tol = controls.get("steady_tol")
-    if steady_tol is None or steady_tol >= _HANDOFF_TOL:
-        u, summary = leg(u, **controls)
-        return u, summary, certify(u, summary)[0], None
-    u, first = leg(u, **{**controls, "steady_tol": _HANDOFF_TOL})
-    result, accepted = certify(u, first)
-    if not first.converged_steady:  # t_final or max_steps: nothing left to resume
-        return u, first, result, None
-    if accepted:
-        return u, first, result, "newton"
-
-    rest = {**controls, "dt_init": first.dt}
-    if "max_steps" in controls:
-        rest["max_steps"] = controls["max_steps"] - first.steps
-    on_step = controls.get("on_step")
-    if on_step is not None:
-        rest["on_step"] = lambda v, steps: on_step(v, first.steps + steps)
-    u, second = leg(u, **rest)
-    summary = replace(
-        second, steps=first.steps + second.steps, rejected=first.rejected + second.rejected
-    )
-    return u, summary, certify(u, summary)[0], "resumed"

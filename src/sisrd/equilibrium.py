@@ -11,14 +11,14 @@ residual drops below ~1e-11 (:func:`settle`); why Newton stopped is
 recorded in ``EquilibriumResult.meta["newton_stop"]``.
 
 The march only has to reach Newton's basin, not the steady state itself:
-it runs through the package's one hand-off,
-:func:`sisrd.dynamics.march_with_handoff`, which stops it at the loose
-rate test ``|du|/dt < 1e-2`` and hands its state to Newton.  Newton's
-answer is kept only if it converged to an endemic state with ``I > 0``
-everywhere and a conservation gap within 1e-6; otherwise the march resumes
-from its own state to the caller's steady test.  ``meta["handoff"]`` says
-which happened.  :func:`find_ee` and :func:`sisrd.harness.run_scenario`
-share this one path from a march to an :class:`EquilibriumResult`.
+it offers its state to Newton through the package's one hand-off (the
+``handoff`` callback of :func:`sisrd.dynamics.march`) at the first step
+that passes the loose rate test ``|du|/dt < 1e-2``.  Newton's answer is
+kept only if it converged to an endemic state with ``I > 0`` everywhere
+and a conservation gap within 1e-6; otherwise the same march goes on to
+the caller's steady test.  ``meta["handoff"]`` says which happened.
+:func:`find_ee` and :func:`sisrd.harness.run_scenario` share this one
+path from a march to an :class:`EquilibriumResult`.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
-from .dynamics import RunSummary, SimState, march_with_handoff, run
+from .dynamics import RunSummary, SimState, run
 from .grid import ScalarField, assemble_neumann_laplacian, integrate, shifted_factor
 from .solvers import NonConvergenceError, damped_newton
 
@@ -110,8 +110,8 @@ def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> E
 
     ``controls`` are the stopping and stepping keywords of
     :func:`~sisrd.dynamics.march`; ``steady_tol`` defaults to 1e-9 and
-    ``t_final`` to 4000.  The march is handed to Newton at the loose
-    steady test and resumed to ``steady_tol`` only if Newton's answer is
+    ``t_final`` to 4000.  The march hands its state to Newton at the loose
+    steady test and goes on to ``steady_tol`` only if Newton's answer is
     refused (see the module docstring).  Raises :class:`NonConvergenceError`
     if the march has not flattened out by ``t_final``.
     """
@@ -132,31 +132,32 @@ def _equilibrate(
 ) -> tuple[SimState, RunSummary, EquilibriumResult]:
     """March ``init`` with ``controls`` and :func:`settle` the marched state.
 
-    Returns the last marched state, the summary of the whole march and the
-    settled result.  The march goes through
-    :func:`~sisrd.dynamics.march_with_handoff`, and Newton's answer at the
-    loose steady test is accepted (``meta["handoff"] == "newton"``) if
-    Newton converged, the result is endemic with ``I > 0`` everywhere, and
-    its conservation gap is at most ``_HANDOFF_GAP``; otherwise the march
-    resumes to ``steady_tol`` and is settled again (``"resumed"``).
+    Returns the last marched state, the summary of the march and the
+    settled result.  At the march's hand-off the state is settled, and the
+    answer is accepted (``meta["handoff"] == "newton"``), ending the march,
+    if Newton converged, the result is endemic with ``I > 0`` everywhere,
+    and its conservation gap is at most ``_HANDOFF_GAP``; otherwise the
+    march goes on to ``steady_tol`` and its last state is settled
+    (``"resumed"``).
     """
+    accepted = None
 
-    def leg(state: SimState, **leg_controls) -> tuple[SimState, RunSummary]:
-        return run(state, c, **leg_controls)
-
-    def certify(state: SimState, summary: RunSummary) -> tuple[EquilibriumResult, bool]:
+    def handoff(state: SimState, summary: RunSummary) -> bool:
+        nonlocal accepted
         result = settle(c, state, summary)
-        accepted = (
+        if (
             result.meta["newton_stop"] == "converged"
             and result.endemic
             and result.I.values.min() > 0.0
             and result.conservation_gap <= _HANDOFF_GAP
-        )
-        return result, accepted
+        ):
+            accepted = result
+        return accepted is not None
 
-    state, summary, result, handoff = march_with_handoff(leg, init, certify, **controls)
-    if handoff is not None:
-        result = replace(result, meta={**result.meta, "handoff": handoff})
+    state, summary = run(init, c, handoff=handoff, **controls)
+    result = accepted if accepted is not None else settle(c, state, summary)
+    if summary.handoff is not None:
+        result = replace(result, meta={**result.meta, "handoff": summary.handoff})
     return state, summary, result
 
 

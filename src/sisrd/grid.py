@@ -26,7 +26,7 @@ the domain.  With ``reaction > 0`` the operator is a symmetric, diagonally
 dominant M-matrix, which is what lets that LU skip pivoting.  A time march
 holds the factor of its time-step form ``W diag(1/dt + rate) + d K`` in a
 :func:`shifted_solver`, rebuilt only when dt changes and freed when the
-march returns.  The disease-free solve and the two eigenproblems keep
+march returns or hands its state to Newton.  The disease-free solve and the two eigenproblems keep
 theirs for one call.
 """
 

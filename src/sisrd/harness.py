@@ -134,8 +134,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
     that a march stopped by ``t_final`` is written out instead of raising.
     When Newton's answer at the loose steady test is accepted, the march
     ends there, and ``steps``, ``rejected`` and ``final_t`` in
-    ``summary.json`` count the march up to that hand-off; when the march
-    resumes, they cover both legs, and snapshots keep their step numbers.
+    ``summary.json`` count the march up to that hand-off; when it is
+    refused, the same march goes on, and they count all of it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

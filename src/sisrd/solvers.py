@@ -8,9 +8,11 @@ the marches, the disease-free solve and the eigenproblems.
 :func:`damped_newton` is the one Newton loop behind the coupled equilibrium
 (:mod:`sisrd.equilibrium`) and the scalar limit profiles
 (:mod:`sisrd.asymptotics`); each caller supplies its residual and its
-Newton system.  A Newton matrix need not be an M-matrix, so every Newton
-solve is checked by its backward error, with no fallback to a pivoted
-factor.  The time marches and the power iteration of :mod:`sisrd.spectral`
+Newton system.  Newton starts from a marched state at the hand-off of
+:func:`sisrd.dynamics.march`, after the march has freed its own factors; a
+refused answer lets that march go on.  A Newton matrix need not be an
+M-matrix, so every Newton solve is checked by its backward error, with no
+fallback to a pivoted factor.  The time marches and the power iteration of :mod:`sisrd.spectral`
 raise :class:`NonConvergenceError`.
 """
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import bisect_increasing
 
-from sisrd import asymptotics, dynamics
+from sisrd import asymptotics, dynamics, solvers
 from sisrd.asymptotics import (
     bounds_audit,
     classify_small_di,
@@ -336,6 +336,37 @@ def test_inaccurate_newton_solve_resumes_the_march(monkeypatch, inaccurate_newto
     np.testing.assert_array_equal(profile.I_limit.values, reference.I_limit.values)
     # S is eliminated from a different warm start, so it may differ in the last bits
     assert np.abs(profile.S_limit.values - reference.S_limit.values).max() <= 1e-13
+
+
+def equilibrium_meta():
+    return find_ee(mass_action_constants(interval())).meta
+
+
+def small_ds_limit_meta():
+    return limit_small_ds(scenario_disk()[1]).meta
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["accepted", "refused"])
+@pytest.mark.parametrize("solve", [equilibrium_meta, small_ds_limit_meta])
+def test_no_march_factor_is_alive_while_newton_factors(
+    factor_log, monkeypatch, request, solve, refused
+):
+    # a refused hand-off runs Newton twice: at the hand-off and after the march
+    if refused:
+        request.getfixturevalue("inaccurate_newton_solves")
+    live_at_newton = []
+    real = solvers.sparse_lu
+
+    def logging_lu(A):
+        live_at_newton.append(sum(factor_log.live.values()))
+        return real(A)
+
+    monkeypatch.setattr(solvers, "sparse_lu", logging_lu)
+    meta = solve()
+    assert meta["handoff"] == ("resumed" if refused else "newton")
+    assert factor_log.builds
+    assert len(live_at_newton) >= (2 if refused else 1)
+    assert live_at_newton == [0] * len(live_at_newton)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,32 @@ def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
     assert "--values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("sweep", "--values", "inf,0.1"),
+        ("sweep", "--values", "0.05,nan"),
+        ("sweep", "--sigma", "inf"),
+        ("sweep", "--sigma", "nan"),
+        ("asymptotics", "--sigma", "inf"),
+        ("asymptotics", "--sigma", "nan"),
+    ],
+)
+def test_non_finite_numbers_are_bad_usage(tmp_path, capsys, command, flag, value):
+    args = {"--regime": "joint", "--sigma": "2"}
+    if command == "sweep":
+        args.update({"--values": "0.05,0.02", "--out": str(tmp_path / "x.csv")})
+    args[flag] = value
+    argv = [command, "--config", write_config(tmp_path)]
+    for key, text in args.items():
+        argv += [key, text]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err
+
+
 def test_audit_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["audit", "--config", cfg]) == 0

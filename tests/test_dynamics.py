@@ -287,3 +287,101 @@ def test_mass_balance_violation_is_typed(monkeypatch):
     state = SimState(dom.field(0.8), dom.field(0.2))
     with pytest.raises(MassBalanceError, match="mass-balance defect"):
         run(state, c, t_final=0.5)
+
+
+def relax(u, dt):
+    # implicit Euler on u' = -u, rejecting steps above 0.07 so that the
+    # march halves and regrows dt; the rate change/dt is u_new
+    if dt > 0.07:
+        raise StepRejected(f"dt {dt} too large")
+    u_new = u / (1.0 + dt)
+    return u_new, u - u_new
+
+
+def offered(answer):
+    """A hand-off that records what it is offered and answers ``answer``."""
+    calls = []
+
+    def handoff(u, summary):
+        calls.append((u, summary))
+        return answer
+
+    handoff.calls = calls
+    return handoff
+
+
+def plain_relax_march(**controls):
+    """A march without hand-off, and its states after each step."""
+    states = []
+    u, summary = march(relax, 1.0, on_step=lambda v, k: states.append(v), **controls)
+    return u, summary, states
+
+
+def first_loose_step(states):
+    # relax's rate change/dt equals its new state
+    return next(k for k, v in enumerate(states, start=1) if v < 1e-2)
+
+
+def test_march_offers_the_handoff_once_at_the_loose_steady_test():
+    _, plain, states = plain_relax_march(steady_tol=1e-6)
+    first = first_loose_step(states)
+    assert plain.rejected > 0 and plain.steps > first
+    handoff = offered(False)
+    march(relax, 1.0, steady_tol=1e-6, handoff=handoff)
+    assert len(handoff.calls) == 1
+    u, summary = handoff.calls[0]
+    assert u == states[first - 1]
+    # the summary is the one the march would return if it stopped there
+    assert summary.steps == first
+    assert (summary.converged_steady, summary.reason, summary.handoff) == (True, "steady", None)
+
+
+def test_refused_handoff_leaves_the_march_unchanged():
+    u_plain, plain, _ = plain_relax_march(steady_tol=1e-6)
+    seen = []
+    u, summary = march(
+        relax, 1.0, steady_tol=1e-6, handoff=offered(False),
+        on_step=lambda v, k: seen.append(k),
+    )
+    assert (u, summary.steps, summary.rejected, summary.t) == (
+        u_plain, plain.steps, plain.rejected, plain.t
+    )
+    assert (summary.converged_steady, summary.reason, summary.handoff) == (True, "steady", "resumed")
+    # on_step numbers run on across the hand-off
+    assert seen == list(range(1, plain.steps + 1))
+
+
+def test_accepted_handoff_stops_the_march_at_that_step():
+    first = first_loose_step(plain_relax_march(steady_tol=1e-6)[2])
+    handoff = offered(True)
+    u, summary = march(relax, 1.0, steady_tol=1e-6, t_final=100.0, handoff=handoff)
+    offered_u, offered_summary = handoff.calls[0]
+    assert u == offered_u
+    assert summary.steps == first
+    assert (summary.steps, summary.rejected, summary.t) == (
+        offered_summary.steps, offered_summary.rejected, offered_summary.t
+    )
+    assert (summary.converged_steady, summary.reason, summary.handoff) == (True, "steady", "newton")
+
+
+@pytest.mark.parametrize("answer, handoff_result", [(True, "newton"), (False, "resumed")])
+def test_march_started_at_its_steady_state_still_hands_off(answer, handoff_result):
+    # the first step passes both tests; the hand-off is offered before the steady test
+    handoff = offered(answer)
+    u, summary = march(relax, 0.0, steady_tol=1e-9, handoff=handoff)
+    assert len(handoff.calls) == 1
+    assert (u, summary.steps, summary.reason, summary.handoff) == (0.0, 1, "steady", handoff_result)
+
+
+@pytest.mark.parametrize(
+    "controls",
+    [{"t_final": 20.0}, {"steady_tol": 1e-2}, {"steady_tol": 0.5}],
+    ids=["no-steady-test", "steady-tol-at-handoff", "steady-tol-above-handoff"],
+)
+def test_march_offers_no_handoff_without_a_tighter_steady_test(controls):
+    handoff = offered(True)
+    u, summary = march(relax, 1.0, handoff=handoff, **controls)
+    plain_u, plain = march(relax, 1.0, **controls)
+    assert handoff.calls == []
+    assert summary.handoff is None
+    assert (u, summary) == (plain_u, plain)

@@ -231,6 +231,22 @@ def test_sweep_schedule_validation():
         sweep(c, "sideways", [0.1])
 
 
+@pytest.mark.parametrize("name", ["d_S", "d_I", "q"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_coefficients_refuse_non_finite_scalars(name, value):
+    dom = build_domain(DomainSpec.interval(0, 1, 9))
+    params = dict(beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CoefficientSet.from_values(dom, **{**params, name: value})
+
+
+@pytest.mark.parametrize("values, sigma", [([np.inf, 0.02], 2.0), ([0.05, 0.02], np.inf)])
+def test_sweep_refuses_infinite_diffusion(values, sigma):
+    # an infinite rate would otherwise reach the march as a singular factor
+    with pytest.raises(ValueError, match="must be finite"):
+        sweep(mass_action_1d(), "joint", values, sigma=sigma)
+
+
 def test_sweep_small_di_sublinear(tmp_path):
     # constant coefficients: the equilibrium and the limit profile are both
     # the golden pair, so every distance sits at the numerical floor
