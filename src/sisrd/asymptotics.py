@@ -37,7 +37,11 @@ sup residual reaches 1e-11; otherwise the same march goes on to
 ``steps``, the ``handoff`` outcome, and Newton's ``newton_iterations``
 and ``newton_stop``.
 
-:func:`limit_profile` picks the profile of a regime by name.
+This module is the one home of the regime decision.  ``REGIMES`` names
+what shrinks; the joint regime's ratio ``sigma`` always comes from the
+caller.  :func:`shrink_diffusion` sets a regime's rates,
+:func:`limit_profile` picks its profile, and ``LimitProfile.regime``
+carries the name.
 
 Every pointwise scalar equation is solved by bracketed Newton on a monotone
 map (:func:`newton_increasing`): the sign change is verified up front and
@@ -80,6 +84,8 @@ __all__ = [
     "limit_joint_p1",
     "limit_joint_sublinear",
     "limit_profile",
+    "REGIMES",
+    "shrink_diffusion",
     "monotone_joint_p1",
     "monotone_joint_sublinear",
     "susceptible_floor_constant",
@@ -91,7 +97,7 @@ __all__ = [
 class LimitProfile:
     """Predicted small-diffusion profile (or classification) for one regime."""
 
-    regime: str  # "small_d_I" | "small_d_S" | "joint"
+    regime: str  # one of REGIMES
     S_limit: Optional[ScalarField]
     I_limit: Optional[ScalarField]
     masks: dict = dc_field(default_factory=dict)  # name -> boolean node mask
@@ -212,8 +218,9 @@ def _march_semilinear(
     its own factor (and built again if the march goes on).  The source is
     explicit, and a step that loses positivity is rejected.
     :class:`NonConvergenceError` if the march is not steady by t = 4000.
-    ``info`` holds ``steps``, ``t``, ``steady``, ``handoff``,
-    ``newton_iterations`` and ``newton_stop``.
+    ``info`` holds ``steps``, ``t``, ``handoff``, ``newton_iterations``,
+    ``newton_stop`` and ``residual_sup``, the sup residual of the returned
+    state (whose ``source`` is evaluated last).
     """
     w = dom.cell_measures
     solve = None  # the march's factor holder; dropped while Newton factors
@@ -245,14 +252,23 @@ def _march_semilinear(
     if summary.handoff != "newton":
         certify(u, summary)
     u, iters, stop = newton
+    residual = _semilinear_residual(dom, diffusion, linear_rate, source)
     return u, {
         "steps": summary.steps,
         "t": summary.t,
-        "steady": True,
         "handoff": summary.handoff,
         "newton_iterations": iters,
         "newton_stop": stop,
+        "residual_sup": float(np.max(np.abs(residual(u)))),
     }
+
+
+def _semilinear_residual(
+    dom: DiscreteDomain, diffusion: float, linear_rate, source: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The scalar limit problems' residual ``diffusion Lap(v) - linear_rate v + source(v)``."""
+    L = assemble_neumann_laplacian(dom)
+    return lambda v: diffusion * (L @ v) - linear_rate * v + source(v)
 
 
 def _newton_semilinear(
@@ -273,15 +289,11 @@ def _newton_semilinear(
     ``"inaccurate solve"`` if the unpivoted factor loses accuracy.
     """
     w = dom.cell_measures
-    L = assemble_neumann_laplacian(dom)
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        return diffusion * (L @ v) - linear_rate * v + source(v)
 
     def system(v: np.ndarray, G: np.ndarray):
         return shifted_operator(dom, linear_rate - slope(v), diffusion), w * G
 
-    return damped_newton(residual, system, u)
+    return damped_newton(_semilinear_residual(dom, diffusion, linear_rate, source), system, u)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +321,7 @@ def classify_small_di(c: CoefficientSet) -> LimitProfile:
     L = assemble_neumann_laplacian(dom)
     density = (c.d_S * (L @ ceiling) + c.recruitment.values - ceiling) / c.eta.values
     return LimitProfile(
-        regime="small_d_I",
+        regime="d_I",
         S_limit=None,
         I_limit=None,
         masks={"high_risk": support, "vanishing": vanishing},
@@ -354,14 +366,8 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
         slope=slope,
         u0=S0,
     )
-    I_star = slave(S_star)
-    L = assemble_neumann_laplacian(dom)
-    residual = c.d_S * (L @ S_star) + lam - S_star - eta * I_star
     return LimitProfile(
-        regime="small_d_I",
-        S_limit=dom.field(S_star),
-        I_limit=dom.field(I_star),
-        meta={"residual_sup": float(np.max(np.abs(residual))), **info},
+        regime="d_I", S_limit=dom.field(S_star), I_limit=dom.field(slave(S_star)), meta=info
     )
 
 
@@ -440,15 +446,8 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
         slope=slope,
         u0=np.full(dom.n_nodes, 0.2),
     )
-    S_star = eliminate_susceptible(c, I_star, start=S)
-    L = assemble_neumann_laplacian(dom)
-    residual = c.d_I * (L @ I_star) + beta * S_star**c.q * I_star**c.p - rate * I_star
-    return LimitProfile(
-        regime="small_d_S",
-        S_limit=dom.field(S_star),
-        I_limit=dom.field(I_star),
-        meta={"residual_sup": float(np.max(np.abs(residual))), **info},
-    )
+    # the residual of I_star was evaluated last, so S holds the S eliminated from it
+    return LimitProfile(regime="d_S", S_limit=dom.field(S), I_limit=dom.field(I_star), meta=info)
 
 
 # ---------------------------------------------------------------------------
@@ -546,24 +545,48 @@ def limit_joint_sublinear(c: CoefficientSet, sigma: float) -> LimitProfile:
     )
 
 
+# what shrinks; the last, the joint regime, needs the ratio sigma = d_I/d_S
+REGIMES = ("d_I", "d_S", "joint")
+
+
+def _check_regime(regime: str, sigma: Optional[float]) -> None:  # the one sigma rule
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; use one of {', '.join(REGIMES)}")
+    if regime == "joint" and sigma is None:
+        raise ValueError("the joint regime needs a diffusion ratio sigma")
+
+
+def shrink_diffusion(
+    c: CoefficientSet, regime: str, value: float, sigma: Optional[float] = None
+) -> CoefficientSet:
+    """``c`` with the diffusion of ``regime`` set to ``value``.
+
+    ``"d_I"`` and ``"d_S"`` set that rate; ``"joint"`` sets ``d_S = value`` and
+    ``d_I = sigma value``.  ``ValueError`` for a name not in :data:`REGIMES`
+    or a joint regime without ``sigma``.
+    """
+    _check_regime(regime, sigma)
+    if regime == "d_I":
+        return c.with_diffusion(d_I=value)
+    if regime == "d_S":
+        return c.with_diffusion(d_S=value)
+    return c.with_diffusion(d_S=value, d_I=sigma * value)
+
+
 def limit_profile(
     c: CoefficientSet, regime: str, sigma: Optional[float] = None
 ) -> LimitProfile:
-    """The predicted small-diffusion profile of one regime.
+    """The predicted small-diffusion profile of one of :data:`REGIMES`.
 
-    ``regime`` names what shrinks: ``"d_I"`` (the classification for p = 1,
-    the limit profile for p < 1), ``"d_S"``, or ``"joint"`` at the fixed
-    ratio ``sigma = d_I/d_S``.
+    ``"d_I"`` gives the classification for p = 1 and the limit profile for
+    p < 1; ``"joint"`` needs ``sigma`` (see :func:`shrink_diffusion`).
     """
+    _check_regime(regime, sigma)
     if regime == "d_I":
         return classify_small_di(c) if c.p == 1.0 else limit_small_di(c)
     if regime == "d_S":
         return limit_small_ds(c)
-    if regime == "joint":
-        if sigma is None:
-            raise ValueError("the joint regime needs a diffusion ratio sigma")
-        return limit_joint_p1(c, sigma) if c.p == 1.0 else limit_joint_sublinear(c, sigma)
-    raise ValueError(f"unknown regime {regime!r}; use 'd_I', 'd_S', or 'joint'")
+    return limit_joint_p1(c, sigma) if c.p == 1.0 else limit_joint_sublinear(c, sigma)
 
 
 # ---------------------------------------------------------------------------

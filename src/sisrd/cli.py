@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import bounds_audit, limit_profile
+from .asymptotics import REGIMES, bounds_audit, limit_profile
 from .dynamics import MassBalanceError
 from .equilibrium import diagnostics, find_ee
 from .grid import load_field_csv, write_field_csv
@@ -48,6 +48,15 @@ def _load(args) -> tuple:
     dom = config.build_domain()
     c = config.build_coefficients(dom)
     return config, dom, c
+
+
+def _regime_inputs(args) -> tuple:
+    """Domain, coefficients and sigma (``--sigma``, else the config's) of a ``--regime`` command."""
+    config, dom, c = _load(args)
+    sigma = args.sigma if args.sigma is not None else config.sigma
+    if sigma is None and args.regime == REGIMES[-1]:  # the joint regime
+        raise ConfigError("the joint regime needs --sigma (or 'sigma' in the config)")
+    return dom, c, sigma
 
 
 def _cmd_simulate(args) -> int:
@@ -103,11 +112,7 @@ def _cmd_lambda0(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    config, dom, c = _load(args)
-    sigma = args.sigma if args.sigma is not None else config.sigma
-    if args.regime == "joint" and sigma is None:
-        print("the joint regime needs --sigma (or 'sigma' in the config)", file=sys.stderr)
-        return 2
+    dom, c, sigma = _regime_inputs(args)
     profile = limit_profile(c, args.regime, sigma)
     print(f"regime={profile.regime} sigma={profile.sigma}")
     for name, mask in profile.masks.items():
@@ -129,8 +134,7 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, _, c = _load(args)
-    sigma = args.sigma if args.sigma is not None else config.sigma
+    _, c, sigma = _regime_inputs(args)
     result = sweep(c, args.regime, args.values, sigma=sigma, out_csv=args.out)
     print(f"wrote {len(result.rows)} rows to {result.csv_path}")
     failed = [r for r in result.rows if "error" in r]
@@ -189,12 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("lambda0", _cmd_lambda0, "principal eigenvalue of the linearization")
 
     p = add("asymptotics", _cmd_asymptotics, "small-diffusion limit profile")
-    p.add_argument("--regime", required=True, choices=["d_I", "d_S", "joint"])
+    p.add_argument("--regime", required=True, choices=REGIMES)
     p.add_argument("--sigma", type=_finite, default=None, help="ratio d_I/d_S (joint)")
     p.add_argument("--out", default=None, help="optional directory for profile CSVs")
 
     p = add("sweep", _cmd_sweep, "equilibria along a shrinking-diffusion schedule")
-    p.add_argument("--regime", required=True, choices=["d_I", "d_S", "joint"])
+    p.add_argument("--regime", required=True, choices=REGIMES)
     p.add_argument(
         "--values", required=True, type=_number_list, help="comma-separated descending values"
     )

@@ -16,8 +16,9 @@ total-mass balance; integrating the two updates gives
 
     d/dt Int(S + I) = Int(recruitment) - Int(S') - Int(eta I')
 
-up to solver roundoff, which each accepted step verifies to 1e-10
-relative (:class:`MassBalanceError` otherwise).
+up to solver roundoff.  :func:`step_imex` returns that balance's defect
+relative to ``Int(recruitment)`` with the new state, and :func:`run`
+holds every accepted step to 1e-10 (:class:`MassBalanceError` otherwise).
 
 Every march in the package, this one and the scalar limit-profile marches
 of :mod:`sisrd.asymptotics`, runs on the adaptive driver :func:`march`
@@ -52,7 +53,6 @@ from .solvers import NonConvergenceError
 __all__ = [
     "MASS_BALANCE_RTOL",
     "SimState",
-    "StepStats",
     "StepRejected",
     "TimeStepUnderflowError",
     "MassBalanceError",
@@ -96,14 +96,6 @@ class SimState:
         return self.S.domain
 
 
-@dataclass(frozen=True)
-class StepStats:
-    dt: float
-    mass_defect: float  # relative defect of the discrete mass balance
-    min_S: float
-    min_I: float
-
-
 @dataclass
 class RunSummary:
     steps: int = 0
@@ -119,11 +111,15 @@ def _solvers(c: CoefficientSet) -> tuple[Callable, Callable]:
     return shifted_solver(c.domain, 1.0, c.d_S), shifted_solver(c.domain, c.eta.values, c.d_I)
 
 
-def step_imex(state: SimState, c: CoefficientSet, dt: float, *, solvers=None) -> tuple[SimState, StepStats]:
+def step_imex(
+    state: SimState, c: CoefficientSet, dt: float, *, solvers=None
+) -> tuple[SimState, float]:
     """Advance one IMEX step; raises :class:`StepRejected` on lost positivity.
 
-    ``solvers`` are the S and I solves of a march (see :func:`run`); a
-    step taken alone factors its two operators for itself.
+    Returns the new state and the step's relative defect of the discrete
+    mass balance (see the module docstring).  ``solvers`` are the S and I
+    solves of a march (see :func:`run`); a step taken alone factors its two
+    operators for itself.
     """
     dom = state.domain
     if dom is not c.domain:
@@ -149,9 +145,8 @@ def step_imex(state: SimState, c: CoefficientSet, dt: float, *, solvers=None) ->
     lhs = (float(np.dot(w, S_new - S)) + float(np.dot(w, I_new - I))) / dt
     rhs = float(np.dot(w, c.recruitment.values - S_new - c.eta.values * I_new))
     source = float(np.dot(w, c.recruitment.values))
-    defect = abs(lhs - rhs) / source
     new_state = SimState(dom.field(S_new), dom.field(I_new), state.t + dt)
-    return new_state, StepStats(dt, defect, min_S, min_I)
+    return new_state, abs(lhs - rhs) / source
 
 
 def march(
@@ -251,10 +246,10 @@ def run(
         nonlocal solvers
         if solvers is None:
             solvers = _solvers(c)
-        new, stats = step_imex(s, c, dt, solvers=solvers)
-        if stats.mass_defect > MASS_BALANCE_RTOL:
+        new, defect = step_imex(s, c, dt, solvers=solvers)
+        if defect > MASS_BALANCE_RTOL:
             raise MassBalanceError(
-                f"mass-balance defect {stats.mass_defect:.3e} exceeds "
+                f"mass-balance defect {defect:.3e} exceeds "
                 f"{MASS_BALANCE_RTOL:.1e} at t = {s.t:.6g}"
             )
         change = max(

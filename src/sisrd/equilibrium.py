@@ -17,8 +17,9 @@ that passes the loose rate test ``|du|/dt < 1e-2``.  Newton's answer is
 kept only if it converged to an endemic state with ``I > 0`` everywhere
 and a conservation gap within 1e-6; otherwise the same march goes on to
 the caller's steady test.  ``meta["handoff"]`` says which happened.
-:func:`find_ee` and :func:`sisrd.harness.run_scenario` share this one
-path from a march to an :class:`EquilibriumResult`.
+:func:`equilibrate` is this one path from a march to an
+:class:`EquilibriumResult`; :func:`find_ee` wraps it, and
+:func:`sisrd.harness.run_scenario` calls it with a scenario's controls.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -46,6 +47,7 @@ __all__ = [
     "elliptic_residuals",
     "conservation_gap",
     "find_ee",
+    "equilibrate",
     "settle",
     "diagnostics",
     "grid_tolerance",
@@ -119,7 +121,7 @@ def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> E
     if init is None:
         init = SimState(dom.field(0.8), dom.field(0.2))
     controls = {"steady_tol": 1e-9, "t_final": 4000.0, **controls}
-    _, summary, result = _equilibrate(c, init, **controls)
+    _, summary, result = equilibrate(c, init, **controls)
     if not summary.converged_steady:
         raise NonConvergenceError(
             f"no steady state by t = {controls['t_final']:g} (stopped on {summary.reason})"
@@ -127,7 +129,7 @@ def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> E
     return result
 
 
-def _equilibrate(
+def equilibrate(
     c: CoefficientSet, init: SimState, **controls
 ) -> tuple[SimState, RunSummary, EquilibriumResult]:
     """March ``init`` with ``controls`` and :func:`settle` the marched state.

@@ -20,14 +20,15 @@ the Laplacian is its row scaling ``L = -W^{-1} K``, so row sums vanish
 and ``L`` is symmetric with respect to the cell-measure inner product.
 
 Every linear solve outside Newton factors a :func:`shifted_operator`
-``W diag(reaction) + d K`` with :func:`shifted_factor`, the package's one
-sparse LU (:func:`sisrd.solvers.sparse_lu`) owned by its caller, never by
-the domain.  With ``reaction > 0`` the operator is a symmetric, diagonally
+``W diag(reaction) + d K`` with the package's one sparse LU
+(:func:`sisrd.solvers.sparse_lu`, through :func:`shifted_factor` unless
+the caller also keeps the operator), owned by its caller, never by the
+domain.  With ``reaction > 0`` the operator is a symmetric, diagonally
 dominant M-matrix, which is what lets that LU skip pivoting.  A time march
 holds the factor of its time-step form ``W diag(1/dt + rate) + d K`` in a
 :func:`shifted_solver`, rebuilt only when dt changes and freed when the
-march returns or hands its state to Newton.  The disease-free solve and the two eigenproblems keep
-theirs for one call.
+march returns or hands its state to Newton.  The disease-free solve and
+the two eigenproblems keep theirs for one call.
 """
 
 from __future__ import annotations

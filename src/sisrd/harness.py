@@ -18,14 +18,18 @@ every run (no timestamps, no wall-clock fields, platform-independent
 are removed.
 
 :func:`sweep` shrinks one or both diffusion rates over a descending list
-of values, solves for the equilibrium at each (rows after the first are
-warm-started from the previous equilibrium at the march's ``dt_max``), and
-measures the distance to the predicted small-diffusion profile.  Rows go
+of values (the regimes and their one rule for ``sigma`` are those of
+:func:`~sisrd.asymptotics.shrink_diffusion`), solves for the equilibrium at
+each (rows after the first are warm-started from the previous equilibrium
+at the march's ``dt_max``), and measures the distance to the predicted
+small-diffusion profile.  Rows go
 to a CSV with the fixed header
 ``d_S,d_I,sigma,dist_S_sup,dist_I_sup,dist_S_L1,dist_I_L1,R0,gap,seconds``;
 ``seconds`` (wall time per row) is the one column exempt from
 byte-reproducibility, and ``R0`` is ``nan`` when the incidence is
-sublinear.  A failed row records ``nan`` distances and the sweep moves on.
+sublinear.  A row whose march fails (:class:`~sisrd.solvers.NonConvergenceError`
+or :class:`~sisrd.dynamics.MassBalanceError`) records ``nan`` distances and
+its ``error``, and the sweep moves on.
 """
 
 from __future__ import annotations
@@ -33,16 +37,17 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .asymptotics import LimitProfile, limit_profile
+from .asymptotics import LimitProfile, limit_profile, shrink_diffusion
 from .coefficients import CoefficientSet
-from .dynamics import SimState
-from .equilibrium import EquilibriumResult, _equilibrate, find_ee
+from .dynamics import MassBalanceError, SimState
+from .equilibrium import EquilibriumResult, equilibrate, find_ee
 from .grid import DiscreteDomain, erode_mask, integrate, write_field_csv
 from .scenario import ScenarioConfig
 from .solvers import NonConvergenceError
@@ -59,6 +64,7 @@ __all__ = [
 ]
 
 SWEEP_HEADER = "d_S,d_I,sigma,dist_S_sup,dist_I_sup,dist_S_L1,dist_I_L1,R0,gap,seconds"
+_DISTANCES = ("dist_S_sup", "dist_I_sup", "dist_S_L1", "dist_I_L1")  # of _row_distances
 # a warm sweep row starts from an equilibrium, so it skips the dt ramp:
 # the march clips this ``dt_init`` to its ``dt_max``
 _WARM_DT_INIT = math.inf
@@ -74,7 +80,7 @@ class ScenarioArtifacts:
 
 @dataclass(frozen=True)
 class SweepResult:
-    regime: str  # "d_I" | "d_S" | "joint"
+    regime: str  # one of asymptotics.REGIMES
     sigma: Optional[float]
     rows: list  # dicts with the CSV scalars plus "eq" and optional "error"
     oracle: Optional[LimitProfile]
@@ -156,7 +162,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
                 write_field_csv(_path(f"S_{step:06d}.csv"), state.S)
                 write_field_csv(_path(f"I_{step:06d}.csv"), state.I)
 
-        state, summary, result = _equilibrate(c, state0, on_step=snapshot, **config.controls)
+        state, summary, result = equilibrate(c, state0, on_step=snapshot, **config.controls)
         S = result.S.values
         I = result.I.values
 
@@ -255,9 +261,10 @@ def sweep(
 ) -> SweepResult:
     """Equilibria along a descending diffusion schedule vs. the limit profile.
 
-    ``regime`` picks what shrinks: ``"d_I"`` (d_S fixed at the base value),
-    ``"d_S"`` (d_I fixed), or ``"joint"`` (``d_S = v`` and ``d_I = sigma v``).
-    Each row is a :func:`~sisrd.equilibrium.find_ee` call with its default
+    Row ``v`` solves at ``shrink_diffusion(c_base, regime, v, sigma)``
+    (see :func:`~sisrd.asymptotics.shrink_diffusion`: the joint regime
+    needs ``sigma``, and the other rate keeps its base value).  Each row is
+    a :func:`~sisrd.equilibrium.find_ee` call with its default
     controls.  Rows after the first are warm-started from the previous
     equilibrium and start at the march's ``dt_max``, not at the bottom of
     its dt ramp.  The returned ``violations`` map flags rows where a
@@ -271,54 +278,24 @@ def sweep(
         raise ValueError("sweep values must be positive")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ValueError("sweep values must be strictly decreasing")
-    if regime == "joint" and sigma is None:
-        sigma = c_base.sigma()
 
     oracle = limit_profile(c_base, regime, sigma)
     rows: list[dict] = []
     init = None
     for v in vals:
-        if regime == "d_I":
-            c = c_base.with_diffusion(d_I=v)
-        elif regime == "d_S":
-            c = c_base.with_diffusion(d_S=v)
-        else:
-            c = c_base.with_diffusion(d_S=v, d_I=sigma * v)
-        row = {"d_S": c.d_S, "d_I": c.d_I, "sigma": c.sigma()}
+        c = shrink_diffusion(c_base, regime, v, sigma)
+        row = {"d_S": c.d_S, "d_I": c.d_I, "sigma": c.sigma(), "R0": float("nan")}
         t0 = time.perf_counter()
         try:
-            if init is None:
-                eq = find_ee(c, init=init)
-            else:
-                eq = find_ee(c, init=init, dt_init=_WARM_DT_INIT)
-            s_sup, i_sup, s_l1, i_l1 = _row_distances(c, eq, oracle)
-            row.update(
-                dist_S_sup=s_sup,
-                dist_I_sup=i_sup,
-                dist_S_L1=s_l1,
-                dist_I_L1=i_l1,
-                gap=eq.conservation_gap,
-                eq=eq,
-            )
+            eq = find_ee(c) if init is None else find_ee(c, init=init, dt_init=_WARM_DT_INIT)
+            distances = zip(_DISTANCES, _row_distances(c, eq, oracle))
+            row.update(distances, gap=eq.conservation_gap, eq=eq)
             init = SimState(eq.S, eq.I)
-        except NonConvergenceError as exc:
-            nan = float("nan")
-            row.update(
-                dist_S_sup=nan,
-                dist_I_sup=nan,
-                dist_S_L1=nan,
-                dist_I_L1=nan,
-                gap=nan,
-                eq=None,
-                error=str(exc),
-            )
-        if c.p == 1.0 and row.get("eq") is not None:
-            try:
+        except (NonConvergenceError, MassBalanceError) as exc:
+            row.update(dict.fromkeys((*_DISTANCES, "gap"), float("nan")), eq=None, error=str(exc))
+        if c.p == 1.0 and row["eq"] is not None:
+            with suppress(NonConvergenceError):
                 row["R0"] = compute_r0(c).value
-            except NonConvergenceError:
-                row["R0"] = float("nan")
-        else:
-            row["R0"] = float("nan")
         row["seconds"] = time.perf_counter() - t0
         rows.append(row)
 

@@ -22,8 +22,9 @@ Example::
 
 Optional blocks: ``"stepping"`` (``dt_init``, ``dt_max``, ``dt_min``),
 ``"outputs"`` (``snapshot_every``, ``mask_deltas``, ``zero_infection_tol``),
-a free-text ``"comment"``, and ``"sigma"`` (a diffusion ratio used by sweep
-drivers).  The ``stopping`` and ``stepping`` values must be positive;
+a free-text ``"comment"`` (accepted and ignored), and ``"sigma"`` (the
+joint regime's diffusion ratio for ``sisrd sweep`` and ``sisrd
+asymptotics``).  The ``stopping`` and ``stepping`` values must be positive;
 those set (``null`` counts as unset) become
 :attr:`ScenarioConfig.controls`, the keywords of
 :func:`sisrd.dynamics.march`, which supplies the stepping defaults.  The
@@ -144,7 +145,6 @@ class ScenarioConfig:
     """A fully validated scenario; building meshes and fields is deferred."""
 
     name: str
-    comment: str
     domain_spec: DomainSpec
     beta: str
     gamma: str
@@ -244,7 +244,6 @@ class ScenarioConfig:
 
         return cls(
             name=str(data.get("name", "scenario")),
-            comment=str(data.get("comment", "")),
             domain_spec=spec,
             beta=sources["beta"],
             gamma=sources["gamma"],

@@ -26,21 +26,22 @@ threshold.
 
 Both problems have the form ``diag(a) phi = mu B phi`` with ``a`` a
 positive vector and ``B = shifted_operator(dom, reaction, d_I)``.  Each
-call factors its ``B`` once with :func:`sisrd.grid.shifted_factor`, so
-every power step is one pair of triangular solves; the factor is freed
-when the call returns.
+call assembles its ``B`` once and factors that same matrix once with
+:func:`sisrd.solvers.sparse_lu`, so every power step is one pair of
+triangular solves and one product with ``B``; the factor is freed when
+the call returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coefficients import CoefficientSet
 from .equilibrium import solve_dfe
-from .grid import ScalarField, shifted_factor, shifted_operator
-from .solvers import NonConvergenceError
+from .grid import ScalarField, shifted_operator
+from .solvers import NonConvergenceError, sparse_lu
 
 __all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
 
@@ -54,27 +55,22 @@ class SpectralResult:
     field: ScalarField  # eigenfunction, sup-norm 1, nonnegative
     residual: float
     iterations: int
-    converged: bool
-    degenerate: bool = False
-    params: dict = dc_field(default_factory=dict)
+    converged: bool  # always True: a stalled iteration raises
 
 
-def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str, params: dict) -> SpectralResult:
+def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> SpectralResult:
     """Largest eigenpair of ``diag(a) phi = mu B phi`` with ``B = W diag(reaction) + d_I K``.
 
     Power iteration on ``B^{-1} diag(a)`` from the all-ones vector, each step
-    solved with one LU factor of ``B``.  ``a`` is nonnegative and ``B`` an
-    M-matrix, so every iterate stays positive.  The estimate is the
-    Rayleigh quotient, and the iteration stops when
-    ``||a phi - mu B phi||_2 <= 1e-10 ||B phi||_2``; an identically zero
-    ``a`` short-circuits to the degenerate answer ``mu = 0``.  ``value`` is
-    ``mu`` and the field has sup-norm 1.
+    solved with one LU factor of ``B``.  ``a`` is positive (the coefficient
+    set refuses a nonpositive rate) and ``B`` an M-matrix, so every iterate
+    stays positive.  The estimate is the Rayleigh quotient, and the
+    iteration stops when ``||a phi - mu B phi||_2 <= 1e-10 ||B phi||_2``.
+    ``value`` is ``mu`` and the field has sup-norm 1.
     """
     dom = c.domain
-    if not np.any(a):
-        return SpectralResult(0.0, dom.field(1.0), 0.0, 0, True, degenerate=True, params=params)
     B = shifted_operator(dom, reaction, c.d_I)
-    lu = shifted_factor(dom, reaction, c.d_I)
+    lu = sparse_lu(B.tocsc())
     phi = np.ones(dom.n_nodes)
     for iterations in range(1, _POWER_MAX_ITER + 1):
         y = lu.solve(a * phi)
@@ -95,7 +91,6 @@ def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str, params: di
         residual=res,
         iterations=iterations,
         converged=True,
-        params=params,
     )
 
 
@@ -109,10 +104,7 @@ def compute_r0(c: CoefficientSet) -> SpectralResult:
     dom = c.domain
     S_dfe = solve_dfe(c)
     gain = c.beta.values * S_dfe.values**c.q
-    return _principal(
-        c, dom.cell_measures * gain, c.gamma.values + c.eta.values, "R0",
-        {"d_I": c.d_I, "d_S": c.d_S, "q": c.q},
-    )
+    return _principal(c, dom.cell_measures * gain, c.gamma.values + c.eta.values, "R0")
 
 
 def compute_lambda0(c: CoefficientSet) -> SpectralResult:
@@ -124,9 +116,7 @@ def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     w = c.domain.cell_measures
     potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
     shift = -float(potential.max()) - 1.0
-    res = _principal(
-        c, w, -shift - potential, "principal-eigenvalue", {"d_I": c.d_I, "shift": shift}
-    )
+    res = _principal(c, w, -shift - potential, "principal-eigenvalue")
     lam0 = shift + 1.0 / res.value
     phi = res.field.values
     M = shifted_operator(c.domain, -potential, c.d_I)

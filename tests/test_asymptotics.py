@@ -11,6 +11,7 @@ from oracles import bisect_increasing
 
 from sisrd import asymptotics, dynamics, solvers
 from sisrd.asymptotics import (
+    REGIMES,
     bounds_audit,
     classify_small_di,
     eliminate_susceptible,
@@ -18,9 +19,11 @@ from sisrd.asymptotics import (
     limit_joint_sublinear,
     limit_small_di,
     limit_small_ds,
+    limit_profile,
     monotone_joint_p1,
     monotone_joint_sublinear,
     newton_increasing,
+    shrink_diffusion,
     susceptible_floor_constant,
 )
 from sisrd.coefficients import CoefficientSet
@@ -436,6 +439,34 @@ def test_joint_sublinear_requires_large_sigma():
     dom = interval()
     with pytest.raises(ValueError, match="sigma"):
         limit_joint_sublinear(golden_constants(dom), sigma=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Regime dispatch
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("constants", [mass_action_constants, golden_constants])
+def test_limit_profile_carries_its_regime_name(constants, regime):
+    c = constants(interval(17))
+    assert limit_profile(c, regime, 2.0).regime == regime
+
+
+def test_shrink_diffusion_sets_the_regime_rates():
+    c = mass_action_constants(interval(9), d_S=0.1, d_I=0.05)
+    shrunk = {r: shrink_diffusion(c, r, 1e-3, 2.0) for r in REGIMES}
+    assert [(s.d_S, s.d_I) for s in shrunk.values()] == [(0.1, 1e-3), (1e-3, 0.05), (1e-3, 2e-3)]
+
+
+@pytest.mark.parametrize("dispatch", [shrink_diffusion, limit_profile])
+def test_regime_dispatch_refuses_a_missing_sigma_and_unknown_names(dispatch):
+    c = mass_action_constants(interval(9))
+    args = (1e-3,) if dispatch is shrink_diffusion else ()
+    with pytest.raises(ValueError, match="needs a diffusion ratio sigma"):
+        dispatch(c, REGIMES[-1], *args)
+    with pytest.raises(ValueError, match="unknown regime"):
+        dispatch(c, "small_d_I", *args, 2.0)
 
 
 # ---------------------------------------------------------------------------

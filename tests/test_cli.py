@@ -87,6 +87,27 @@ def test_asymptotics_joint_needs_sigma(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["asymptotics", "sweep"])
+def test_joint_without_sigma_is_bad_usage_for_both_commands(tmp_path, capsys, command):
+    # the config has no "sigma" and its own d_I/d_S is never used in its place
+    argv = [command, "--config", write_config(tmp_path), "--regime", "joint"]
+    if command == "sweep":
+        argv += ["--values", "0.05,0.02", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: the joint regime needs --sigma (or 'sigma' in the config)\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_asymptotics_regime_names(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["asymptotics", "--config", cfg, "--regime", "d_S"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("regime=d_S sigma=None\n")
+    assert "steady=" not in out
+
+
 def test_asymptotics_joint_writes_profile(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_dir = tmp_path / "prof"

@@ -310,6 +310,22 @@ def test_sweep_records_failed_rows(tmp_path, monkeypatch):
     assert all("nan" in line for line in body)
 
 
+def test_sweep_records_a_mass_balance_failure_and_goes_on(tmp_path):
+    # at d_S = 1e4 the rounding of the shifted solve breaks the 1e-10 mass
+    # balance on the first step; that row fails and the next one still solves
+    dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
+    c = CoefficientSet.from_values(
+        dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=1.0, d_I=0.1, p=1.0, q=1.0
+    )
+    out = tmp_path / "sweep.csv"
+    res = sweep(c, "d_S", [1e4, 1.0], out_csv=out)
+    failed, solved = res.rows
+    assert failed["eq"] is None and "mass-balance defect" in failed["error"]
+    assert all(np.isnan(failed[k]) for k in ("dist_S_sup", "dist_I_sup", "gap", "R0"))
+    assert "error" not in solved and solved["eq"].endemic
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_sweep_csv_deterministic_except_seconds(tmp_path):
     c = golden_1d()
     a = tmp_path / "a.csv"

@@ -47,7 +47,7 @@ def test_eigenpair_matches_dense_generalized_solver():
     w = dom.cell_measures
     a = 2.0 + np.sin(2 * np.pi * dom.coords)
     b = 1.0 + 0.5 * dom.coords
-    res = spectral._principal(c, w * a, b, "test", {})
+    res = spectral._principal(c, w * a, b, "test")
     A = np.diag(w * a)
     B = 0.05 * stiffness_matrix(dom).toarray() + np.diag(w * b)
     vals, vecs = scipy.linalg.eigh(A, B)
@@ -62,7 +62,7 @@ def test_eigenpair_matches_dense_generalized_solver():
 def test_eigenpair_positive_eigenvector():
     dom, c = pencil_owner(31, 0.1)
     w = dom.cell_measures
-    res = spectral._principal(c, w * (1.0 + dom.coords), np.ones(dom.n_nodes), "test", {})
+    res = spectral._principal(c, w * (1.0 + dom.coords), np.ones(dom.n_nodes), "test")
     phi = res.field.values
     assert phi.min() > 0.0
     assert phi.max() == pytest.approx(1.0)

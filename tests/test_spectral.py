@@ -82,14 +82,14 @@ def test_r0_matches_dense_generalized_eigenproblem():
     np.testing.assert_allclose(res.field.values, ref, atol=1e-7)
 
 
-def test_r0_zero_transmission_is_degenerate():
-    _, c = constants()
-    # the constructor refuses beta <= 0, so zero it on the built set
-    object.__setattr__(c, "beta", c.domain.field(0.0))
-    res = compute_r0(c)
-    assert res.value == 0.0
-    assert res.degenerate and res.converged
-    assert res.iterations == 0
+@pytest.mark.parametrize("name", ["beta", "gamma", "eta", "recruitment"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_coefficients_refuse_nonpositive_rates(name, value):
+    # why the power iteration has no zero-gain case: R0's gain beta S~^q is positive
+    dom = build_domain(DomainSpec.interval(0, 1, 9))
+    params = dict(beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be strictly positive"):
+        CoefficientSet.from_values(dom, **{**params, name: value})
 
 
 @pytest.mark.parametrize("compute", [compute_r0, compute_lambda0], ids=["r0", "lambda0"])
