@@ -12,8 +12,9 @@ Newton system.  Newton starts from a marched state at the hand-off of
 :func:`sisrd.dynamics.march`, after the march has freed its own factors; a
 refused answer lets that march go on.  A Newton matrix need not be an
 M-matrix, so every Newton solve is checked by its backward error, with no
-fallback to a pivoted factor.  The time marches and the power iteration of :mod:`sisrd.spectral`
-raise :class:`NonConvergenceError`.
+fallback to a pivoted factor.  The time marches, and the eigen-solves of
+:mod:`sisrd.spectral` (Lanczos, then a power-iteration polish) past their
+budget of factor solves, raise :class:`NonConvergenceError`.
 """
 
 from __future__ import annotations

@@ -7,19 +7,19 @@ number is the variational value
 
 with ``S~`` the disease-free susceptible profile.  Discretely this is the
 largest eigenvalue of ``W diag(beta S~^q) phi = mu (d_I K + W diag(gamma+eta)) phi``
-(``W`` cell measures, ``K`` the stiffness form), computed by positive
-power iteration.  For p < 1 the linearization at the disease-free state
-is degenerate and the request is refused.
+(``W`` cell measures, ``K`` the stiffness form), computed by Lanczos
+and polished by positive power iteration.  For p < 1 the linearization
+at the disease-free state is degenerate and the request is refused.
 
 The principal eigenvalue ``lambda0`` is the smallest eigenvalue of
 ``-d_I Lap(phi) - (beta recruitment^q - gamma - eta) phi``.  It is found
-with the same power iteration after a shift from the bottom of the
+with the same eigen-solve after a shift from the bottom of the
 spectrum: with ``M = d_I K - W diag(potential)``, every eigenvalue of
 ``(M, W)`` is at least ``-max(potential)``, so for
 ``shift = -max(potential) - 1`` the matrix
 ``M - shift W = d_I K + W diag(max(potential) + 1 - potential)`` is a
 symmetric positive definite M-matrix with diagonal at least ``W``.  Its
-inverse is then nonnegative, the iteration on ``W phi = mu (M - shift W) phi``
+inverse is then nonnegative, the power step on ``W phi = mu (M - shift W) phi``
 keeps the eigenvector positive, and ``lambda0 = shift + 1/mu``.  The sign
 of ``lambda0`` and the position of R0 relative to 1 flag the same
 threshold.
@@ -27,9 +27,15 @@ threshold.
 Both problems have the form ``diag(a) phi = mu B phi`` with ``a`` a
 positive vector and ``B = shifted_operator(dom, reaction, d_I)``.  Each
 call assembles its ``B`` once and factors that same matrix once with
-:func:`sisrd.solvers.sparse_lu`, so every power step is one pair of
-triangular solves and one product with ``B``; the factor is freed when
-the call returns.
+:func:`sisrd.solvers.sparse_lu`.  With ``R = diag(sqrt(a))`` the largest
+``mu`` is the top eigenvalue of the symmetric operator ``R B^{-1} R``,
+which implicitly restarted Lanczos (scipy's ``eigsh``, ARPACK) finds at a
+rate set by the square root of the spectral gap; each Lanczos product is
+one solve with the factor.  The Lanczos vector, mapped back and clipped at
+0, then starts the positive power iteration, which certifies the pair by
+its residual and keeps the eigenvector positive; it usually stops after
+one step.  ``iterations`` counts the factor solves of the whole call, and
+the factor is freed before the result is built.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .coefficients import CoefficientSet
 from .equilibrium import solve_dfe
@@ -45,8 +52,10 @@ from .solvers import NonConvergenceError, sparse_lu
 
 __all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
 
+_LANCZOS_TOL = 1e-12  # eigsh's relative accuracy of the Ritz value
+_LANCZOS_NCV = 20  # Lanczos basis size
 _POWER_TOL = 1e-10  # on ||a phi - mu B phi|| / ||B phi||
-_POWER_MAX_ITER = 50000
+_MAX_SOLVES = 5000  # factor solves per call, Lanczos and power steps together
 
 
 @dataclass(frozen=True)
@@ -54,42 +63,71 @@ class SpectralResult:
     value: float
     field: ScalarField  # eigenfunction, sup-norm 1, nonnegative
     residual: float
-    iterations: int
+    iterations: int  # factor solves
     converged: bool  # always True: a stalled iteration raises
 
 
-def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> SpectralResult:
-    """Largest eigenpair of ``diag(a) phi = mu B phi`` with ``B = W diag(reaction) + d_I K``.
+def _top_eigenpair(B, a: np.ndarray, what: str) -> tuple[np.ndarray, float, float, int]:
+    """``(phi, mu, residual, solves)`` for ``diag(a) phi = mu B phi``; see :func:`_principal`.
 
-    Power iteration on ``B^{-1} diag(a)`` from the all-ones vector, each step
-    solved with one LU factor of ``B``.  ``a`` is positive (the coefficient
-    set refuses a nonpositive rate) and ``B`` an M-matrix, so every iterate
-    stays positive.  The estimate is the Rayleigh quotient, and the
-    iteration stops when ``||a phi - mu B phi||_2 <= 1e-10 ||B phi||_2``.
-    ``value`` is ``mu`` and the field has sup-norm 1.
+    The factor and the Lanczos state live only in this frame, so they are
+    freed before the caller allocates its result.
     """
-    dom = c.domain
-    B = shifted_operator(dom, reaction, c.d_I)
+    n = len(a)
     lu = sparse_lu(B.tocsc())
-    phi = np.ones(dom.n_nodes)
-    for iterations in range(1, _POWER_MAX_ITER + 1):
-        y = lu.solve(a * phi)
+    solves = 0
+
+    def solve(b):
+        nonlocal solves
+        if solves == _MAX_SOLVES:
+            raise NonConvergenceError(f"{what} eigen-solve stalled after {solves} factor solves")
+        solves += 1
+        return lu.solve(b)
+
+    r = np.sqrt(a)
+    C = LinearOperator((n, n), matvec=lambda x: r * solve(r * x.ravel()), dtype=float)
+    try:
+        _, x = eigsh(C, k=1, which="LA", v0=r, ncv=min(_LANCZOS_NCV, n), tol=_LANCZOS_TOL)
+    except ArpackNoConvergence:
+        raise NonConvergenceError(f"{what} Lanczos iteration stalled") from None
+    phi = x[:, 0] / r
+    phi = np.maximum(phi if phi.sum() > 0.0 else -phi, 0.0)
+    while True:
+        y = solve(a * phi)
         phi = y / float(np.max(np.abs(y)))
         Aphi = a * phi
         Bphi = B @ phi
         mu = float(phi @ Aphi) / float(phi @ Bphi)
         res = float(np.linalg.norm(Aphi - mu * Bphi)) / float(np.linalg.norm(Bphi))
         if res <= _POWER_TOL:
-            break
-    else:
-        raise NonConvergenceError(f"{what} power iteration stalled at residual {res:.3e}")
+            return phi, mu, res, solves
+
+
+def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> SpectralResult:
+    """Largest eigenpair of ``diag(a) phi = mu B phi`` with ``B = W diag(reaction) + d_I K``.
+
+    Lanczos (``eigsh``, ``which="LA"``, started from ``sqrt(a)``) finds the
+    top eigenvector ``x`` of ``R B^{-1} R`` with ``R = diag(sqrt(a))``;
+    ``phi = x/sqrt(a)``, signed to a positive sum and clipped at 0, starts
+    the power iteration on ``B^{-1} diag(a)``.  ``a`` is positive (the
+    coefficient set refuses a nonpositive rate) and ``B`` an M-matrix with
+    a positive inverse, so every power iterate is positive.  The estimate
+    is the Rayleigh quotient, and the iteration stops when
+    ``||a phi - mu B phi||_2 <= 1e-10 ||B phi||_2``.  Every product is one
+    solve with one LU factor of ``B``; past ``_MAX_SOLVES`` of them the
+    call raises :class:`NonConvergenceError`.  ``value`` is ``mu``, the
+    field has sup-norm 1, and ``iterations`` is the number of solves.
+    """
+    dom = c.domain
+    B = shifted_operator(dom, reaction, c.d_I)
+    phi, mu, res, solves = _top_eigenpair(B, a, what)
     if phi.min() < -1e-10:
         raise NonConvergenceError("principal eigenfunction failed to stay one-signed")
     return SpectralResult(
         value=mu,
         field=dom.field(np.maximum(phi, 0.0)),
         residual=res,
-        iterations=iterations,
+        iterations=solves,
         converged=True,
     )
 

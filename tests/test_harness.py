@@ -294,6 +294,25 @@ def test_sweep_joint_closed_form():
         assert row["dist_I_sup"] <= 1e-6
 
 
+def test_sweep_joint_below_threshold_measures_envelope_excess():
+    # sigma < eta: the oracle has envelopes only, and each row's distances
+    # are how far the equilibrium lies outside them
+    dom = build_domain(DomainSpec.interval(-1, 1, 65))
+    c = CoefficientSet.from_values(
+        dom, beta=3 + 2 * np.sin(np.pi * dom.coords), gamma=1.0, eta=1.0, recruitment=1.0,
+        d_S=1.0, d_I=1e-3, p=1.0, q=0.5,
+    )
+    res = sweep(c, "joint", [1e-1, 1e-2, 1e-3], sigma=0.5)
+    assert not res.oracle.meta["closed_form"]
+    assert res.violations == {}
+    I_upper = res.oracle.envelopes["I_upper"].values
+    for row in res.rows:
+        assert row["dist_S_sup"] == 0.0 and row["dist_S_L1"] == 0.0
+        assert row["dist_I_sup"] == pytest.approx(np.max(row["eq"].I.values - I_upper))
+    excess = [row["dist_I_sup"] for row in res.rows]
+    assert excess[0] > excess[1] > excess[2] > 0.0
+
+
 def test_sweep_records_failed_rows(tmp_path, monkeypatch):
     def no_steady_state(c, init=None):
         raise NonConvergenceError("no steady state by t = 0.05 (stopped on t_final)")

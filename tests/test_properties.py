@@ -1,11 +1,13 @@
 """Property tests over random inputs: invariants of the IMEX step and of the
 bracketed Newton root finder, the conservation identity at Newton-certified
-equilibria, and the formula printer's round trip."""
+equilibria, R0 and lambda0 against a dense eigensolver, and the formula
+printer's round trip."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 pytest.importorskip("hypothesis")
 
@@ -18,8 +20,9 @@ from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MASS_BALANCE_RTOL, SimState, StepRejected, step_imex
 from sisrd.equilibrium import find_ee
 from sisrd.formula import BinOp, Call, Neg, Num, Pi, Piecewise, Var, parse, pretty
-from sisrd.grid import DomainSpec, build_domain
+from sisrd.grid import DomainSpec, build_domain, stiffness_matrix
 from sisrd.solvers import NonConvergenceError
+from sisrd.spectral import compute_lambda0, compute_r0
 
 DOMAINS = (
     build_domain(DomainSpec.interval(0, 1, 13)),
@@ -173,6 +176,43 @@ def test_newton_certified_equilibrium_meets_the_closed_form(case):
     assert eq.conservation_gap <= 1e-10
     np.testing.assert_allclose(eq.S.values, S_star, rtol=0.0, atol=1e-8)
     np.testing.assert_allclose(eq.I.values, I_star, rtol=0.0, atol=1e-8)
+
+
+@st.composite
+def threshold_problems(draw):
+    """Interval problems with p = 1: 5-21 nodes, every rate U(0.1, 3) per node,
+    d_S = 10^U(-3, 0), d_I = 10^U(-5, 0) and q ~ U(0.25, 2)."""
+    dom = build_domain(DomainSpec.interval(0, 1, draw(st.integers(5, 21))))
+
+    def rate():
+        return draw(arrays(np.float64, dom.n_nodes, elements=st.floats(0.1, 3.0)))
+
+    return CoefficientSet.from_values(
+        dom, beta=rate(), gamma=rate(), eta=rate(), recruitment=rate(),
+        d_S=10.0 ** draw(st.floats(-3.0, 0.0)), d_I=10.0 ** draw(st.floats(-5.0, 0.0)),
+        p=1.0, q=draw(st.floats(0.25, 2.0)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(threshold_problems())
+def test_thresholds_match_the_dense_eigensolver(c):
+    dom = c.domain
+    w = dom.cell_measures
+    K = stiffness_matrix(dom).toarray()
+    S = np.linalg.solve(np.diag(w) + c.d_S * K, w * c.recruitment.values)
+    A = np.diag(w * c.beta.values * S**c.q)
+    B = c.d_I * K + np.diag(w * (c.gamma.values + c.eta.values))
+    r0 = scipy.linalg.eigh(A, B, eigvals_only=True)[-1]
+    potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
+    M = c.d_I * K - np.diag(w * potential)
+    lam0 = scipy.linalg.eigh(M, np.diag(w), eigvals_only=True)[0]
+    for res, ref in ((compute_r0(c), r0), (compute_lambda0(c), lam0)):
+        assert abs(res.value - ref) <= 1e-10 * max(abs(ref), 1.0)
+        # positive, not only nonnegative: the last step is a power step
+        # with the positive inverse of an M-matrix
+        assert res.field.values.min() > 0.0
+        assert res.field.values.max() == 1.0
 
 
 ONE_ARGUMENT = ("sin", "cos", "exp", "sqrt", "abs", "pos")

@@ -1,5 +1,6 @@
-"""The solver layer: the guarded damped Newton loop, and the positive power
-iteration behind R0 and lambda0 against dense oracles.
+"""The solver layer: the guarded damped Newton loop, and the eigen-solve
+behind R0 and lambda0 (Lanczos, polished by positive power iteration)
+against dense oracles.
 
 ``spectral._principal`` solves ``diag(a) phi = mu B phi`` with
 ``B = d_I K + W diag(reaction)``; these tests feed it operator pencils

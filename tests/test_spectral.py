@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from sisrd import spectral
 from sisrd.coefficients import CoefficientSet
@@ -95,9 +96,20 @@ def test_coefficients_refuse_nonpositive_rates(name, value):
 @pytest.mark.parametrize("compute", [compute_r0, compute_lambda0], ids=["r0", "lambda0"])
 def test_power_iteration_cap_raises(monkeypatch, compute):
     _, c = varying_1d()
-    monkeypatch.setattr(spectral, "_POWER_MAX_ITER", 2)
+    # two factor solves end the Lanczos iteration, whose basis alone needs more
+    monkeypatch.setattr(spectral, "_MAX_SOLVES", 2)
     with pytest.raises(NonConvergenceError, match="stalled"):
         compute(c)
+
+
+def test_lanczos_without_convergence_raises_stalled(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    _, c = varying_1d()
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    with pytest.raises(NonConvergenceError, match="stalled"):
+        compute_r0(c)
 
 
 def test_r0_nonincreasing_in_infected_diffusion():
@@ -139,9 +151,23 @@ def test_lambda0_matches_dense_generalized_eigenproblem():
         assert res.residual <= 1e-8
 
 
+def test_near_degenerate_lambda0_needs_few_solves():
+    # at d_I = 1e-3 the two risk peaks of varying_2d give nearly equal top
+    # eigenvalues; plain power iteration needed 47,740 solves here
+    dom, c = varying_2d(d_I=1e-3)
+    res = compute_lambda0(c)
+    w = dom.cell_measures
+    potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
+    M = c.d_I * stiffness_matrix(dom).toarray() - np.diag(w * potential)
+    vals = scipy.linalg.eigh(M, np.diag(w), eigvals_only=True)
+    assert res.iterations <= 100
+    assert res.value == pytest.approx(vals[0], abs=1e-9)
+
+
 def test_lambda0_on_scenario1_without_polish():
-    # the bottom-of-spectrum shift converges in a few hundred power
-    # iterations with a small residual and no inverse-iteration polish
+    # after the bottom-of-spectrum shift, Lanczos and its power-step polish
+    # take a few dozen factor solves with a small residual and no
+    # inverse-iteration polish
     cfg = load_scenario(CONFIG_DIR / "scenario1.json")
     res = compute_lambda0(cfg.build_coefficients(cfg.build_domain()))
     assert res.value == pytest.approx(-2.8050662869860297, abs=1e-12)
