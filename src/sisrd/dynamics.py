@@ -8,7 +8,9 @@ transfer terms explicitly.  With ``F = beta (S^n)^q (I^n)^p``:
 
 Both updates are symmetric positive definite solves, each through a
 :func:`sisrd.grid.shifted_solver` that :func:`run` holds for the march:
-an operator is factored again only when dt changes, so once the dt ramp
+an operator is factored again only when dt changes, and dt only moves
+between the levels of a doubling ladder (below), so a march builds one
+factor per operator and level, however many steps it takes; once dt
 reaches ``dt_max`` every step is two pairs of triangular solves.
 Because the transfer terms ``-F + gamma I`` and ``+F - gamma I`` appear
 explicitly with opposite signs, they cancel exactly in the discrete
@@ -25,8 +27,11 @@ of :mod:`sisrd.asymptotics`, runs on the adaptive driver :func:`march`
 and shares its rejection policy: a step that raises :class:`StepRejected`
 (here: a nonpositive susceptible or a negative infected value) is retried
 with half the step; dt stays at the accepted value after a rejection and
-otherwise grows by 1.1x, capped at ``dt_max``; once dt falls below
-``dt_min`` the march aborts with :class:`TimeStepUnderflowError`.
+otherwise doubles, capped at ``dt_max``; once dt falls below ``dt_min``
+the march aborts with :class:`TimeStepUnderflowError`.  Halving and
+doubling keep every dt on the ladder ``dt_init 2^k`` (``dt_max 2^-j`` after
+a rejection at the cap), so the march factors once per level it visits
+(five from 0.01 to 0.1), not once per step.
 
 A march only has to reach Newton's basin, not the steady state itself.
 Given a ``handoff`` callback, :func:`march` offers its state to a Newton
@@ -63,7 +68,7 @@ __all__ = [
 ]
 
 MASS_BALANCE_RTOL = 1e-10
-_DT_GROWTH = 1.1
+_DT_GROWTH = 2.0  # undoes a rejection halving, so dt stays on the levels of one ladder
 _HANDOFF_TOL = 1e-2  # steady test at which a march hands its state to Newton
 
 

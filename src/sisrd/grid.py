@@ -34,7 +34,7 @@ the two eigenproblems keep theirs for one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -158,24 +158,6 @@ class DiscreteDomain:
             data = np.ones(len(i), dtype=bool)
             self._adjacency = sp.csr_matrix((data, (i, j)), shape=(self.n_nodes, self.n_nodes))
         return self._adjacency
-
-    def nearest_node(self, point: Iterable[float]) -> int:
-        p = np.asarray(point, dtype=float)
-        if self.dim == 1:
-            d2 = (self.coords - p[0]) ** 2
-        else:
-            d2 = ((self.coords - p[None, :]) ** 2).sum(axis=1)
-        return int(np.argmin(d2))
-
-    def nodes_near(self, point: Iterable[float], radius_cells: float = 1.5) -> np.ndarray:
-        """Indices of nodes within ``radius_cells`` grid spacings of a point."""
-        p = np.asarray(point, dtype=float)
-        r = radius_cells * self.max_spacing
-        if self.dim == 1:
-            d2 = (self.coords - p[0]) ** 2
-        else:
-            d2 = ((self.coords - p[None, :]) ** 2).sum(axis=1)
-        return np.nonzero(d2 <= r * r)[0]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Reference implementations the tests compare the package against.
 
 They are deliberately plain: a fixed-count bisection for monotone per-node
-equations, and a collar-eroded maximum for "infection vanishes in the
-interior of a region" checks.
+equations, a collar-eroded maximum for "infection vanishes in the interior
+of a region" checks, and nearest-node lookups by brute-force distance.
 """
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -49,3 +49,21 @@ def interior_max(
     if not inner.any():
         return 0.0
     return float(np.asarray(values, dtype=float)[inner].max())
+
+
+def _squared_distances(dom: DiscreteDomain, point: Iterable[float]) -> np.ndarray:
+    p = np.asarray(point, dtype=float)
+    if dom.dim == 1:
+        return (dom.coords - p[0]) ** 2
+    return ((dom.coords - p[None, :]) ** 2).sum(axis=1)
+
+
+def nearest_node(dom: DiscreteDomain, point: Iterable[float]) -> int:
+    """Index of the node closest to a point."""
+    return int(np.argmin(_squared_distances(dom, point)))
+
+
+def nodes_near(dom: DiscreteDomain, point: Iterable[float], radius_cells: float = 1.5) -> np.ndarray:
+    """Indices of nodes within ``radius_cells`` grid spacings of a point."""
+    r = radius_cells * dom.max_spacing
+    return np.nonzero(_squared_distances(dom, point) <= r * r)[0]

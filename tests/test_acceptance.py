@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import record_acceptance
-from oracles import bisect_increasing, interior_max
+from oracles import bisect_increasing, interior_max, nodes_near
 
 from sisrd.asymptotics import (
     bounds_audit,
@@ -306,7 +306,7 @@ def test_criterion_08_vanishing_and_coincidence(disk1, disk1_ee):
 
     coincide = np.abs(eq.S.values - ceiling) < 1e-2
     for point in ((0.5, 0.5), (-0.5, -0.5)):
-        near = dom.nodes_near(point)
+        near = nodes_near(dom, point)
         ok = len(near) >= 4 and bool(coincide[near].all())
         check(8, ok,
               f"{int(coincide[near].sum())}/{len(near)} grid neighbors of "

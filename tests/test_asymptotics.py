@@ -5,9 +5,11 @@ closed forms where available, otherwise brute-force scans or standalone
 bisection on the defining scalar equations.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from oracles import bisect_increasing
+from oracles import bisect_increasing, nearest_node
 
 from sisrd import asymptotics, dynamics, solvers
 from sisrd.asymptotics import (
@@ -29,7 +31,10 @@ from sisrd.asymptotics import (
 from sisrd.coefficients import CoefficientSet
 from sisrd.equilibrium import find_ee
 from sisrd.grid import DomainSpec, build_domain
+from sisrd.scenario import load_scenario
 from sisrd.solvers import NonConvergenceError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN_S = 0.6180339887498949
 GOLDEN_I = 0.3819660112501051
@@ -194,8 +199,8 @@ def test_classification_masks_on_scenario_coefficients():
     np.testing.assert_array_equal(high, c.beta.values > 2.0)
     assert not (high & vanish).any()
     # probe nodes: beta(0.5,0.5)=5 is high risk, beta(-0.5,0.5)=1 is not
-    assert high[dom.nearest_node((0.5, 0.5))]
-    assert vanish[dom.nearest_node((-0.5, 0.5))]
+    assert high[nearest_node(dom, (0.5, 0.5))]
+    assert vanish[nearest_node(dom, (-0.5, 0.5))]
     assert not profile.meta["no_ee_for_small_d_I"]
 
 
@@ -372,6 +377,17 @@ def test_no_march_factor_is_alive_while_newton_factors(
     assert live_at_newton == [0] * len(live_at_newton)
 
 
+def test_small_ds_limit_on_scenario1_factors_once_per_ladder_level(factor_log):
+    # the march's dt ladder 0.01, 0.02, 0.04, 0.08, 0.1 needs five factors of
+    # its one operator, however many steps the march takes
+    cfg = load_scenario(CONFIG_DIR / "scenario1.json")
+    dom = cfg.build_domain()
+    profile = limit_small_ds(cfg.build_coefficients(dom))
+    assert profile.meta["handoff"] == "newton"
+    assert profile.meta["steps"] >= 50
+    assert len(factor_log.builds) <= 5
+
+
 # ---------------------------------------------------------------------------
 # Joint limit
 # ---------------------------------------------------------------------------
@@ -381,8 +397,8 @@ def test_joint_p1_closed_form_probe_values():
     dom, c = scenario_disk()
     profile = limit_joint_p1(c, sigma=2.0)
     assert profile.meta["closed_form"]
-    i = dom.nearest_node((0.5, 0.5))  # beta=5: ceiling=(2/5)^2=0.16
-    j = dom.nearest_node((-0.5, 0.5))  # beta=1: ceiling=4>Lambda
+    i = nearest_node(dom, (0.5, 0.5))  # beta=5: ceiling=(2/5)^2=0.16
+    j = nearest_node(dom, (-0.5, 0.5))  # beta=1: ceiling=4>Lambda
     # probe node sits slightly off (0.5, 0.5); evaluate the exact formulas
     ceil_i = (2.0 / c.beta.values[i]) ** 2
     assert profile.S_limit.values[i] == pytest.approx(ceil_i, abs=1e-12)

@@ -1,5 +1,6 @@
 """Time stepping: positivity control, adaptive steps, and exact mass balance."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -253,23 +254,38 @@ def test_mass_conservation_totals_over_run():
 
 
 def test_march_halves_rejected_steps_and_holds_dt():
-    # a scalar clock that rejects any step above 0.03: 0.1 and 0.05 are
-    # rejected, 0.025 is accepted and kept for the next step, and only a
-    # step accepted without rejection lets dt grow again
+    # a scalar clock that rejects its first two tries: dt_init and its half
+    # are rejected, the quarter is accepted and kept for the next step, and
+    # only a step accepted without rejection lets dt grow again
     tried = []
 
     def advance(u, dt):
         tried.append(dt)
-        if dt > 0.03:
-            raise StepRejected(f"dt {dt} too large")
+        if len(tried) <= 2:
+            raise StepRejected(f"try {len(tried)} rejected")
         return u + dt, dt
 
-    u, summary = march(advance, 0.0, t_final=10.0, dt_init=0.1, max_steps=3)
-    assert tried == pytest.approx([0.1, 0.05, 0.025, 0.025, 0.0275])
+    u, summary = march(advance, 0.0, t_final=10.0, dt_init=0.1, dt_max=1.0, max_steps=3)
+    quarter = 0.025
+    grown = quarter * dynamics._DT_GROWTH
+    assert tried == pytest.approx([0.1, 0.05, quarter, quarter, grown])
     assert summary.rejected == 2
     assert summary.steps == 3
     assert summary.reason == "max_steps"
-    assert u == pytest.approx(0.0775) and summary.t == pytest.approx(0.0775)
+    end = 2 * quarter + grown
+    assert u == pytest.approx(end) and summary.t == pytest.approx(end)
+
+
+def test_clean_march_factors_each_operator_once_per_ladder_level(factor_log):
+    # dt doubles from dt_init up to dt_max, the inverse of the rejection
+    # halving, so however many steps a march takes it factors each of its two
+    # operators once per level: 0.01, 0.02, 0.04, 0.08 and the cap 0.1
+    dom, c = make(d_S=0.1, d_I=0.05)
+    state = SimState(dom.field(0.8), dom.field(0.2))
+    _, summary = run(state, c, t_final=1000.0, dt_init=0.01, dt_max=0.1, max_steps=120)
+    assert summary.steps == 120 and summary.rejected == 0
+    levels = 1 + math.ceil(math.log2(0.1 / 0.01))
+    assert len(factor_log.builds) == 2 * levels
 
 
 def test_march_underflow_is_a_nonconvergence_error():

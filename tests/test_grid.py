@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import nearest_node, nodes_near
 
 from sisrd import grid
 from sisrd.grid import (
@@ -272,7 +273,7 @@ def test_shifted_solver_holds_one_factor_and_frees_it_before_the_next(factor_log
 def test_mask_morphology():
     dom = rectangle(7, 7)
     mask = np.zeros(dom.n_nodes, dtype=bool)
-    center = dom.nearest_node((0.5, 0.5))
+    center = nearest_node(dom, (0.5, 0.5))
     mask[center] = True
     grown = dilate_mask(dom, mask, 1)
     assert grown.sum() == 5  # von Neumann neighborhood
@@ -286,11 +287,11 @@ def test_nodes_near_catches_cell_corners():
     dom = rectangle(9, 9)
     # a point in the middle of a cell has exactly the 4 cell corners
     # within 1.5 spacings (the next ring sits at ~1.58 spacings)
-    near = dom.nodes_near((0.5625, 0.5625))
+    near = nodes_near(dom, (0.5625, 0.5625))
     assert len(near) == 4
     # a point sitting on a node additionally catches the axis neighbors
     # and diagonals
-    assert len(dom.nodes_near((0.5, 0.5))) == 9
+    assert len(nodes_near(dom, (0.5, 0.5))) == 9
 
 
 # ---------------------------------------------------------------------------

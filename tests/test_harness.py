@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from oracles import interior_max
 
-from sisrd import harness
+from sisrd import dynamics, harness
 from sisrd.coefficients import CoefficientSet
-from sisrd.dynamics import TimeStepUnderflowError, run
+from sisrd.dynamics import MASS_BALANCE_RTOL, TimeStepUnderflowError, run
 from sisrd.grid import DomainSpec, build_domain
 from sisrd.harness import (
     SWEEP_HEADER,
@@ -329,9 +329,16 @@ def test_sweep_records_failed_rows(tmp_path, monkeypatch):
     assert all("nan" in line for line in body)
 
 
-def test_sweep_records_a_mass_balance_failure_and_goes_on(tmp_path):
-    # at d_S = 1e4 the rounding of the shifted solve breaks the 1e-10 mass
-    # balance on the first step; that row fails and the next one still solves
+def test_sweep_records_a_mass_balance_failure_and_goes_on(tmp_path, monkeypatch):
+    # every step of the d_S = 1e4 row reports a defect above the 1e-10 mass
+    # balance; that row fails and the next one still solves
+    real_step = dynamics.step_imex
+
+    def defective_step(state, c, dt, **kw):
+        new, defect = real_step(state, c, dt, **kw)
+        return new, (2.0 * MASS_BALANCE_RTOL if c.d_S == 1e4 else defect)
+
+    monkeypatch.setattr(dynamics, "step_imex", defective_step)
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
     c = CoefficientSet.from_values(
         dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=1.0, d_I=0.1, p=1.0, q=1.0

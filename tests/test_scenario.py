@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import nearest_node
 
 from sisrd.scenario import ConfigError, ScenarioConfig, load_scenario
 
@@ -297,13 +298,13 @@ def test_shipped_sinusoidal_disk_config():
     c = cfg.build_coefficients(dom)
     # transmission peaks near (0.5, 0.5) and (-0.5, -0.5), dips near the
     # anti-diagonal peaks; gamma = eta = 1 everywhere
-    i = dom.nearest_node((0.5, 0.5))
+    i = nearest_node(dom, (0.5, 0.5))
     x, y = dom.coords[i]
     assert c.beta.values[i] == pytest.approx(
         3.0 + 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y), abs=1e-14
     )
     assert c.beta.values[i] == pytest.approx(5.0, abs=0.02)
-    j = dom.nearest_node((-0.5, 0.5))
+    j = nearest_node(dom, (-0.5, 0.5))
     assert c.beta.values[j] == pytest.approx(1.0, abs=0.02)
     np.testing.assert_array_equal(c.gamma.values, 1.0)
     np.testing.assert_array_equal(c.eta.values, 1.0)
@@ -323,14 +324,14 @@ def test_shipped_piecewise_disk_config():
     # the factor f equals 0.5 exactly for 0 < x <= 0.25, so the plateau value
     # 0.25 is attained exactly at nodes inside (0, 0.25]^2
     assert gamma.min() == 0.25
-    k = dom.nearest_node((0.125, 0.125))
+    k = nearest_node(dom, (0.125, 0.125))
     assert gamma[k] == 0.25
     # just left of 0: f = 0.5 + 0.4 x^2 slightly above the plateau
-    m = dom.nearest_node((-0.015625, 0.125))
+    m = nearest_node(dom, (-0.015625, 0.125))
     assert gamma[m] == pytest.approx(0.5 * (0.5 + 0.4 * 0.015625**2), abs=1e-15)
     assert gamma[m] > 0.25
     # near the isolated minimum line x = 0.625 the grid sees f slightly > 0.5
-    n = dom.nearest_node((0.625, 0.125))
+    n = nearest_node(dom, (0.625, 0.125))
     xn = dom.coords[n, 0]
     assert gamma[n] == pytest.approx(0.5 * (0.5 + 1.6 * (xn - 0.625) ** 2), abs=1e-15)
     # minimal risk h = (gamma + eta)/beta = 0.7 on the plateau
