@@ -1,7 +1,7 @@
 """Small-diffusion limit profiles, bracketing sequences, and bound audits.
 
-As the diffusion rates shrink, endemic equilibria approach profiles that
-can be computed without solving the full coupled system.  With
+As the diffusion rates shrink, endemic equilibria approach limit
+profiles.  With
 ``h = (gamma+eta)/beta`` and the pointwise ceiling ``h^(1/q)``:
 
 * ``d_I -> 0``, p = 1: infection persists for small ``d_I`` only if the
@@ -9,14 +9,15 @@ can be computed without solving the full coupled system.  With
   ``{S~ < h^(1/q)}`` the infected density vanishes, and the infected mass
   concentrates where the susceptible profile touches the ceiling
   (:func:`classify_small_di`).
-* ``d_I -> 0``, p < 1: the susceptible limit solves the scalar problem
-  ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0`` and the
-  infected limit is the slaved field ``(S^q/h)^(1/(1-p))``
+* ``d_I -> 0``, p < 1: the limit is the stationary system at ``d_I = 0``,
+  where the infected field is slaved pointwise as ``(S^q/h)^(1/(1-p))``
+  and the susceptible limit solves
+  ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0``
   (:func:`limit_small_di`).
-* ``d_S -> 0``: the susceptible equation degenerates to the pointwise
-  algebraic balance ``recruitment - S - beta S^q I^p + gamma I = 0``,
-  leaving a single reaction-diffusion equation for I
-  (:func:`limit_small_ds`).
+* ``d_S -> 0``: the limit is the stationary system at ``d_S = 0``, where
+  the susceptible equation is the pointwise algebraic balance
+  ``recruitment - S - beta S^q I^p + gamma I = 0``, leaving a single
+  reaction-diffusion equation for I (:func:`limit_small_ds`).
 * joint limit at fixed ratio ``sigma = d_I/d_S``: closed forms for p = 1
   when ``sigma >= max(eta)`` (envelope bounds otherwise), and for p < 1 a
   per-node scalar equation ``recruitment = eta t + h^(1/q) t^((1-p)/q)``
@@ -27,15 +28,14 @@ can be computed without solving the full coupled system.  With
   is taken from the joint-limit profile, and every round is checked for
   monotonicity.
 
-Both scalar limit problems are solved on the package's one hand-off (the
-``handoff`` callback of :func:`sisrd.dynamics.march`): a march offers its
-state at the loose steady test ``|du|/dt < 1e-2`` to a damped scalar
-Newton iteration (:func:`_newton_semilinear`, on the one guarded Newton
-loop :func:`sisrd.solvers.damped_newton`), whose answer is kept when its
-sup residual reaches 1e-11; otherwise the same march goes on to
-``|du|/dt < 1e-10``.  ``LimitProfile.meta`` records the march's
-``steps``, the ``handoff`` outcome, and Newton's ``newton_iterations``
-and ``newton_stop``.
+Both one-field limits are the coupled steady state with the vanishing
+rate set to zero, found on the package's one path from a march to an
+equilibrium, :func:`sisrd.equilibrium.equilibrate`: the march hands its
+state to the coupled Newton iteration at the loose steady test
+``|du|/dt < 1e-2``, and goes on to ``|du|/dt < 1e-10`` only if Newton's
+answer is refused.  ``LimitProfile.meta`` records the march's ``steps``,
+the ``handoff`` outcome, and Newton's ``newton_iterations`` and
+``newton_stop``.
 
 This module is the one home of the regime decision.  ``REGIMES`` names
 what shrinks; the joint regime's ratio ``sigma`` always comes from the
@@ -60,16 +60,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .dynamics import StepRejected, march
-from .equilibrium import EquilibriumResult, grid_tolerance, solve_dfe
-from .grid import (
-    DiscreteDomain,
-    ScalarField,
-    assemble_neumann_laplacian,
-    shifted_operator,
-    shifted_solver,
-)
-from .solvers import NonConvergenceError, damped_newton
+from .dynamics import SimState
+from .equilibrium import EquilibriumResult, equilibrate, grid_tolerance, solve_dfe
+from .grid import ScalarField, assemble_neumann_laplacian
+from .solvers import NonConvergenceError
 from .spectral import compute_lambda0
 
 __all__ = [
@@ -80,7 +74,6 @@ __all__ = [
     "classify_small_di",
     "limit_small_di",
     "limit_small_ds",
-    "eliminate_susceptible",
     "limit_joint_p1",
     "limit_joint_sublinear",
     "limit_profile",
@@ -191,109 +184,35 @@ def newton_increasing(
 
 
 # ---------------------------------------------------------------------------
-# Scalar semilinear march (shared by the one-field limit problems)
+# One-field limits: the stationary system with one diffusion rate at zero
 # ---------------------------------------------------------------------------
 
 
-def _march_semilinear(
-    dom: DiscreteDomain,
-    *,
-    diffusion: float,
-    linear_rate,
-    source: Callable[[np.ndarray], np.ndarray],
-    slope: Callable[[np.ndarray], np.ndarray],
-    u0: np.ndarray,
-) -> tuple[np.ndarray, dict]:
-    """Steady state of ``u_t = diffusion Lap(u) - linear_rate u + source(u)``.
+def _limit_at_zero_diffusion(c: CoefficientSet, regime: str) -> LimitProfile:
+    """Steady state of ``c`` with ``regime``'s rate set to zero, as its limit profile.
 
-    ``slope(u)`` is the pointwise derivative of ``source``.  At the march's
-    hand-off (see :func:`~sisrd.dynamics.march`) :func:`_newton_semilinear`
-    runs from the marched state, and its answer is accepted when its sup
-    residual reached 1e-11 with ``u > 0``; otherwise the march goes on to
-    its own steady test ``|u_new - u|_inf / dt < 1e-10``, and the marched
-    state is kept unless a second Newton from there is accepted.  The linear
-    sink and the diffusion are implicit, solved through one
-    :func:`~sisrd.grid.shifted_solver` that the march owns: its factor is
-    rebuilt when dt changes, and the holder is dropped before Newton builds
-    its own factor (and built again if the march goes on).  The source is
-    explicit, and a step that loses positivity is rejected.
+    :func:`~sisrd.equilibrium.equilibrate` marches from the constants
+    0.8 / 0.2 to ``|du|/dt < 1e-10`` with its Newton hand-off.
     :class:`NonConvergenceError` if the march is not steady by t = 4000.
-    ``info`` holds ``steps``, ``t``, ``handoff``, ``newton_iterations``,
-    ``newton_stop`` and ``residual_sup``, the sup residual of the returned
-    state (whose ``source`` is evaluated last).
+    ``meta`` holds the march's ``steps`` and ``t``, the ``handoff``
+    outcome, Newton's ``newton_iterations`` and ``newton_stop``, and
+    ``residual_sup``, the larger sup residual of the two equations.
     """
-    w = dom.cell_measures
-    solve = None  # the march's factor holder; dropped while Newton factors
-
-    def advance(u: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-        nonlocal solve
-        if solve is None:
-            solve = shifted_solver(dom, linear_rate, diffusion)
-        u_new = solve(dt, w * (u / dt + source(u)))
-        if u_new.min() <= 0.0:
-            raise StepRejected(f"limit-profile step lost positivity at dt = {dt:.3e}")
-        return u_new, float(np.max(np.abs(u_new - u)))
-
-    newton = None  # (u, iterations, stop) of the last Newton run
-
-    def certify(u: np.ndarray, summary) -> bool:
-        nonlocal solve, newton
-        solve = None
-        u_newton, iters, stop = _newton_semilinear(dom, diffusion, linear_rate, source, slope, u)
-        accepted = stop == "converged" and u_newton.min() > 0.0
-        newton = (u_newton if accepted else u, iters, stop)
-        return accepted
-
-    u, summary = march(
-        advance, np.array(u0, dtype=float), t_final=4000.0, steady_tol=1e-10, handoff=certify
-    )
+    dom = c.domain
+    init = SimState(dom.field(0.8), dom.field(0.2))
+    limit = shrink_diffusion(c, regime, 0.0)
+    _, summary, result = equilibrate(limit, init, steady_tol=1e-10, t_final=4000.0)
     if not summary.converged_steady:
         raise NonConvergenceError("limit-profile march not steady by t = 4000")
-    if summary.handoff != "newton":
-        certify(u, summary)
-    u, iters, stop = newton
-    residual = _semilinear_residual(dom, diffusion, linear_rate, source)
-    return u, {
+    meta = {
         "steps": summary.steps,
         "t": summary.t,
         "handoff": summary.handoff,
-        "newton_iterations": iters,
-        "newton_stop": stop,
-        "residual_sup": float(np.max(np.abs(residual(u)))),
+        "newton_iterations": result.newton_iterations,
+        "newton_stop": result.meta["newton_stop"],
+        "residual_sup": max(result.residual_S, result.residual_I),
     }
-
-
-def _semilinear_residual(
-    dom: DiscreteDomain, diffusion: float, linear_rate, source: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The scalar limit problems' residual ``diffusion Lap(v) - linear_rate v + source(v)``."""
-    L = assemble_neumann_laplacian(dom)
-    return lambda v: diffusion * (L @ v) - linear_rate * v + source(v)
-
-
-def _newton_semilinear(
-    dom: DiscreteDomain,
-    diffusion: float,
-    linear_rate,
-    source: Callable[[np.ndarray], np.ndarray],
-    slope: Callable[[np.ndarray], np.ndarray],
-    u: np.ndarray,
-) -> tuple[np.ndarray, int, str]:
-    """:func:`~sisrd.solvers.damped_newton` on ``diffusion Lap(u) - linear_rate u + source(u) = 0``.
-
-    For the residual ``G``, the Newton system is
-    ``shifted_operator(dom, linear_rate - slope(u), diffusion) delta = W G``.
-    Its reaction is negative where the source grows faster than the sink,
-    so the matrix need not be an M-matrix; the backward-error guard of
-    :func:`~sisrd.solvers.damped_newton` stops Newton with
-    ``"inaccurate solve"`` if the unpivoted factor loses accuracy.
-    """
-    w = dom.cell_measures
-
-    def system(v: np.ndarray, G: np.ndarray):
-        return shifted_operator(dom, linear_rate - slope(v), diffusion), w * G
-
-    return damped_newton(_semilinear_residual(dom, diffusion, linear_rate, source), system, u)
+    return LimitProfile(regime=regime, S_limit=result.S, I_limit=result.I, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,40 +254,18 @@ def classify_small_di(c: CoefficientSet) -> LimitProfile:
 
 
 def limit_small_di(c: CoefficientSet) -> LimitProfile:
-    """Small-``d_I`` limit profile for 0 < p < 1.
+    """Small-``d_I`` limit profile for 0 < p < 1: the steady state at ``d_I = 0``.
 
-    The susceptible limit solves the scalar semilinear problem
-    ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0``, marched
-    from the disease-free profile and handed to Newton (see
-    :func:`_march_semilinear`, whose hand-off keys ``meta`` carries);
-    the infected limit is the pointwise slave ``(S^q/h)^(1/(1-p))``.
+    There the infected equation is the pointwise balance
+    ``beta S^q I^p = (gamma+eta) I``, whose positive root is the slaved
+    field ``I = (S^q/h)^(1/(1-p))``, and S solves
+    ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0``.  The
+    coupled system is solved as it stands (see
+    :func:`_limit_at_zero_diffusion`, whose keys ``meta`` carries).
     """
     if not c.p < 1.0:
         raise ValueError("the small-d_I limit profile requires 0 < p < 1")
-    dom = c.domain
-    h = c.risk()
-    expo = 1.0 / (1.0 - c.p)
-    eta = c.eta.values
-    lam = c.recruitment.values
-
-    def slave(S: np.ndarray) -> np.ndarray:
-        return (S**c.q / h) ** expo
-
-    def slope(S: np.ndarray) -> np.ndarray:
-        return -eta * expo * c.q * slave(S) / S
-
-    S0 = solve_dfe(c).values
-    S_star, info = _march_semilinear(
-        dom,
-        diffusion=c.d_S,
-        linear_rate=1.0,
-        source=lambda S: lam - eta * slave(S),
-        slope=slope,
-        u0=S0,
-    )
-    return LimitProfile(
-        regime="d_I", S_limit=dom.field(S_star), I_limit=dom.field(slave(S_star)), meta=info
-    )
+    return _limit_at_zero_diffusion(c, "d_I")
 
 
 # ---------------------------------------------------------------------------
@@ -376,78 +273,23 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
 # ---------------------------------------------------------------------------
 
 
-def eliminate_susceptible(c: CoefficientSet, I: np.ndarray, *, start=None) -> np.ndarray:
-    """Per-node root of ``recruitment - s - beta s^q I^p + gamma I = 0``.
-
-    The map ``s -> s + beta s^q I^p`` is strictly increasing, so the root
-    is unique; the bracket ``[0, recruitment + gamma I]`` always straddles
-    and is verified on every call.  The root is found by
-    :func:`newton_increasing` from ``start`` (a nearby root, such as the
-    previous one along a march) or from the bracket midpoint.
-    """
-    lam = c.recruitment.values
-    beta = c.beta.values
-    gamma = c.gamma.values
-    target = lam + gamma * I
-    Ip = I**c.p
-
-    def f(s: np.ndarray) -> np.ndarray:
-        return s + beta * s**c.q * Ip - target
-
-    def df(s: np.ndarray) -> np.ndarray:
-        return 1.0 + c.q * beta * s ** (c.q - 1.0) * Ip
-
-    return newton_increasing(f, df, np.zeros_like(target), target, start)
-
-
 def limit_small_ds(c: CoefficientSet) -> LimitProfile:
-    """Small-``d_S`` limit: S slaved to I by the algebraic balance.
+    """Small-``d_S`` limit: the steady state at ``d_S = 0``.
 
-    Marches ``I_t = d_I Lap(I) + beta S(I)^q I^p - (gamma+eta) I`` from
-    ``I = 0.2`` with the susceptible density eliminated pointwise at every
-    step, each elimination starting from the previous one's ``S``, and
-    hands the marched ``I`` to Newton (see :func:`_march_semilinear`, whose
-    hand-off keys ``meta`` carries).  Newton's slope of the source is
-    ``dF/dI + dF/dS dS/dI`` with ``F = beta S^q I^p`` and
-    ``dS/dI = (gamma - dF/dI) / (1 + dF/dS)`` from the balance.  For p = 1
-    an endemic limit requires a negative principal eigenvalue; the request
-    is refused otherwise.
+    There S is slaved to I node by node by the algebraic balance
+    ``recruitment - S - beta S^q I^p + gamma I = 0``, leaving one
+    reaction-diffusion equation for I.  The coupled system is solved as it
+    stands (see :func:`_limit_at_zero_diffusion`, whose keys ``meta``
+    carries).  For p = 1 an endemic limit requires a negative principal
+    eigenvalue; the request is refused otherwise.
     """
-    dom = c.domain
     if c.p == 1.0:
         lam0 = compute_lambda0(c).value
         if lam0 >= 0.0:
             raise ValueError(
                 f"no endemic small-d_S limit: principal eigenvalue {lam0:.6g} >= 0"
             )
-    beta = c.beta.values
-    gamma = c.gamma.values
-    rate = gamma + c.eta.values
-
-    S = None  # the last eliminated S, the warm start of the next elimination
-
-    def source(I: np.ndarray) -> np.ndarray:
-        nonlocal S
-        S = eliminate_susceptible(c, I, start=S)
-        return beta * S**c.q * I**c.p
-
-    def slope(I: np.ndarray) -> np.ndarray:
-        nonlocal S
-        S = eliminate_susceptible(c, I, start=S)
-        dF_dS = c.q * beta * S ** (c.q - 1.0) * I**c.p
-        dF_dI = c.p * beta * S**c.q * I ** (c.p - 1.0)
-        return dF_dI + dF_dS * (gamma - dF_dI) / (1.0 + dF_dS)
-
-    I_star, info = _march_semilinear(
-        dom,
-        diffusion=c.d_I,
-        linear_rate=rate,
-        source=source,
-        slope=slope,
-        u0=np.full(dom.n_nodes, 0.2),
-    )
-    # the residual of I_star was evaluated last, so S holds the S eliminated from it
-    return LimitProfile(regime="d_S", S_limit=dom.field(S), I_limit=dom.field(I_star), meta=info)
+    return _limit_at_zero_diffusion(c, "d_S")
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ class CoefficientSet:
         for name in ("d_S", "d_I", "q"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.d_S > 0.0 and self.d_I > 0.0):
-            raise ValueError("diffusion rates d_S and d_I must be positive")
+        if not (self.d_S >= 0.0 and self.d_I >= 0.0):
+            raise ValueError("diffusion rates d_S and d_I must be nonnegative")
         if not (0.0 < self.p <= 1.0):
             raise ValueError("incidence exponent p must lie in (0, 1]")
         if not self.q > 0.0:

@@ -22,13 +22,13 @@ up to solver roundoff.  :func:`step_imex` returns that balance's defect
 relative to ``Int(recruitment)`` with the new state, and :func:`run`
 holds every accepted step to 1e-10 (:class:`MassBalanceError` otherwise).
 
-Every march in the package, this one and the scalar limit-profile marches
-of :mod:`sisrd.asymptotics`, runs on the adaptive driver :func:`march`
-and shares its rejection policy: a step that raises :class:`StepRejected`
-(here: a nonpositive susceptible or a negative infected value) is retried
-with half the step; dt stays at the accepted value after a rejection and
-otherwise doubles, capped at ``dt_max``; once dt falls below ``dt_min``
-the march aborts with :class:`TimeStepUnderflowError`.  Halving and
+:func:`run`, the package's one march, runs on the adaptive driver
+:func:`march` and its rejection policy: a step that raises
+:class:`StepRejected` (a nonpositive susceptible or a negative infected
+value) is retried with half the step; dt stays at the accepted value
+after a rejection and otherwise doubles, capped at ``dt_max``; once dt
+falls below ``dt_min`` the march aborts with
+:class:`TimeStepUnderflowError`.  Halving and
 doubling keep every dt on the ladder ``dt_init 2^k`` (``dt_max 2^-j`` after
 a rejection at the cap), so the march factors once per level it visits
 (five from 0.01 to 0.1), not once per step.
@@ -39,9 +39,10 @@ solve of the stationary problem at the first step that passes the loose
 rate test ``|du|/dt < 1e-2``, stops there if Newton's answer is accepted,
 and otherwise simply marches on to the caller's steady test: the first
 stage of pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer.
-Anal. 35, 1998).  The coupled equilibrium (:mod:`sisrd.equilibrium`) and
-the scalar limit profiles (:mod:`sisrd.asymptotics`) share this one
-hand-off.
+Anal. 35, 1998).  Every equilibrium, and every one-field limit profile
+of :mod:`sisrd.asymptotics` (the same system with one diffusion rate at
+zero), reaches this one hand-off through
+:func:`sisrd.equilibrium.equilibrate`.
 """
 
 from __future__ import annotations

@@ -18,8 +18,11 @@ kept only if it converged to an endemic state with ``I > 0`` everywhere
 and a conservation gap within 1e-6; otherwise the same march goes on to
 the caller's steady test.  ``meta["handoff"]`` says which happened.
 :func:`equilibrate` is this one path from a march to an
-:class:`EquilibriumResult`; :func:`find_ee` wraps it, and
-:func:`sisrd.harness.run_scenario` calls it with a scenario's controls.
+:class:`EquilibriumResult`; :func:`find_ee` wraps it,
+:func:`sisrd.harness.run_scenario` calls it with a scenario's controls,
+and the one-field limit profiles of :mod:`sisrd.asymptotics` call it on
+the system with ``d_S = 0`` or ``d_I = 0``, where the Laplacian block of
+that field drops out of the march and of Newton alike.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -72,7 +75,6 @@ class EquilibriumResult:
     conservation_gap: float  # relative defect of Int(S + eta I) = Int(recruitment)
     steps: int
     rejected: int
-    newton_applied: bool = False
     newton_iterations: int = 0
     meta: dict = dc_field(default_factory=dict)
 
@@ -194,7 +196,6 @@ def settle(c: CoefficientSet, state: SimState, summary: RunSummary) -> Equilibri
         conservation_gap=conservation_gap(c, S, I),
         steps=summary.steps,
         rejected=summary.rejected,
-        newton_applied=newton_iters > 0,
         newton_iterations=newton_iters,
         meta={"march_reason": summary.reason, "newton_stop": newton_stop},
     )

@@ -195,7 +195,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
             "reason": summary.reason,
             "converged_steady": summary.converged_steady,
             "endemic": result.endemic,
-            "newton_applied": result.newton_applied,
+            "newton_applied": result.newton_iterations > 0,
             "newton_iterations": result.newton_iterations,
             "residual_S": result.residual_S,
             "residual_I": result.residual_I,

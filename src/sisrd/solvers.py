@@ -5,10 +5,10 @@ budget.
 :func:`sparse_lu` factors without pivoting on a symmetric minimum-degree
 ordering; :func:`sisrd.grid.shifted_factor` uses it for the M-matrices of
 the marches, the disease-free solve and the eigenproblems.
-:func:`damped_newton` is the one Newton loop behind the coupled equilibrium
-(:mod:`sisrd.equilibrium`) and the scalar limit profiles
-(:mod:`sisrd.asymptotics`); each caller supplies its residual and its
-Newton system.  Newton starts from a marched state at the hand-off of
+:func:`damped_newton` is the one Newton loop of the steady problems, run
+on the coupled system by :mod:`sisrd.equilibrium` for every equilibrium
+and every one-field limit profile of :mod:`sisrd.asymptotics`; its caller
+supplies the residual and the Newton system.  Newton starts from a marched state at the hand-off of
 :func:`sisrd.dynamics.march`, after the march has freed its own factors; a
 refused answer lets that march go on.  A Newton matrix need not be an
 M-matrix, so every Newton solve is checked by its backward error, with no

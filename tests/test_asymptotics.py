@@ -5,18 +5,18 @@ closed forms where available, otherwise brute-force scans or standalone
 bisection on the defining scalar equations.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import bisect_increasing, nearest_node
 
-from sisrd import asymptotics, dynamics, solvers
+from sisrd import asymptotics, dynamics, equilibrium, solvers
 from sisrd.asymptotics import (
     REGIMES,
     bounds_audit,
     classify_small_di,
-    eliminate_susceptible,
     limit_joint_p1,
     limit_joint_sublinear,
     limit_small_di,
@@ -156,30 +156,6 @@ def test_newton_iteration_cap_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Susceptible elimination (d_S -> 0 inner problem)
-# ---------------------------------------------------------------------------
-
-
-def test_eliminate_susceptible_frozen_example():
-    # s + beta s^q I^p = Lambda + gamma I with beta=q=p=1, I=0.25,
-    # Lambda=0.75, gamma=1:  s(1 + 0.25) = 1  =>  s = 0.8
-    dom = interval(5)
-    c = CoefficientSet.from_values(
-        dom, beta=1.0, gamma=1.0, eta=1.0, recruitment=0.75,
-        d_S=0.1, d_I=0.1, p=1.0, q=1.0,
-    )
-    s = eliminate_susceptible(c, np.full(dom.n_nodes, 0.25))
-    np.testing.assert_allclose(s, 0.8, atol=1e-13)
-
-
-def test_eliminate_susceptible_handles_zero_infection():
-    dom = interval(5)
-    c = mass_action_constants(dom)
-    s = eliminate_susceptible(c, np.zeros(dom.n_nodes))
-    np.testing.assert_allclose(s, 2.0, atol=1e-13)  # reduces to s = Lambda
-
-
-# ---------------------------------------------------------------------------
 # d_I -> 0
 # ---------------------------------------------------------------------------
 
@@ -279,20 +255,28 @@ def test_small_ds_limit_sublinear_close_to_ee():
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
-def test_small_ds_limit_matches_bisection(monkeypatch, p):
-    # the warm-started Newton elimination leaves the march on the same steps
-    # as the 100-halving bisection it replaced
+def test_small_ds_limit_slaves_susceptible_by_the_algebraic_balance(p):
+    # at d_S = 0 the susceptible equation is recruitment - S - beta S^q I^p + gamma I = 0
     _, c = scenario_disk(p=p)
-    newton = limit_small_ds(c)
-    monkeypatch.setattr(asymptotics, "newton_increasing", bisect)
-    reference = limit_small_ds(c)
-    assert newton.meta["steps"] == reference.meta["steps"]
-    assert np.abs(newton.S_limit.values - reference.S_limit.values).max() <= 1e-13
-    assert np.abs(newton.I_limit.values - reference.I_limit.values).max() <= 1e-13
+    profile = limit_small_ds(c)
+    S, I = profile.S_limit.values, profile.I_limit.values
+    balance = c.recruitment.values - S - c.beta.values * S**c.q * I**c.p + c.gamma.values * I
+    assert profile.meta["newton_stop"] == "converged"
+    assert np.abs(balance).max() <= 1e-11
 
 
-def refuse_newton(dom, diffusion, linear_rate, source, slope, u):
-    return u, 0, "max_iter"
+def test_small_di_limit_slaves_infection_on_the_disk():
+    # at d_I = 0 the infected equation has the positive root I = (S^q/h)^(1/(1-p))
+    _, c = scenario_disk(p=0.5)
+    profile = limit_small_di(c)
+    S, I = profile.S_limit.values, profile.I_limit.values
+    slave = (S**c.q / c.risk()) ** (1.0 / (1.0 - c.p))
+    assert profile.meta["newton_stop"] == "converged"
+    assert np.abs(I - slave).max() <= 1e-12
+
+
+def refuse_newton(c, S, I):
+    return S, I, 0, "max_iter"
 
 
 LIMIT_MARCHES = [(limit_small_ds, 1.0), (limit_small_ds, 0.5), (limit_small_di, 0.5)]
@@ -303,7 +287,7 @@ def test_limit_handoff_matches_the_long_march(monkeypatch, limit, p):
     # the reference refuses Newton, so its march resumes to the 1e-10 steady test
     _, c = scenario_disk(p=p)
     profile = limit(c)
-    monkeypatch.setattr(asymptotics, "_newton_semilinear", refuse_newton)
+    monkeypatch.setattr(equilibrium, "_newton_coupled", refuse_newton)
     reference = limit(c)
     assert profile.meta["handoff"] == "newton"
     assert profile.meta["newton_stop"] == "converged"
@@ -320,7 +304,7 @@ def test_resumed_limit_march_continues_where_it_stopped(monkeypatch):
     # march to 1e-2, refuse, resume: the same steps, clock and fields as
     # one march to 1e-10 with no hand-off
     _, c = scenario_disk()
-    monkeypatch.setattr(asymptotics, "_newton_semilinear", refuse_newton)
+    monkeypatch.setattr(equilibrium, "_newton_coupled", refuse_newton)
     resumed = limit_small_ds(c)
     monkeypatch.setattr(dynamics, "_HANDOFF_TOL", 0.0)
     single = limit_small_ds(c)
@@ -328,22 +312,22 @@ def test_resumed_limit_march_continues_where_it_stopped(monkeypatch):
     assert single.meta["handoff"] is None
     assert resumed.meta["steps"] == single.meta["steps"]
     assert resumed.meta["t"] == single.meta["t"]
+    np.testing.assert_array_equal(resumed.S_limit.values, single.S_limit.values)
     np.testing.assert_array_equal(resumed.I_limit.values, single.I_limit.values)
 
 
 def test_inaccurate_newton_solve_resumes_the_march(monkeypatch, inaccurate_newton_solves):
     _, c = scenario_disk()
     with monkeypatch.context() as m:
-        m.setattr(asymptotics, "_newton_semilinear", refuse_newton)
+        m.setattr(equilibrium, "_newton_coupled", refuse_newton)
         reference = limit_small_ds(c)
     profile = limit_small_ds(c)
     assert profile.meta["newton_stop"] == "inaccurate solve"
     assert profile.meta["newton_iterations"] == 1
     assert profile.meta["handoff"] == "resumed"
     assert profile.meta["steps"] == reference.meta["steps"]
+    np.testing.assert_array_equal(profile.S_limit.values, reference.S_limit.values)
     np.testing.assert_array_equal(profile.I_limit.values, reference.I_limit.values)
-    # S is eliminated from a different warm start, so it may differ in the last bits
-    assert np.abs(profile.S_limit.values - reference.S_limit.values).max() <= 1e-13
 
 
 def equilibrium_meta():
@@ -379,13 +363,15 @@ def test_no_march_factor_is_alive_while_newton_factors(
 
 def test_small_ds_limit_on_scenario1_factors_once_per_ladder_level(factor_log):
     # the march's dt ladder 0.01, 0.02, 0.04, 0.08, 0.1 needs five factors of
-    # its one operator, however many steps the march takes
+    # each of its two operators, however many steps the march takes
     cfg = load_scenario(CONFIG_DIR / "scenario1.json")
     dom = cfg.build_domain()
     profile = limit_small_ds(cfg.build_coefficients(dom))
     assert profile.meta["handoff"] == "newton"
     assert profile.meta["steps"] >= 50
-    assert len(factor_log.builds) <= 5
+    per_operator = Counter(key for key, _ in factor_log.builds)
+    assert set(per_operator) == {0.0, cfg.d_I}
+    assert max(per_operator.values()) <= 5
 
 
 # ---------------------------------------------------------------------------

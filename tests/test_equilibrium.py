@@ -142,7 +142,7 @@ def test_newton_refines_to_tight_residual():
     state, _ = run(init, c, steady_tol=1e-7, t_final=4000.0)
     rough = max(np.abs(r).max() for r in elliptic_residuals(c, state.S.values, state.I.values))
     sharp = find_ee(c, init)
-    assert sharp.newton_applied
+    assert sharp.newton_iterations > 0
     assert max(sharp.residual_S, sharp.residual_I) <= 1e-10
     assert max(sharp.residual_S, sharp.residual_I) < rough
 

@@ -225,6 +225,8 @@ def test_sweep_schedule_validation():
         sweep(c, "d_I", [0.1, 0.1])
     with pytest.raises(ValueError, match="positive"):
         sweep(c, "d_I", [0.1, -0.01])
+    with pytest.raises(ValueError, match="positive"):
+        sweep(c, "d_I", [0.1, 0.0])
     with pytest.raises(ValueError, match="empty"):
         sweep(c, "d_I", [])
     with pytest.raises(ValueError, match="regime"):
@@ -238,6 +240,16 @@ def test_coefficients_refuse_non_finite_scalars(name, value):
     params = dict(beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         CoefficientSet.from_values(dom, **{**params, name: value})
+
+
+@pytest.mark.parametrize("name", ["d_S", "d_I"])
+def test_coefficients_accept_zero_diffusion_and_refuse_negative(name):
+    # a zero rate is a one-field limit problem; non-finite rates are refused above
+    dom = build_domain(DomainSpec.interval(0, 1, 9))
+    params = dict(beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0)
+    assert getattr(CoefficientSet.from_values(dom, **{**params, name: 0.0}), name) == 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        CoefficientSet.from_values(dom, **{**params, name: -1e-3})
 
 
 @pytest.mark.parametrize("values, sigma", [([np.inf, 0.02], 2.0), ([0.05, 0.02], np.inf)])
