@@ -6,9 +6,11 @@ solved by one sparse LU factor (:func:`sisrd.grid.shifted_factor`) that
 is freed when :func:`solve_dfe` returns.  Endemic equilibria are found by
 marching the time-dependent system towards stationarity (the robust route
 for every parameter regime) and polishing the marched state with a damped
-Newton iteration on the coupled elliptic system until the sup-norm
-residual drops below ~1e-11 (:func:`settle`); why Newton stopped is
-recorded in ``EquilibriumResult.meta["newton_stop"]``.
+Newton iteration on the coupled elliptic system (:func:`settle`).  Newton
+holds its Jacobian factor while each step cuts the sup-norm residual
+tenfold, so it runs past 1e-11 to the rounding floor, usually on one
+factor; why it stopped is recorded in
+``EquilibriumResult.meta["newton_stop"]``.
 
 The march only has to reach Newton's basin, not the steady state itself:
 it offers its state to Newton through the package's one hand-off (the
@@ -218,20 +220,19 @@ def _newton_coupled(
     def residual(x: np.ndarray) -> np.ndarray:
         return np.concatenate(elliptic_residuals(c, x[:n], x[n:]))
 
-    def system(x: np.ndarray, G: np.ndarray):
+    def jacobian(x: np.ndarray):
         Sv, Iv = x[:n], x[n:]
         dF_dS = q * beta * Sv ** (q - 1.0) * Iv**p
         dF_dI = p * beta * Sv**q * Iv ** (p - 1.0)
-        J = sp.bmat(
+        return sp.bmat(
             [
                 [c.d_S * L - ident - sp.diags(dF_dS), sp.diags(gamma - dF_dI)],
                 [sp.diags(dF_dS), c.d_I * L + sp.diags(dF_dI - gamma - eta)],
             ],
             format="csc",
         )
-        return J, -G
 
-    x, iters, stop = damped_newton(residual, system, np.concatenate([S, I]))
+    x, iters, stop = damped_newton(residual, jacobian, np.concatenate([S, I]))
     return x[:n], x[n:], iters, stop
 
 

@@ -8,13 +8,17 @@ the marches, the disease-free solve and the eigenproblems.
 :func:`damped_newton` is the one Newton loop of the steady problems, run
 on the coupled system by :mod:`sisrd.equilibrium` for every equilibrium
 and every one-field limit profile of :mod:`sisrd.asymptotics`; its caller
-supplies the residual and the Newton system.  Newton starts from a marched state at the hand-off of
-:func:`sisrd.dynamics.march`, after the march has freed its own factors; a
-refused answer lets that march go on.  A Newton matrix need not be an
-M-matrix, so every Newton solve is checked by its backward error, with no
-fallback to a pivoted factor.  The time marches, and the eigen-solves of
-:mod:`sisrd.spectral` (Lanczos, then a power-iteration polish) past their
-budget of factor solves, raise :class:`NonConvergenceError`.
+supplies the residual and its Jacobian.  Newton starts from a marched
+state at the hand-off of :func:`sisrd.dynamics.march`, after the march has
+freed its own factors; a refused answer lets that march go on.  It holds
+one Jacobian factor and refactors only when a step stops cutting the
+residual tenfold (the chord, or Shamanskii, method: Kelley, *Solving
+Nonlinear Equations with Newton's Method*, SIAM 2003).  A Newton matrix
+need not be an M-matrix, so every Newton solve is checked by its backward
+error against the factored matrix, with no fallback to a pivoted factor.
+The time marches, and the eigen-solves of :mod:`sisrd.spectral` (Lanczos,
+then a power-iteration polish) past their budget of factor solves, raise
+:class:`NonConvergenceError`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = ["NonConvergenceError", "damped_newton", "sparse_lu"]
 _NEWTON_TARGET = 1e-11  # sup residual at which Newton has converged
 _NEWTON_MAX_ITER = 15
 _SOLVE_RTOL = 1e-8  # largest backward error of a Newton solve, relative to its right side
+_CHORD_RHO = 0.1  # a factor is held while each step cuts the sup residual below this share
 
 
 class NonConvergenceError(RuntimeError):
@@ -52,42 +57,51 @@ def sparse_lu(A):
 
 def damped_newton(
     residual: Callable[[np.ndarray], np.ndarray],
-    system: Callable[[np.ndarray, np.ndarray], tuple],
+    jacobian: Callable[[np.ndarray], object],
     x: np.ndarray,
 ) -> tuple[np.ndarray, int, str]:
-    """Damped Newton on ``residual(x) = 0`` from a positive ``x``.
+    """Damped Newton on ``residual(x) = 0`` from a positive ``x``, on a held factor.
 
-    ``system(x, G)`` returns the Newton system ``(A, b)`` for the residual
-    ``G`` at ``x``; the step ``delta`` solves ``A delta = b`` with one
-    :func:`sparse_lu`.  The step is halved, at most eight times, until
-    ``x`` stays positive and the sup residual falls.  Returns the last
-    accepted iterate, the number of iterations and why Newton stopped:
-    ``"converged"`` (sup residual at most 1e-11), ``"singular"`` (a zero
-    pivot), ``"non-finite"``, ``"inaccurate solve"`` (backward error above
-    ``_SOLVE_RTOL`` of ``b``), ``"no descent"`` or ``"max_iter"``.
+    ``jacobian(x)`` returns the sparse matrix ``J`` of the residual at
+    ``x``; a step ``delta`` solves ``J delta = -G`` with the
+    :func:`sparse_lu` of the last ``J`` built.  That factor is kept for
+    further (chord) steps for as long as each accepted step cuts the sup
+    residual by at least ``_CHORD_RHO``; a step that contracts less stops
+    the iteration if the residual is at most 1e-11 (so it ends at the
+    rounding floor), and otherwise frees the factor and refactors at the
+    current iterate.  At most one factor is alive.  The step is halved, at
+    most eight times, until ``x`` stays positive and the sup residual
+    falls.  Returns the last accepted iterate, the number of steps (solves)
+    and why Newton stopped: ``"converged"`` (sup residual at most 1e-11),
+    ``"singular"`` (a zero pivot), ``"non-finite"``, ``"inaccurate solve"``
+    (backward error against the factored ``J`` above ``_SOLVE_RTOL`` of
+    ``G``), ``"no descent"`` (only on a fresh factor; a held one is
+    refactored) or ``"max_iter"`` (``_NEWTON_MAX_ITER`` steps).
     """
     G = residual(x)
     best = float(np.max(np.abs(G)))
+    if best <= _NEWTON_TARGET:
+        return x, 0, "converged"
     stop = "max_iter"
-    iters = 0
-    for iters in range(1, _NEWTON_MAX_ITER + 1):
-        if best <= _NEWTON_TARGET:
-            iters -= 1
-            break
-        A, b = system(x, G)
-        A = A.tocsc()  # a CSR operator is freed before the factorization
-        try:
-            delta = sparse_lu(A).solve(b)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            stop = "singular"
-            break
+    J = lu = None  # the matrix held, and its factor
+    steps = 0
+    for steps in range(1, _NEWTON_MAX_ITER + 1):
+        fresh = lu is None
+        if fresh:
+            J = jacobian(x).tocsc()
+            try:
+                lu = sparse_lu(J)
+            except RuntimeError:  # SuperLU: "Factor is exactly singular"
+                stop = "singular"
+                break
+        delta = lu.solve(-G)
         if not np.all(np.isfinite(delta)):
             stop = "non-finite"
             break
-        if np.max(np.abs(A @ delta - b)) > _SOLVE_RTOL * np.max(np.abs(b)):
+        if np.max(np.abs(J @ delta + G)) > _SOLVE_RTOL * best:
             stop = "inaccurate solve"
             break
-        improved = False
+        previous = best
         lam = 1.0
         for _ in range(9):
             x_try = x + lam * delta
@@ -96,12 +110,16 @@ def damped_newton(
                 norm_try = float(np.max(np.abs(G_try)))
                 if norm_try < best:
                     x, G, best = x_try, G_try, norm_try
-                    improved = True
                     break
             lam *= 0.5
-        if not improved:
+        if best < _CHORD_RHO * previous:
+            continue  # the factor still contracts: keep it
+        if best <= _NEWTON_TARGET:
+            break  # at the rounding floor
+        if fresh and best == previous:
             stop = "no descent"
             break
+        J = lu = None  # freed before the next factor is built
     if best <= _NEWTON_TARGET:
         stop = "converged"
-    return x, iters, stop
+    return x, steps, stop

@@ -6,7 +6,8 @@ a Newton that stalls once, and Newton solves that miss their system.
 printed per criterion, independent of pytest's own reporting.
 
 The ``factor_log`` fixture routes ``grid.shifted_factor`` through a
-:class:`FactorLog`, which counts the LU factors alive at every moment.
+:class:`FactorLog`, which counts the LU factors alive at every moment;
+``newton_factors`` records the size of every factor Newton builds.
 """
 
 import pytest
@@ -88,6 +89,25 @@ def factor_log(monkeypatch) -> FactorLog:
     log = FactorLog(grid.shifted_factor)
     monkeypatch.setattr(grid, "shifted_factor", log)
     return log
+
+
+@pytest.fixture
+def newton_factors(monkeypatch) -> list:
+    """The size of each matrix ``solvers.damped_newton`` factors, one entry per factor.
+
+    The coupled Newton of an ``n``-node problem factors matrices of order
+    ``2 n``; the marches and eigen-solves factor through ``grid`` and
+    ``spectral`` and are not recorded.
+    """
+    real = solvers.sparse_lu
+    sizes: list = []
+
+    def recording_lu(A):
+        sizes.append(A.shape[0])
+        return real(A)
+
+    monkeypatch.setattr(solvers, "sparse_lu", recording_lu)
+    return sizes
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Disease-free and endemic steady states against independent oracles."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,10 @@ from sisrd.grid import (
     build_domain,
     stiffness_matrix,
 )
+from sisrd.scenario import load_scenario
 from sisrd.solvers import NonConvergenceError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Constant-coefficient fixtures with hand-solvable equilibria:
 #   mass action (p = q = 1):  S = h, I = (Lambda - h)/eta
@@ -250,6 +254,51 @@ def test_inaccurate_newton_solve_resumes_the_march(inaccurate_newton_solves):
     assert (eq.steps, eq.rejected) == (long.steps, long.rejected)
     np.testing.assert_array_equal(eq.S.values, long.S.values)
     np.testing.assert_array_equal(eq.I.values, long.I.values)
+
+
+def test_scenario1_equilibrium_newton_holds_one_factor(newton_factors):
+    # from the hand-off state every step on the first factor cuts the
+    # residual tenfold down to the rounding floor, so Newton factors once
+    cfg = load_scenario(CONFIG_DIR / "scenario1.json")
+    dom = cfg.build_domain()
+    eq = find_ee(cfg.build_coefficients(dom), cfg.initial_state(dom), **cfg.controls)
+    assert eq.meta["handoff"] == "newton"
+    assert eq.meta["newton_stop"] == "converged"
+    assert newton_factors == [2 * dom.n_nodes]
+    assert eq.newton_iterations > 1
+
+
+@pytest.mark.parametrize(
+    "spec, params, most",
+    [
+        # the hand-off fires on the slow passage near the disease-free state
+        (
+            DomainSpec.interval(0, 1, 17),
+            dict(beta=1.0, gamma=1.0, eta=1.0, recruitment=2.21875, d_S=1.0, d_I=1.0),
+            16,
+        ),
+        # at d_S = 1e4 the strong-form residual stalls above the target
+        (
+            DomainSpec.rectangle((0, 1), (0, 1), (9, 9)),
+            dict(beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=1e4, d_I=0.1),
+            21,
+        ),
+        # R0 = 0.4 < 1: Newton runs towards the disease-free state twice
+        (
+            DomainSpec.rectangle((0, 1), (0, 1), (9, 9)),
+            dict(beta=0.4, gamma=0.5, eta=0.5, recruitment=1.0, d_S=0.1, d_I=0.05),
+            9,
+        ),
+    ],
+    ids=["dfe-passage", "large-d_S", "subcritical"],
+)
+def test_newton_factors_on_the_wasteful_cases_do_not_grow(newton_factors, spec, params, most):
+    # the bounds are the factors a fresh-factor-per-step Newton builds
+    dom = build_domain(spec)
+    c = CoefficientSet.from_values(dom, **params, p=1.0, q=1.0)
+    find_ee(c, SimState(dom.field(0.8), dom.field(0.2)))
+    assert set(newton_factors) == {2 * dom.n_nodes}
+    assert len(newton_factors) <= most
 
 
 def test_ee_independent_of_initial_state():

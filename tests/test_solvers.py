@@ -19,18 +19,64 @@ from sisrd.solvers import damped_newton
 
 
 def test_damped_newton_stops_on_an_ascent_direction():
-    # a wrong-sign Newton system for x^2 = 2: the step solves accurately
-    # but climbs the residual, so no halving of it descends
+    # a wrong-sign Jacobian for x^2 = 2: the step solves accurately but
+    # climbs the residual, so no halving of it descends on the fresh factor
     def residual(x):
         return x**2 - 2.0
 
-    def system(x, G):
-        return sp.diags(2.0 * x), G
+    def jacobian(x):
+        return sp.diags(-2.0 * x)
 
     x0 = np.array([1.0, 3.0])
-    x, iters, stop = damped_newton(residual, system, x0)
+    x, iters, stop = damped_newton(residual, jacobian, x0)
     assert (iters, stop) == (1, "no descent")
     np.testing.assert_array_equal(x, x0)
+
+
+def _square_root_problem():
+    # x^2 = 2 from a start where a factor held from it contracts tenfold
+    # per step: the chord error ratio is 1 - sqrt(2)/x0 <= 0.06
+    def residual(x):
+        return x**2 - 2.0
+
+    def jacobian(x):
+        return sp.diags(2.0 * x)
+
+    return residual, jacobian, np.array([1.45, 1.5])
+
+
+def test_damped_newton_keeps_a_contracting_factor(newton_factors):
+    residual, jacobian, x0 = _square_root_problem()
+    x, steps, stop = damped_newton(residual, jacobian, x0)
+    assert stop == "converged"
+    assert newton_factors == [2]
+    assert steps > len(newton_factors)
+    np.testing.assert_allclose(x, np.sqrt(2.0), rtol=1e-15)
+
+
+def test_damped_newton_runs_on_to_the_rounding_floor():
+    # the first residual below 1e-11 is 7.8e-13 here; the loop goes on while
+    # the held factor still cuts the residual tenfold
+    residual, jacobian, x0 = _square_root_problem()
+    x, steps, stop = damped_newton(residual, jacobian, x0)
+    assert stop == "converged"
+    assert np.max(np.abs(residual(x))) <= 1e-15
+
+
+def test_damped_newton_refactors_a_held_factor_that_does_not_descend(newton_factors):
+    # sin(x) = 0: the Newton step from x0 lands near 3 pi, cutting |sin|
+    # twentyfold, so its factor is held; there cos has turned from +0.21 to
+    # -1, the held step climbs, and the loop refactors instead of stopping
+    def residual(x):
+        return np.sin(x)
+
+    def jacobian(x):
+        return sp.diags(np.cos(x))
+
+    x, steps, stop = damped_newton(residual, jacobian, np.array([4.929]))
+    assert stop == "converged"
+    assert len(newton_factors) == 2
+    np.testing.assert_allclose(x, 3.0 * np.pi, rtol=1e-15)
 
 
 def pencil_owner(n_nodes, d_I):
