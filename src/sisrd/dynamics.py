@@ -22,6 +22,14 @@ up to solver roundoff.  :func:`step_imex` returns that balance's defect
 relative to ``Int(recruitment)`` with the new state, and :func:`run`
 holds every accepted step to 1e-10 (:class:`MassBalanceError` otherwise).
 
+A step checks the two solve outputs without copying them: first their
+minima for positivity (:class:`StepRejected`), then the defect for
+finiteness.  The cell measures are positive, so a non-finite entry in
+either output makes the defect non-finite, and the step then raises the
+``ValueError`` that :class:`~sisrd.grid.ScalarField` raises for
+non-finite values.  Otherwise the outputs become the new fields as they
+are.
+
 :func:`run`, the package's one march, runs on the adaptive driver
 :func:`march` and its rejection policy: a step that raises
 :class:`StepRejected` (a nonpositive susceptible or a negative infected
@@ -47,6 +55,7 @@ zero), reaches this one hand-off through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
@@ -134,12 +143,22 @@ def step_imex(
     w = dom.cell_measures
     S = state.S.values
     I = state.I.values
-    transfer = c.beta.values * S**c.q * I**c.p
+    # in place, in the left-to-right order of the formulas above
+    transfer = c.beta.values * S**c.q
+    transfer *= I**c.p
+    recovery = c.gamma.values * I
 
-    rhs_S = S / dt + c.recruitment.values - transfer + c.gamma.values * I
-    S_new = solve_S(dt, w * rhs_S)
-    rhs_I = I / dt + transfer - c.gamma.values * I
-    I_new = solve_I(dt, w * rhs_I)
+    rhs = S / dt
+    rhs += c.recruitment.values
+    rhs -= transfer
+    rhs += recovery
+    rhs *= w
+    S_new = solve_S(dt, rhs)
+    rhs = I / dt
+    rhs += transfer
+    rhs -= recovery
+    rhs *= w
+    I_new = solve_I(dt, rhs)
 
     min_S = float(S_new.min())
     min_I = float(I_new.min())
@@ -149,10 +168,15 @@ def step_imex(
         raise StepRejected(f"step rejected: min S = {min_S:.3e}, min I = {min_I:.3e}")
 
     lhs = (float(np.dot(w, S_new - S)) + float(np.dot(w, I_new - I))) / dt
-    rhs = float(np.dot(w, c.recruitment.values - S_new - c.eta.values * I_new))
+    outflow = c.recruitment.values - S_new
+    outflow -= c.eta.values * I_new
+    balance = float(np.dot(w, outflow))
     source = float(np.dot(w, c.recruitment.values))
-    new_state = SimState(dom.field(S_new), dom.field(I_new), state.t + dt)
-    return new_state, abs(lhs - rhs) / source
+    defect = abs(lhs - balance) / source
+    if not math.isfinite(defect):  # a non-finite entry of S_new or I_new, with w > 0
+        raise ValueError("field contains non-finite values")
+    new_state = SimState(ScalarField.adopt(dom, S_new), ScalarField.adopt(dom, I_new), state.t + dt)
+    return new_state, defect
 
 
 def march(
@@ -259,8 +283,8 @@ def run(
                 f"{MASS_BALANCE_RTOL:.1e} at t = {s.t:.6g}"
             )
         change = max(
-            float(np.max(np.abs(new.S.values - s.S.values))),
-            float(np.max(np.abs(new.I.values - s.I.values))),
+            float(abs(new.S.values - s.S.values).max()),
+            float(abs(new.I.values - s.I.values).max()),
         )
         return new, change
 

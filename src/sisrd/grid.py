@@ -29,6 +29,12 @@ holds the factor of its time-step form ``W diag(1/dt + rate) + d K`` in a
 :func:`shifted_solver`, rebuilt only when dt changes and freed when the
 march returns or hands its state to Newton.  The disease-free solve and
 the two eigenproblems keep theirs for one call.
+
+A domain caches what depends only on its mesh, each built on first use:
+the stiffness form ``K``, the Laplacian ``L``, the node adjacency, the
+positions of ``K``'s diagonal in ``K.data`` (so :func:`shifted_operator`
+fills ``d K.data`` in place of a sparse sum), and the ``x[,y],`` text of
+every CSV row (so :func:`write_field_csv` formats only the values).
 """
 
 from __future__ import annotations
@@ -102,10 +108,12 @@ class DomainSpec:
 class DiscreteDomain:
     """A meshed domain: node coordinates, cell measures, and adjacency.
 
-    Instances are immutable by convention; the geometric operators
-    (stiffness form, Laplacian, adjacency) are cached on first use, and no
-    solver state is kept.  Node order is lexicographic in the grid index,
-    which fixes the order of every serialized field.
+    Instances are immutable by convention; what depends only on the mesh
+    is cached on first use (the stiffness form, the Laplacian, the
+    adjacency, the diagonal slots of the stiffness data and the
+    coordinate text of each CSV row), and no solver state is kept.  Node
+    order is lexicographic in the grid index, which fixes the order of
+    every serialized field.
     """
 
     def __init__(
@@ -126,6 +134,8 @@ class DiscreteDomain:
         self._laplacian: Optional[sp.csr_matrix] = None
         self._stiffness: Optional[sp.csr_matrix] = None
         self._adjacency: Optional[sp.csr_matrix] = None
+        self._diagonal_slots: Optional[np.ndarray] = None
+        self._csv_rows: Optional[list[str]] = None
 
         degree = np.zeros(self.n_nodes, dtype=int)
         np.add.at(degree, self.edges_i, 1)
@@ -176,6 +186,18 @@ class ScalarField:
         if not np.all(np.isfinite(arr)):
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def adopt(cls, domain: DiscreteDomain, values: np.ndarray) -> "ScalarField":
+        """Wrap ``values`` as they are: no copy, no shape or finiteness check.
+
+        For a float array of ``domain.n_nodes`` entries that the caller has
+        just produced, owns from now on, and checks for finiteness itself.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain", domain)
+        object.__setattr__(f, "values", values)
+        return f
 
     def __len__(self) -> int:
         return len(self.values)
@@ -325,30 +347,50 @@ def assemble_neumann_laplacian(dom: DiscreteDomain) -> sp.csr_matrix:
     return dom._laplacian
 
 
+def _diagonal_slots(dom: DiscreteDomain) -> np.ndarray:
+    """Position of each ``K[i, i]`` in ``K.data``; every node has one (no isolated node)."""
+    if dom._diagonal_slots is None:
+        K = stiffness_matrix(dom)
+        rows = np.repeat(np.arange(dom.n_nodes), np.diff(K.indptr))
+        dom._diagonal_slots = np.flatnonzero(K.indices == rows)
+    return dom._diagonal_slots
+
+
 def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_matrix:
     """Weighted elliptic operator ``W diag(reaction) + diffusion * K``.
 
     Solving ``A u = W b`` with this matrix realizes
     ``reaction * u - diffusion * Lap(u) = b`` under zero-flux conditions;
     the result is symmetric, and positive definite when ``reaction > 0``.
+    With ``diffusion != 0`` it is ``diffusion * K.data`` on ``K``'s
+    pattern, with ``W reaction`` added in the diagonal slots and exact
+    zeros dropped: bit for bit the sparse sum ``sp.diags(W reaction) +
+    diffusion * K``, without its merge.
     """
     w = dom.cell_measures
     react = np.asarray(reaction, dtype=float)
     if react.shape == ():
         react = np.full(dom.n_nodes, float(react))
-    A = sp.diags(w * react).tocsr()
-    if diffusion != 0.0:
-        A = (A + diffusion * stiffness_matrix(dom)).tocsr()
+    if diffusion == 0.0:
+        return sp.diags(w * react).tocsr()
+    K = stiffness_matrix(dom)
+    data = diffusion * K.data
+    data[_diagonal_slots(dom)] += w * react
+    A = sp.csr_matrix((data, K.indices.copy(), K.indptr.copy()), shape=K.shape)
+    if not data.all():
+        A.eliminate_zeros()  # as the sparse sum drops them
     return A
 
 
 def shifted_factor(dom: DiscreteDomain, reaction, diffusion: float):
     """:func:`~sisrd.solvers.sparse_lu` of ``shifted_operator(dom, reaction, diffusion)``.
 
-    The CSR operator is freed before the factorization starts.  The
-    returned ``SuperLU`` object solves with ``.solve(b)``.
+    The operator is symmetric, so its CSR arrays are also those of its CSC
+    form, which is what is factored.  The returned ``SuperLU`` object
+    solves with ``.solve(b)``.
     """
-    return sparse_lu(shifted_operator(dom, reaction, diffusion).tocsc())
+    A = shifted_operator(dom, reaction, diffusion)
+    return sparse_lu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape))
 
 
 def shifted_solver(dom: DiscreteDomain, rate, diffusion: float) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -411,17 +453,23 @@ def erode_mask(dom: DiscreteDomain, mask: np.ndarray, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_field_csv(path, f: ScalarField) -> None:
-    dom = f.domain
-    with open(path, "w", newline="\n") as fh:
+def _csv_rows(dom: DiscreteDomain) -> list[str]:
+    """The ``x,`` or ``x,y,`` text that starts each node's CSV row."""
+    if dom._csv_rows is None:
         if dom.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(dom.coords, f.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
+            dom._csv_rows = [f"{x!r}," for x in dom.coords.tolist()]
         else:
-            fh.write("x,y,value\n")
-            for (x, y), v in zip(dom.coords, f.values):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
+            dom._csv_rows = [f"{x!r},{y!r}," for x, y in dom.coords.tolist()]
+    return dom._csv_rows
+
+
+def write_field_csv(path, f: ScalarField) -> None:
+    """Write ``f`` as ``x[,y],value`` rows in node order, floats by ``repr``."""
+    dom = f.domain
+    header = "x,value\n" if dom.dim == 1 else "x,y,value\n"
+    rows = [p + repr(v) + "\n" for p, v in zip(_csv_rows(dom), f.values.tolist())]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "".join(rows))
 
 
 def load_field_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -159,11 +159,13 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
         state0 = config.initial_state(dom)
 
         def snapshot(state: SimState, step: int) -> None:
-            if config.snapshot_every and step % config.snapshot_every == 0:
+            if step % config.snapshot_every == 0:
                 write_field_csv(_path(f"S_{step:06d}.csv"), state.S)
                 write_field_csv(_path(f"I_{step:06d}.csv"), state.I)
 
-        state, summary, result = equilibrate(c, state0, on_step=snapshot, **config.controls)
+        # without snapshots the march makes no call per step
+        on_step = snapshot if config.snapshot_every > 0 else None
+        state, summary, result = equilibrate(c, state0, on_step=on_step, **config.controls)
         S = result.S.values
         I = result.I.values
 

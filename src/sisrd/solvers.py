@@ -71,8 +71,9 @@ def damped_newton(
     rounding floor), and otherwise frees the factor and refactors at the
     current iterate.  At most one factor is alive.  The step is halved, at
     most eight times, until ``x`` stays positive and the sup residual
-    falls.  Returns the last accepted iterate, the number of steps (solves)
-    and why Newton stopped: ``"converged"`` (sup residual at most 1e-11),
+    falls; once the residual is at most 1e-11 only the full step is tried.
+    Returns the last accepted iterate, the number of steps (solves) and
+    why Newton stopped: ``"converged"`` (sup residual at most 1e-11),
     ``"singular"`` (a zero pivot), ``"non-finite"``, ``"inaccurate solve"``
     (backward error against the factored ``J`` above ``_SOLVE_RTOL`` of
     ``G``), ``"no descent"`` (only on a fresh factor; a held one is
@@ -103,7 +104,8 @@ def damped_newton(
             break
         previous = best
         lam = 1.0
-        for _ in range(9):
+        # at the rounding floor a halved step cannot help: try the full one only
+        for _ in range(9 if best > _NEWTON_TARGET else 1):
             x_try = x + lam * delta
             if x_try.min() > 0.0:
                 G_try = residual(x_try)

@@ -297,6 +297,35 @@ def test_march_underflow_is_a_nonconvergence_error():
     assert isinstance(info.value, TimeStepUnderflowError)
 
 
+_REAL_SOLVERS = dynamics._solvers
+
+
+def _poisoned_solvers(c, species, value):
+    """The march's S and I solves, with one output entry of ``species`` set to ``value``."""
+    solves = dict(zip("SI", _REAL_SOLVERS(c)))
+    real = solves[species]
+
+    def poisoned(dt, b):
+        x = real(dt, b)
+        x[len(x) // 2] = value
+        return x
+
+    solves[species] = poisoned
+    return solves["S"], solves["I"]
+
+
+@pytest.mark.parametrize("species", ["S", "I"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_solve_output_raises_the_field_error(species, value, monkeypatch):
+    dom, c = make()
+    state = SimState(dom.field(0.8), dom.field(0.2))
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        step_imex(state, c, 0.05, solvers=_poisoned_solvers(c, species, value))
+    monkeypatch.setattr(dynamics, "_solvers", lambda c: _poisoned_solvers(c, species, value))
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        run(state, c, t_final=0.5)
+
+
 def test_mass_balance_violation_is_typed(monkeypatch):
     monkeypatch.setattr(dynamics, "MASS_BALANCE_RTOL", -1.0)
     dom, c = make()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from oracles import nearest_node, nodes_near
 
 from sisrd import grid
@@ -16,6 +17,7 @@ from sisrd.grid import (
     erode_mask,
     integrate,
     load_field_csv,
+    shifted_factor,
     shifted_operator,
     shifted_solver,
     stiffness_matrix,
@@ -205,6 +207,17 @@ def test_too_coarse_domains_rejected():
 # ---------------------------------------------------------------------------
 
 
+def test_field_constructor_copies_and_adopt_does_not():
+    dom = interval(5)
+    arr = np.arange(5.0)
+    f = ScalarField(dom, arr)
+    assert f.values is not arr
+    arr[0] = 99.0
+    assert f.values[0] == 0.0
+    g = ScalarField.adopt(dom, arr)
+    assert g.values is arr and g.domain is dom
+
+
 def test_field_validation():
     dom = interval(5)
     with pytest.raises(DomainMismatchError):
@@ -255,6 +268,62 @@ def test_shifted_solve_matches_dense_solve():
     x = shifted_solver(dom, rate, 0.3)(0.1, b)
     expected = np.linalg.solve(shifted_operator(dom, 10.0 + rate, 0.3).toarray(), b)
     assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _generic_operator(dom, reaction, diffusion):
+    """``W diag(reaction) + diffusion * K`` as a plain sparse sum."""
+    w = dom.cell_measures
+    react = np.broadcast_to(np.asarray(reaction, dtype=float), (dom.n_nodes,))
+    A = sp.diags(w * react).tocsr()
+    if diffusion != 0.0:
+        A = (A + diffusion * stiffness_matrix(dom)).tocsr()
+    return A
+
+
+def _assert_bitwise_equal(A, B):
+    assert A.format == B.format and A.shape == B.shape
+    for name in ("indptr", "indices"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert A.data.dtype == B.data.dtype == np.float64
+    np.testing.assert_array_equal(A.data.view(np.uint64), B.data.view(np.uint64))
+
+
+def _reactions(dom):
+    x = dom.coords if dom.dim == 1 else dom.coords[:, 0]
+    # a field with a zero, a negative and a tiny entry, as the eigenproblems pass
+    field = 1.0 + x**2 / 3.0
+    field[0], field[-1], field[len(field) // 2] = 0.0, -0.7, 1e-300
+    return {"scalar": 2.5, "field": field}
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+@pytest.mark.parametrize("reaction", ["scalar", "field"])
+@pytest.mark.parametrize("diffusion", [0.3, 0.0, 1e-12])
+def test_shifted_operator_and_factor_are_bitwise_the_sparse_sum(kind, reaction, diffusion, monkeypatch):
+    dom = {"interval": interval(9), "rectangle": rectangle(9, 7), "disk": disk(0.25)}[kind]
+    r = _reactions(dom)[reaction]
+    expected = _generic_operator(dom, r, diffusion)
+    _assert_bitwise_equal(shifted_operator(dom, r, diffusion), expected)
+    factored = []
+    monkeypatch.setattr(grid, "sparse_lu", lambda A: factored.append(A))
+    shifted_factor(dom, r, diffusion)
+    _assert_bitwise_equal(factored[0], expected.tocsc())
+    # the stiffness form the operator was built on is untouched
+    _assert_bitwise_equal(stiffness_matrix(dom), _generic_operator(dom, 0.0, 1.0))
+
+
+def test_shifted_operator_drops_an_exactly_cancelled_diagonal():
+    # disk cells of 1/4 have measure 1/16 and unit edge weights, so this
+    # reaction cancels K[i, i] exactly at node 0, which the sparse sum drops
+    dom = disk(0.25)
+    K = stiffness_matrix(dom)
+    reaction = np.ones(dom.n_nodes)
+    reaction[0] = -K[0, 0] / dom.cell_measures[0]
+    A = shifted_operator(dom, reaction, 1.0)
+    assert A.nnz == K.nnz - 1
+    _assert_bitwise_equal(A, _generic_operator(dom, reaction, 1.0))
 
 
 def test_shifted_solver_holds_one_factor_and_frees_it_before_the_next(factor_log):
@@ -319,3 +388,35 @@ def test_field_csv_round_trip_2d(tmp_path):
     np.testing.assert_array_equal(values, f.values)
     header = path.read_text().splitlines()[0]
     assert header == "x,y,value"
+
+
+def _write_field_csv_per_row(path, f):
+    """The row-at-a-time formatter the cached coordinate text replaced."""
+    dom = f.domain
+    with open(path, "w", newline="\n") as fh:
+        if dom.dim == 1:
+            fh.write("x,value\n")
+            for x, v in zip(dom.coords, f.values):
+                fh.write(f"{float(x)!r},{float(v)!r}\n")
+        else:
+            fh.write("x,y,value\n")
+            for (x, y), v in zip(dom.coords, f.values):
+                fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
+
+
+@pytest.mark.parametrize("dom", [interval(9, -1.0, 2.0), rectangle(9, 7), disk(0.3)], ids=["interval", "rectangle", "disk"])
+def test_field_csv_bytes_match_the_per_row_formatter(dom, tmp_path):
+    n = dom.n_nodes
+    values = np.linspace(-1.0, 1.0, n) / 3.0
+    values[:4] = [-0.0, 1e-300, 1e16, 0.0]
+    fields = {
+        "values": dom.field(values),
+        "mask": dom.field(values > 0.1),
+        "constant": dom.field(1.0),
+    }
+    for name, f in fields.items():
+        for attempt in range(2):  # the second write reads the cached coordinate text
+            new, old = tmp_path / f"{name}{attempt}.csv", tmp_path / f"{name}{attempt}-old.csv"
+            write_field_csv(new, f)
+            _write_field_csv_per_row(old, f)
+            assert new.read_bytes() == old.read_bytes(), name

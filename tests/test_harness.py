@@ -178,6 +178,23 @@ def test_run_scenario_snapshots(tmp_path):
     assert all(n.endswith(".csv") for n in s_snaps)
 
 
+@pytest.mark.parametrize("every", [0, 50])
+def test_march_gets_a_step_callback_only_for_snapshots(every, tmp_path, monkeypatch):
+    real = dynamics.march
+    callbacks = []
+
+    def recording_march(advance, u, **kwargs):
+        callbacks.append(kwargs.get("on_step"))
+        return real(advance, u, **kwargs)
+
+    monkeypatch.setattr(dynamics, "march", recording_march)
+    data = rect_scenario_dict()
+    data["outputs"] = {"snapshot_every": every}
+    run_scenario(ScenarioConfig.from_dict(data), tmp_path / "out")
+    assert len(callbacks) == 1
+    assert (callbacks[0] is not None) == (every > 0)
+
+
 def test_resumed_march_keeps_counting_snapshots_and_summary(tmp_path, newton_stall_once):
     data = rect_scenario_dict()
     data["outputs"] = {"snapshot_every": 7}

@@ -63,6 +63,25 @@ def test_damped_newton_runs_on_to_the_rounding_floor():
     assert np.max(np.abs(residual(x))) <= 1e-15
 
 
+def test_damped_newton_tries_only_the_full_step_at_the_rounding_floor():
+    # from 1.45 the step after the residual reaches 7e-15 lands on 4.4e-16,
+    # contracts enough to hold the factor, and the next full step cannot
+    # descend: it is the one residual evaluated after the last accepted step
+    residual, jacobian, _ = _square_root_problem()
+    inputs = []
+
+    def logged(x):
+        inputs.append(x)
+        return residual(x)
+
+    x, steps, stop = damped_newton(logged, jacobian, np.array([1.45]))
+    assert stop == "converged"
+    assert np.max(np.abs(residual(x))) <= 1e-15
+    last_accepted = max(k for k, v in enumerate(inputs) if v is x)
+    assert len(inputs) - 1 - last_accepted == 1
+    assert len(inputs) == steps + 1  # the start, then one evaluation per step
+
+
 def test_damped_newton_refactors_a_held_factor_that_does_not_descend(newton_factors):
     # sin(x) = 0: the Newton step from x0 lands near 3 pi, cutting |sin|
     # twentyfold, so its factor is held; there cos has turned from +0.21 to
