@@ -29,13 +29,12 @@ profiles.  With
   monotonicity.
 
 Both one-field limits are the coupled steady state with the vanishing
-rate set to zero, found on the package's one path from a march to an
-equilibrium, :func:`sisrd.equilibrium.equilibrate`: the march hands its
-state to the coupled Newton iteration at the loose steady test
-``|du|/dt < 1e-2``, and goes on to ``|du|/dt < 1e-10`` only if Newton's
-answer is refused.  ``LimitProfile.meta`` records the march's ``steps``,
-the ``handoff`` outcome, and Newton's ``newton_iterations`` and
-``newton_stop``.
+rate set to zero, found by :func:`sisrd.equilibrium.find_ee` from its
+default start and ``t_final``: the march hands its state to the coupled
+Newton iteration at the loose steady test ``|du|/dt < 1e-2``, and goes
+on to ``|du|/dt < 1e-10`` only if Newton's answer is refused.
+``LimitProfile.meta`` records the march's ``steps``, the ``handoff``
+outcome, and Newton's ``newton_iterations`` and ``newton_stop``.
 
 This module is the one home of the regime decision.  ``REGIMES`` names
 what shrinks; the joint regime's ratio ``sigma`` always comes from the
@@ -60,8 +59,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .dynamics import SimState
-from .equilibrium import EquilibriumResult, equilibrate, grid_tolerance, solve_dfe
+from .equilibrium import EquilibriumResult, find_ee, grid_tolerance, solve_dfe
 from .grid import ScalarField, assemble_neumann_laplacian
 from .solvers import NonConvergenceError
 from .spectral import compute_lambda0
@@ -122,9 +120,6 @@ class BoundsReport:
     tolerance: float
     c0: Optional[float] = None
 
-    def failed(self) -> list:
-        return [c for c in self.checks if not c["passed"]]
-
 
 # ---------------------------------------------------------------------------
 # Root finding
@@ -140,15 +135,14 @@ def newton_increasing(
     df: Callable[[np.ndarray], np.ndarray],
     lo,
     hi,
-    start=None,
 ) -> np.ndarray:
     """Vectorized safeguarded Newton for a nondecreasing map with a sign change.
 
     ``f(lo) <= 0 <= f(hi)`` is verified up front, and every node keeps a
-    bracket that the sign of ``f`` at each iterate shrinks.  The Newton step
-    from ``start`` (default: the bracket midpoint) is taken when the slope
-    ``df`` is finite and the step lands inside the closed bracket; otherwise
-    the node bisects.  A node has converged when an accepted Newton step
+    bracket that the sign of ``f`` at each iterate shrinks.  Starting from
+    the bracket midpoint, the Newton step is taken when the slope ``df`` is
+    finite and the step lands inside the closed bracket; otherwise the node
+    bisects.  A node has converged when an accepted Newton step
     moved it by at most 4 ulp or its bracket is at most 4 ulp of ``hi``
     wide.  :class:`NonConvergenceError` after 100 iterations.
     """
@@ -157,7 +151,7 @@ def newton_increasing(
     if np.any(f(lo) > 0.0) or np.any(f(hi) < 0.0):
         raise ValueError("root bracket does not straddle a sign change")
     width_tol = _NEWTON_ULPS * np.spacing(np.abs(hi))
-    x = 0.5 * (lo + hi) if start is None else np.clip(start, lo, hi)
+    x = 0.5 * (lo + hi)
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         fx = f(x)
@@ -191,23 +185,18 @@ def newton_increasing(
 def _limit_at_zero_diffusion(c: CoefficientSet, regime: str) -> LimitProfile:
     """Steady state of ``c`` with ``regime``'s rate set to zero, as its limit profile.
 
-    :func:`~sisrd.equilibrium.equilibrate` marches from the constants
-    0.8 / 0.2 to ``|du|/dt < 1e-10`` with its Newton hand-off.
-    :class:`NonConvergenceError` if the march is not steady by t = 4000.
-    ``meta`` holds the march's ``steps`` and ``t``, the ``handoff``
-    outcome, Newton's ``newton_iterations`` and ``newton_stop``, and
-    ``residual_sup``, the larger sup residual of the two equations.
+    :func:`~sisrd.equilibrium.find_ee` from its default start and
+    ``t_final``, marched to ``|du|/dt < 1e-10``; its
+    :class:`NonConvergenceError` if not steady.  ``meta`` holds the
+    march's ``steps`` and ``t``, the ``handoff`` outcome, Newton's
+    ``newton_iterations`` and ``newton_stop``, and ``residual_sup``, the
+    larger sup residual of the two equations.
     """
-    dom = c.domain
-    init = SimState(dom.field(0.8), dom.field(0.2))
-    limit = shrink_diffusion(c, regime, 0.0)
-    _, summary, result = equilibrate(limit, init, steady_tol=1e-10, t_final=4000.0)
-    if not summary.converged_steady:
-        raise NonConvergenceError("limit-profile march not steady by t = 4000")
+    result = find_ee(shrink_diffusion(c, regime, 0.0), steady_tol=1e-10)
     meta = {
-        "steps": summary.steps,
-        "t": summary.t,
-        "handoff": summary.handoff,
+        "steps": result.steps,
+        "t": result.t,
+        "handoff": result.meta.get("handoff"),
         "newton_iterations": result.newton_iterations,
         "newton_stop": result.meta["newton_stop"],
         "residual_sup": max(result.residual_S, result.residual_I),

@@ -17,7 +17,7 @@ never go stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def _as_field(dom: DiscreteDomain, value) -> ScalarField:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Spatially varying rates plus the scalar diffusion/incidence parameters."""
+    """Rates (constants, per-node arrays or fields) and the scalar parameters."""
 
     domain: DiscreteDomain
     beta: ScalarField
@@ -55,6 +55,8 @@ class CoefficientSet:
             object.__setattr__(self, name, f)
             if f.values.min() <= 0.0:
                 raise ValueError(f"{name} must be strictly positive everywhere")
+        for name in ("d_S", "d_I", "p", "q"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("d_S", "d_I", "q"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -64,33 +66,6 @@ class CoefficientSet:
             raise ValueError("incidence exponent p must lie in (0, 1]")
         if not self.q > 0.0:
             raise ValueError("incidence exponent q must be positive")
-
-    @classmethod
-    def from_values(
-        cls,
-        dom: DiscreteDomain,
-        *,
-        beta,
-        gamma,
-        eta,
-        recruitment,
-        d_S: float,
-        d_I: float,
-        p: float,
-        q: float,
-    ) -> "CoefficientSet":
-        """Build from constants or per-node arrays."""
-        return cls(
-            domain=dom,
-            beta=_as_field(dom, beta),
-            gamma=_as_field(dom, gamma),
-            eta=_as_field(dom, eta),
-            recruitment=_as_field(dom, recruitment),
-            d_S=float(d_S),
-            d_I=float(d_I),
-            p=float(p),
-            q=float(q),
-        )
 
     @classmethod
     def from_formulas(
@@ -114,8 +89,8 @@ class CoefficientSet:
             ("eta", eta),
             ("recruitment", recruitment),
         ):
-            fields[name] = dom.field(evaluate_formula_on(dom, src))
-        return cls.from_values(dom, d_S=d_S, d_I=d_I, p=p, q=q, **fields)
+            fields[name] = evaluate_formula_on(dom, src)
+        return cls(dom, d_S=d_S, d_I=d_I, p=p, q=q, **fields)
 
     # -- derived quantities, recomputed each call -------------------------
 
@@ -137,16 +112,10 @@ class CoefficientSet:
 
     def with_diffusion(self, *, d_S: float | None = None, d_I: float | None = None) -> "CoefficientSet":
         """Copy with replaced diffusion rates (used by sweeps)."""
-        return CoefficientSet(
-            domain=self.domain,
-            beta=self.beta,
-            gamma=self.gamma,
-            eta=self.eta,
-            recruitment=self.recruitment,
-            d_S=self.d_S if d_S is None else float(d_S),
-            d_I=self.d_I if d_I is None else float(d_I),
-            p=self.p,
-            q=self.q,
+        return replace(
+            self,
+            d_S=self.d_S if d_S is None else d_S,
+            d_I=self.d_I if d_I is None else d_I,
         )
 
 

@@ -50,7 +50,8 @@ stage of pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer.
 Anal. 35, 1998).  Every equilibrium, and every one-field limit profile
 of :mod:`sisrd.asymptotics` (the same system with one diffusion rate at
 zero), reaches this one hand-off through
-:func:`sisrd.equilibrium.equilibrate`.
+:func:`sisrd.equilibrium.equilibrate`, whose result carries the march's
+step counts, end time and stop reason (``RunSummary.reason``).
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ class SimState:
 class RunSummary:
     steps: int = 0
     rejected: int = 0
-    converged_steady: bool = False
-    reason: str = ""
+    reason: str = ""  # "steady" | "t_final" | "max_steps"
     t: float = 0.0  # time reached
     handoff: Optional[str] = None  # "newton" (accepted) | "resumed" (refused) | None
 
@@ -244,13 +244,12 @@ def march(
         dt = min(step_dt * _DT_GROWTH, dt_max) if rejected == 0 else step_dt
         if offer and change / step_dt < loose:
             offer = False
-            stop = replace(summary, converged_steady=True, reason="steady", t=t)
+            stop = replace(summary, reason="steady", t=t)
             if handoff(u, stop):
                 summary = replace(stop, handoff="newton")
                 break
             summary.handoff = "resumed"
         if steady_tol is not None and change / step_dt < steady_tol:
-            summary.converged_steady = True
             summary.reason = "steady"
             break
     summary.t = t

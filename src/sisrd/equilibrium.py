@@ -20,11 +20,12 @@ kept only if it converged to an endemic state with ``I > 0`` everywhere
 and a conservation gap within 1e-6; otherwise the same march goes on to
 the caller's steady test.  ``meta["handoff"]`` says which happened.
 :func:`equilibrate` is this one path from a march to an
-:class:`EquilibriumResult`; :func:`find_ee` wraps it,
-:func:`sisrd.harness.run_scenario` calls it with a scenario's controls,
-and the one-field limit profiles of :mod:`sisrd.asymptotics` call it on
-the system with ``d_S = 0`` or ``d_I = 0``, where the Laplacian block of
-that field drops out of the march and of Newton alike.
+:class:`EquilibriumResult`, which :func:`sisrd.harness.run_scenario`
+calls with a scenario's controls.  :func:`find_ee` wraps it with the one
+set of steady-state defaults; the one-field limit profiles of
+:mod:`sisrd.asymptotics` call it on the system with ``d_S = 0`` or
+``d_I = 0``, where the Laplacian block of that field drops out of the
+march and of Newton alike.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -75,14 +76,11 @@ class EquilibriumResult:
     residual_S: float  # sup-norm of the S-equation residual
     residual_I: float
     conservation_gap: float  # relative defect of Int(S + eta I) = Int(recruitment)
-    steps: int
+    steps: int  # of the march, up to the hand-off when Newton's answer ended it
     rejected: int
+    t: float  # time the march reached
     newton_iterations: int = 0
     meta: dict = dc_field(default_factory=dict)
-
-    @property
-    def domain(self):
-        return self.S.domain
 
 
 def solve_dfe(c: CoefficientSet) -> ScalarField:
@@ -125,26 +123,25 @@ def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> E
     if init is None:
         init = SimState(dom.field(0.8), dom.field(0.2))
     controls = {"steady_tol": 1e-9, "t_final": 4000.0, **controls}
-    _, summary, result = equilibrate(c, init, **controls)
-    if not summary.converged_steady:
+    result = equilibrate(c, init, **controls)
+    reason = result.meta["march_reason"]
+    if reason != "steady":
         raise NonConvergenceError(
-            f"no steady state by t = {controls['t_final']:g} (stopped on {summary.reason})"
+            f"no steady state by t = {controls['t_final']:g} (stopped on {reason})"
         )
     return result
 
 
-def equilibrate(
-    c: CoefficientSet, init: SimState, **controls
-) -> tuple[SimState, RunSummary, EquilibriumResult]:
+def equilibrate(c: CoefficientSet, init: SimState, **controls) -> EquilibriumResult:
     """March ``init`` with ``controls`` and :func:`settle` the marched state.
 
-    Returns the last marched state, the summary of the march and the
-    settled result.  At the march's hand-off the state is settled, and the
-    answer is accepted (``meta["handoff"] == "newton"``), ending the march,
-    if Newton converged, the result is endemic with ``I > 0`` everywhere,
-    and its conservation gap is at most ``_HANDOFF_GAP``; otherwise the
-    march goes on to ``steady_tol`` and its last state is settled
-    (``"resumed"``).
+    At the march's hand-off the state is settled, and the answer is
+    accepted (``meta["handoff"] == "newton"``), ending the march, if Newton
+    converged, the result is endemic with ``I > 0`` everywhere, and its
+    conservation gap is at most ``_HANDOFF_GAP``; otherwise the march goes
+    on to its stopping rule and its last state is settled (``"resumed"``).
+    The result's ``steps``, ``rejected``, ``t`` and ``meta["march_reason"]``
+    describe the march up to the state it settled.
     """
     accepted = None
 
@@ -164,7 +161,7 @@ def equilibrate(
     result = accepted if accepted is not None else settle(c, state, summary)
     if summary.handoff is not None:
         result = replace(result, meta={**result.meta, "handoff": summary.handoff})
-    return state, summary, result
+    return result
 
 
 def settle(c: CoefficientSet, state: SimState, summary: RunSummary) -> EquilibriumResult:
@@ -185,7 +182,7 @@ def settle(c: CoefficientSet, state: SimState, summary: RunSummary) -> Equilibri
     newton_iters = 0
     newton_stop = "skipped"
     endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
-    if summary.converged_steady and endemic and I.min() > 0.0:
+    if summary.reason == "steady" and endemic and I.min() > 0.0:
         S, I, newton_iters, newton_stop = _newton_coupled(c, S, I)
         endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
     res_S, res_I = elliptic_residuals(c, S, I)
@@ -198,6 +195,7 @@ def settle(c: CoefficientSet, state: SimState, summary: RunSummary) -> Equilibri
         conservation_gap=conservation_gap(c, S, I),
         steps=summary.steps,
         rejected=summary.rejected,
+        t=summary.t,
         newton_iterations=newton_iters,
         meta={"march_reason": summary.reason, "newton_stop": newton_stop},
     )

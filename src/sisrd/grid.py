@@ -142,7 +142,6 @@ class DiscreteDomain:
         np.add.at(degree, self.edges_j, 1)
         if self.n_nodes and degree.min() < 1:
             raise DomainError("domain has an isolated node; refine the resolution")
-        self.boundary = degree < 2 * self.dim
 
     @property
     def measure(self) -> float:

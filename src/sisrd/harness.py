@@ -69,6 +69,8 @@ _DISTANCES = ("dist_S_sup", "dist_I_sup", "dist_S_L1", "dist_I_L1")  # of _row_d
 # a warm sweep row starts from an equilibrium, so it skips the dt ramp:
 # the march clips this ``dt_init`` to its ``dt_max``
 _WARM_DT_INIT = math.inf
+_TREND_FACTOR = 1.1  # check_trend's multiplicative slack
+_TREND_FLOOR = 1e-9  # and its additive floor
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,8 @@ def field_distances(dom: DiscreteDomain, a, b) -> tuple[float, float]:
     return float(diff.max()), integrate(dom, diff)
 
 
-def check_trend(series, factor: float = 1.1, floor: float = 1e-9) -> list:
-    """Indices k where ``series[k+1] > factor * series[k] + floor``.
+def check_trend(series) -> list:
+    """Indices k where ``series[k+1] > 1.1 series[k] + 1e-9``.
 
     The multiplicative slack tolerates solver jitter; the additive floor
     keeps rounding noise from flagging distances that already sit at the
@@ -111,7 +113,7 @@ def check_trend(series, factor: float = 1.1, floor: float = 1e-9) -> list:
     bad = []
     for k in range(len(series) - 1):
         a, b = float(series[k]), float(series[k + 1])
-        if np.isnan(a) or np.isnan(b) or b > factor * a + floor:
+        if np.isnan(a) or np.isnan(b) or b > _TREND_FACTOR * a + _TREND_FLOOR:
             bad.append(k)
     return bad
 
@@ -165,7 +167,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
 
         # without snapshots the march makes no call per step
         on_step = snapshot if config.snapshot_every > 0 else None
-        state, summary, result = equilibrate(c, state0, on_step=on_step, **config.controls)
+        result = equilibrate(c, state0, on_step=on_step, **config.controls)
+        reason = result.meta["march_reason"]
         S = result.S.values
         I = result.I.values
 
@@ -191,11 +194,11 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
                 "q": c.q,
                 "sigma": c.sigma(),
             },
-            "final_t": state.t,
-            "steps": summary.steps,
-            "rejected": summary.rejected,
-            "reason": summary.reason,
-            "converged_steady": summary.converged_steady,
+            "final_t": result.t,
+            "steps": result.steps,
+            "rejected": result.rejected,
+            "reason": reason,
+            "converged_steady": reason == "steady",
             "endemic": result.endemic,
             "newton_applied": result.newton_iterations > 0,
             "newton_iterations": result.newton_iterations,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -161,7 +161,6 @@ class ScenarioConfig:
     mask_deltas: tuple
     zero_infection_tol: float
     sigma: Optional[float]
-    raw: dict = dc_field(repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -260,7 +259,6 @@ class ScenarioConfig:
             mask_deltas=tuple(float(d) for d in deltas),
             zero_infection_tol=zero_tol,
             sigma=sigma,
-            raw=data,
         )
 
     @staticmethod

@@ -48,7 +48,7 @@ def check(number: int, passed, detail: str = "") -> None:
 def square_ee():
     """17x17 unit square, mass action: Lambda=2, beta=1, gamma=eta=1/2."""
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (17, 17)))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0,
         d_S=0.1, d_I=0.05, p=1.0, q=1.0,
     )
@@ -59,7 +59,7 @@ def square_ee():
 def golden_ee():
     """65-node interval, sublinear: Lambda=1, beta=2, gamma=eta=1, p=1/2."""
     dom = build_domain(DomainSpec.interval(0, 1, 65))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=0.1, d_I=0.05, p=0.5, q=1.0,
     )
@@ -103,7 +103,7 @@ def sweep_small_di():
     """Shrinking d_I, sublinear incidence, spatially varying recruitment."""
     dom = build_domain(DomainSpec.interval(0, 1, 257))
     lam = 1.0 + 0.5 * np.sin(np.pi * dom.coords)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=lam,
         d_S=0.05, d_I=0.1, p=0.5, q=1.0,
     )
@@ -114,7 +114,7 @@ def sweep_small_di():
 def sweep_joint_const():
     """Joint shrink at sigma=2, constant mass action on a 33x33 square."""
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (33, 33)))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=2.0,
         d_S=0.1, d_I=0.2, p=1.0, q=1.0,
     )
@@ -199,7 +199,7 @@ def test_criterion_04_r0(square_ee, sweep_joint_const, sweep_joint_disk):
     # monotone in d_I with a spatially varying disease-free profile
     dom = build_domain(DomainSpec.interval(0, 1, 65))
     x = dom.coords
-    c_vary = CoefficientSet.from_values(
+    c_vary = CoefficientSet(
         dom, beta=2.0 + np.sin(2 * np.pi * x), gamma=0.6, eta=0.4,
         recruitment=1.0 + 0.5 * x, d_S=0.07, d_I=0.1, p=1.0, q=1.0,
     )
@@ -217,7 +217,7 @@ def test_criterion_04_r0(square_ee, sweep_joint_const, sweep_joint_disk):
     # ten-problem threshold battery: endemic outcome must match R0 vs 1
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
     for beta in (0.4, 0.6, 0.8, 0.9, 1.1, 1.3, 1.6, 2.0, 3.0, 4.0):
-        c = CoefficientSet.from_values(
+        c = CoefficientSet(
             dom, beta=beta, gamma=0.5, eta=0.5, recruitment=1.0,
             d_S=0.1, d_I=0.05, p=1.0, q=1.0,
         )
@@ -333,15 +333,15 @@ def _strictly_monotone_early(seq, active, n_check=8) -> bool:
 def test_criterion_09_monotone_sequences(disk1):
     _, disk_dom, disk_c = disk1
     dom = build_domain(DomainSpec.interval(0, 1, 65))
-    const_p1 = CoefficientSet.from_values(
+    const_p1 = CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=2.0,
         d_S=0.1, d_I=0.2, p=1.0, q=1.0,
     )
-    const_sub = CoefficientSet.from_values(
+    const_sub = CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=0.1, d_I=0.2, p=0.5, q=1.0,
     )
-    disk_sub = CoefficientSet.from_values(
+    disk_sub = CoefficientSet(
         disk_dom, beta=disk_c.beta.values, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=1.0, d_I=0.001, p=0.5, q=0.5,
     )
@@ -395,11 +395,11 @@ def test_criterion_10_bounds_audit(battery):
         tol = grid_tolerance(c.domain)
         check(10, report.tolerance == tol,
               f"{label}: audit tolerance {report.tolerance!r} != {tol!r}")
-        names = ", ".join(ch["name"] for ch in report.failed())
+        names = ", ".join(ch["name"] for ch in report.checks if not ch["passed"])
         check(10, report.all_passed, f"{label}: failed bounds [{names}]")
 
     dom = build_domain(DomainSpec.interval(0, 1, 33))
-    c0_case = CoefficientSet.from_values(
+    c0_case = CoefficientSet(
         dom, beta=1.0, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=0.1, d_I=0.1, p=0.5, q=1.0,
     )

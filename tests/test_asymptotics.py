@@ -47,7 +47,7 @@ def interval(n=65):
 
 def golden_constants(dom, d_S=0.1, d_I=0.05):
     """Lambda=1, beta=2, gamma=eta=1, p=1/2, q=1: risk h = 1 everywhere."""
-    return CoefficientSet.from_values(
+    return CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=d_S, d_I=d_I, p=0.5, q=1.0,
     )
@@ -55,7 +55,7 @@ def golden_constants(dom, d_S=0.1, d_I=0.05):
 
 def mass_action_constants(dom, recruitment=2.0, d_S=0.1, d_I=0.05):
     """Lambda=2, beta=2, gamma=eta=1, p=q=1: h = 1, EE = (1, 1)."""
-    return CoefficientSet.from_values(
+    return CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=recruitment,
         d_S=d_S, d_I=d_I, p=1.0, q=1.0,
     )
@@ -65,7 +65,7 @@ def scenario_disk(p=1.0, cell=0.0625):
     dom = build_domain(DomainSpec.disk(1.0, (0, 0), cell))
     x, y = dom.coords[:, 0], dom.coords[:, 1]
     beta = 3.0 + 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=beta, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=1.0, d_I=0.001, p=p, q=0.5,
     )
@@ -77,7 +77,7 @@ def scenario_disk(p=1.0, cell=0.0625):
 # ---------------------------------------------------------------------------
 
 
-def bisect(f, df, lo, hi, start=None):
+def bisect(f, df, lo, hi):
     return bisect_increasing(f, lo, hi)
 
 
@@ -132,10 +132,13 @@ def test_bisection_against_brute_force_scan():
         assert root == pytest.approx(GOLDEN_I, abs=1e-12), solve.__name__
 
 
-def test_newton_start_at_lower_end_with_infinite_slope():
-    # at t = 0 the slope of sqrt(t) is infinite, so the Newton step is 0;
-    # that must bisect, not count as converged at 0
-    root = newton_increasing(golden_map, golden_slope, 0.0, 1.0, start=0.0)
+def test_newton_bisects_on_infinite_slope():
+    # an infinite slope (sqrt(t) at t = 0) makes the Newton step 0; at the
+    # first iterate, the midpoint, that must bisect, not count as converged
+    def slope(t):
+        return np.where(t == 0.5, np.inf, golden_slope(t))
+
+    root = newton_increasing(golden_map, slope, 0.0, 1.0)
     assert root[0] == pytest.approx(GOLDEN_I, abs=1e-15)
 
 
@@ -182,7 +185,7 @@ def test_classification_masks_on_scenario_coefficients():
 
 def test_classification_flags_hopeless_coefficients():
     dom = interval()
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=0.5, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=0.1, d_I=0.1, p=1.0, q=1.0,
     )  # ceiling (2/0.5) = 4 > 1 = S~ everywhere
@@ -209,7 +212,7 @@ def test_sublinear_limit_requires_sublinear():
 def test_sublinear_limit_varying_recruitment_residual():
     dom = build_domain(DomainSpec.interval(0, 1, 257))
     lam = 1.0 + 0.5 * np.sin(np.pi * dom.coords)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=lam,
         d_S=0.05, d_I=0.01, p=0.5, q=1.0,
     )
@@ -237,7 +240,7 @@ def test_small_ds_limit_constants():
 
 def test_small_ds_limit_refuses_subcritical_mass_action():
     dom = interval(33)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=0.4, gamma=0.5, eta=0.5, recruitment=1.0,
         d_S=0.1, d_I=0.05, p=1.0, q=1.0,
     )  # lambda0 = 0.6 > 0: no endemic limit
@@ -589,9 +592,9 @@ def test_sequence_checks_monotonicity_on_every_round(monkeypatch):
     c = golden_constants(interval(9))
     calls = []
 
-    def shifted(f, df, lo, hi, start=None):
+    def shifted(f, df, lo, hi):
         calls.append(None)
-        root = newton_increasing(f, df, lo, hi, start)
+        root = newton_increasing(f, df, lo, hi)
         return root - 1e-6 if len(calls) == 500 else root
 
     monkeypatch.setattr(asymptotics, "newton_increasing", shifted)
@@ -633,7 +636,7 @@ def test_sublinear_sequences_match_bisection(monkeypatch):
 
 def test_floor_constant_frozen_value():
     dom = interval(9)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=1.0, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=0.1, d_I=0.1, p=0.5, q=1.0,
     )
@@ -666,7 +669,7 @@ def test_audit_sublinear_ee():
         "I_min_positive_floor",
     }
     assert report.c0 is not None and report.c0 > 0.0
-    assert not report.failed()
+    assert all(ch["passed"] for ch in report.checks)
 
 
 def test_audit_detects_violations():
@@ -679,4 +682,6 @@ def test_audit_detects_violations():
     fake = replace(eq, S=dom.field(eq.S.values * 10.0))
     report = bounds_audit(c, fake)
     assert not report.all_passed
-    assert any(ch["name"] == "S_max_diffusion_cap" for ch in report.failed())
+    assert any(
+        ch["name"] == "S_max_diffusion_cap" and not ch["passed"] for ch in report.checks
+    )

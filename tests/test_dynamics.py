@@ -33,7 +33,7 @@ def make(dom=None, **kw):
         beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0
     )
     params.update(kw)
-    return dom, CoefficientSet.from_values(dom, **params)
+    return dom, CoefficientSet(dom, **params)
 
 
 def test_state_requires_matching_domains():
@@ -74,7 +74,7 @@ def test_mass_balance_identity_along_run():
     # one step explicitly
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
     x, y = dom.coords[:, 0], dom.coords[:, 1]
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom,
         beta=2.0 + np.sin(np.pi * x) * np.sin(np.pi * y),
         gamma=0.5,
@@ -121,7 +121,7 @@ def reference_step(state, c, dt):
 def test_step_matches_dense_reference(spec, dt):
     dom = build_domain(spec)
     x = dom.coords if dom.dim == 1 else dom.coords[:, 0]
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=3.0 + 2.0 * np.sin(np.pi * x), gamma=1.0, eta=0.5 + 0.5 * x**2,
         recruitment=1.0 + 0.5 * np.cos(np.pi * x), d_S=1.0, d_I=1e-3, p=1.0, q=0.5,
     )
@@ -172,7 +172,6 @@ def test_run_reaches_constant_equilibrium():
     dom, c = make()  # Lambda=2, beta=1, gamma=eta=0.5: EE = (1, 2)
     state = SimState(dom.field(0.8), dom.field(0.2))
     final, summary = run(state, c, steady_tol=1e-9, t_final=4000.0)
-    assert summary.converged_steady
     assert summary.reason == "steady"
     np.testing.assert_allclose(final.S.values, 1.0, atol=1e-6)
     np.testing.assert_allclose(final.I.values, 2.0, atol=1e-6)
@@ -237,7 +236,7 @@ def test_sublinear_incidence_preserves_positivity():
     dom, c = make(p=0.5, q=1.0, beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0)
     state = SimState(dom.field(0.8), dom.field(0.2))
     final, summary = run(state, c, steady_tol=1e-9, t_final=2000.0)
-    assert summary.converged_steady
+    assert summary.reason == "steady"
     assert final.I.values.min() > 0.0
 
 
@@ -378,7 +377,7 @@ def test_march_offers_the_handoff_once_at_the_loose_steady_test():
     assert u == states[first - 1]
     # the summary is the one the march would return if it stopped there
     assert summary.steps == first
-    assert (summary.converged_steady, summary.reason, summary.handoff) == (True, "steady", None)
+    assert (summary.reason, summary.handoff) == ("steady", None)
 
 
 def test_refused_handoff_leaves_the_march_unchanged():
@@ -391,7 +390,7 @@ def test_refused_handoff_leaves_the_march_unchanged():
     assert (u, summary.steps, summary.rejected, summary.t) == (
         u_plain, plain.steps, plain.rejected, plain.t
     )
-    assert (summary.converged_steady, summary.reason, summary.handoff) == (True, "steady", "resumed")
+    assert (summary.reason, summary.handoff) == ("steady", "resumed")
     # on_step numbers run on across the hand-off
     assert seen == list(range(1, plain.steps + 1))
 
@@ -406,7 +405,7 @@ def test_accepted_handoff_stops_the_march_at_that_step():
     assert (summary.steps, summary.rejected, summary.t) == (
         offered_summary.steps, offered_summary.rejected, offered_summary.t
     )
-    assert (summary.converged_steady, summary.reason, summary.handoff) == (True, "steady", "newton")
+    assert (summary.reason, summary.handoff) == ("steady", "newton")
 
 
 @pytest.mark.parametrize("answer, handoff_result", [(True, "newton"), (False, "resumed")])

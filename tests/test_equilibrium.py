@@ -40,7 +40,7 @@ GOLDEN_I = 0.3819660112501051  # GOLDEN_S**2
 def constants_p1(dom=None):
     if dom is None:
         dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (17, 17)))
-    return dom, CoefficientSet.from_values(
+    return dom, CoefficientSet(
         dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0,
         d_S=0.1, d_I=0.05, p=1.0, q=1.0,
     )
@@ -49,7 +49,7 @@ def constants_p1(dom=None):
 def constants_sublinear(dom=None):
     if dom is None:
         dom = build_domain(DomainSpec.interval(0, 1, 65))
-    return dom, CoefficientSet.from_values(
+    return dom, CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=0.1, d_I=0.05, p=0.5, q=1.0,
     )
@@ -71,7 +71,7 @@ def test_dfe_matches_dense_linear_solve():
     # numpy's direct solver
     dom = build_domain(DomainSpec.interval(0, 1, 129))
     lam = 1.0 + 0.5 * np.sin(np.pi * dom.coords)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=lam,
         d_S=0.05, d_I=0.05, p=1.0, q=1.0,
     )
@@ -125,7 +125,7 @@ def test_golden_pair_against_bisection_oracle():
 
 def test_subcritical_constants_reach_dfe():
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=0.4, gamma=0.5, eta=0.5, recruitment=1.0,
         d_S=0.1, d_I=0.05, p=1.0, q=1.0,
     )  # R0 = 0.4 < 1
@@ -138,7 +138,7 @@ def test_subcritical_constants_reach_dfe():
 def test_newton_refines_to_tight_residual():
     dom = build_domain(DomainSpec.interval(0, 1, 65))
     lam = 1.0 + 0.5 * np.sin(np.pi * dom.coords)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=lam,
         d_S=0.05, d_I=0.02, p=0.5, q=1.0,
     )
@@ -156,7 +156,7 @@ def test_newton_stop_reason_is_recorded():
     assert find_ee(c).meta["newton_stop"] == "converged"
     # a march stopped by t_final, not by its steady test, is not polished
     state, summary = run(SimState(dom.field(0.8), dom.field(0.2)), c, t_final=0.5)
-    assert not summary.converged_steady
+    assert summary.reason == "t_final"
     result = settle(c, state, summary)
     assert result.meta == {"march_reason": summary.reason, "newton_stop": "skipped"}
     np.testing.assert_array_equal(result.I.values, state.I.values)
@@ -204,7 +204,7 @@ def test_handoff_accepts_newton_at_the_loose_steady_test():
 def sublinear_sine():
     dom = build_domain(DomainSpec.interval(0, 1, 65))
     lam = 1.0 + 0.5 * np.sin(np.pi * dom.coords)
-    return dom, CoefficientSet.from_values(
+    return dom, CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=lam,
         d_S=0.05, d_I=0.02, p=0.5, q=1.0,
     )
@@ -227,7 +227,7 @@ def test_stalled_handoff_resumes_the_march(newton_stall_once):
 
 def test_subcritical_handoff_resumes_to_the_dfe():
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=0.4, gamma=0.5, eta=0.5, recruitment=1.0,
         d_S=0.1, d_I=0.05, p=1.0, q=1.0,
     )  # R0 = 0.4 < 1: Newton's answer is disease-free, so the march resumes
@@ -295,7 +295,7 @@ def test_scenario1_equilibrium_newton_holds_one_factor(newton_factors):
 def test_newton_factors_on_the_wasteful_cases_do_not_grow(newton_factors, spec, params, most):
     # the bounds are the factors a fresh-factor-per-step Newton builds
     dom = build_domain(spec)
-    c = CoefficientSet.from_values(dom, **params, p=1.0, q=1.0)
+    c = CoefficientSet(dom, **params, p=1.0, q=1.0)
     find_ee(c, SimState(dom.field(0.8), dom.field(0.2)))
     assert set(newton_factors) == {2 * dom.n_nodes}
     assert len(newton_factors) <= most
@@ -320,7 +320,7 @@ def test_small_recruitment_passes_the_mass_balance():
     # I* = (recruitment - S*)/eta; the march stops near t = 1.05 on a false
     # MassBalanceError, an artifact of the bound's scale, not of the step
     dom = build_domain(DomainSpec.interval(0, 1, 17))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=2.0, gamma=0.0156, eta=0.5, recruitment=0.00884,
         d_S=1.0, d_I=1.0, p=1.0, q=0.25,
     )
@@ -363,7 +363,7 @@ def test_grid_tolerance_scales_with_spacing():
 def test_spatially_varying_ee_satisfies_pde():
     dom = build_domain(DomainSpec.interval(0, 1, 129))
     beta = 2.0 + np.sin(2 * np.pi * dom.coords)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=beta, gamma=0.5, eta=0.5, recruitment=1.0,
         d_S=0.1, d_I=0.05, p=1.0, q=1.0,
     )

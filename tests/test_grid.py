@@ -48,7 +48,6 @@ def test_interval_nodes_and_weights():
     np.testing.assert_allclose(dom.cell_measures, [0.125, 0.25, 0.25, 0.25, 0.125])
     assert dom.measure == pytest.approx(1.0, abs=1e-15)
     assert dom.dim == 1
-    np.testing.assert_array_equal(dom.boundary, [True, False, False, False, True])
 
 
 def test_interval_laplacian_matches_reflection_stencil():

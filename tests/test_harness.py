@@ -45,7 +45,7 @@ def rect_scenario_dict() -> dict:
 
 def golden_1d(d_S=0.1, d_I=0.05):
     dom = build_domain(DomainSpec.interval(0, 1, 65))
-    return CoefficientSet.from_values(
+    return CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=d_S, d_I=d_I, p=0.5, q=1.0,
     )
@@ -53,7 +53,7 @@ def golden_1d(d_S=0.1, d_I=0.05):
 
 def mass_action_1d(d_S=0.1, d_I=0.05):
     dom = build_domain(DomainSpec.interval(0, 1, 65))
-    return CoefficientSet.from_values(
+    return CoefficientSet(
         dom, beta=2.0, gamma=1.0, eta=1.0, recruitment=2.0,
         d_S=d_S, d_I=d_I, p=1.0, q=1.0,
     )
@@ -159,6 +159,25 @@ def test_run_scenario_artifacts(tmp_path):
     assert saved == s
 
 
+def test_run_scenario_writes_a_march_stopped_by_t_final(tmp_path):
+    # a march that ends on t_final is written out unpolished, not raised
+    data = rect_scenario_dict()
+    data["stopping"] = {"t_final": 0.5}
+    art = run_scenario(ScenarioConfig.from_dict(data), tmp_path / "out")
+    assert set(art.paths) == {
+        "S.csv",
+        "I.csv",
+        "coincidence_mask_0.csv",
+        "coincidence_mask_1.csv",
+        "zero_infection_mask.csv",
+        "summary.json",
+    }
+    s = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert s["converged_steady"] is False and s["reason"] == "t_final"
+    assert s["final_t"] == pytest.approx(0.5)
+    assert s["newton_iterations"] == 0
+
+
 def test_run_scenario_is_byte_reproducible(tmp_path):
     cfg = ScenarioConfig.from_dict(rect_scenario_dict())
     a = run_scenario(cfg, tmp_path / "a")
@@ -256,7 +275,7 @@ def test_coefficients_refuse_non_finite_scalars(name, value):
     dom = build_domain(DomainSpec.interval(0, 1, 9))
     params = dict(beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        CoefficientSet.from_values(dom, **{**params, name: value})
+        CoefficientSet(dom, **{**params, name: value})
 
 
 @pytest.mark.parametrize("name", ["d_S", "d_I"])
@@ -264,9 +283,9 @@ def test_coefficients_accept_zero_diffusion_and_refuse_negative(name):
     # a zero rate is a one-field limit problem; non-finite rates are refused above
     dom = build_domain(DomainSpec.interval(0, 1, 9))
     params = dict(beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0)
-    assert getattr(CoefficientSet.from_values(dom, **{**params, name: 0.0}), name) == 0.0
+    assert getattr(CoefficientSet(dom, **{**params, name: 0.0}), name) == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
-        CoefficientSet.from_values(dom, **{**params, name: -1e-3})
+        CoefficientSet(dom, **{**params, name: -1e-3})
 
 
 @pytest.mark.parametrize("values, sigma", [([np.inf, 0.02], 2.0), ([0.05, 0.02], np.inf)])
@@ -327,7 +346,7 @@ def test_sweep_joint_below_threshold_measures_envelope_excess():
     # sigma < eta: the oracle has envelopes only, and each row's distances
     # are how far the equilibrium lies outside them
     dom = build_domain(DomainSpec.interval(-1, 1, 65))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=3 + 2 * np.sin(np.pi * dom.coords), gamma=1.0, eta=1.0, recruitment=1.0,
         d_S=1.0, d_I=1e-3, p=1.0, q=0.5,
     )
@@ -369,7 +388,7 @@ def test_sweep_records_a_mass_balance_failure_and_goes_on(tmp_path, monkeypatch)
 
     monkeypatch.setattr(dynamics, "step_imex", defective_step)
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=1.0, d_I=0.1, p=1.0, q=1.0
     )
     out = tmp_path / "sweep.csv"

@@ -98,7 +98,7 @@ def test_load_scenario_round_trip(tmp_path):
     path.write_text(json.dumps(base_config()))
     cfg = load_scenario(path)
     assert cfg.name == "unit-test"
-    assert cfg.raw["version"] == 1
+    assert cfg == ScenarioConfig.from_dict(base_config())
 
 
 # ---------------------------------------------------------------------------

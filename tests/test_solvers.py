@@ -101,7 +101,7 @@ def test_damped_newton_refactors_a_held_factor_that_does_not_descend(newton_fact
 def pencil_owner(n_nodes, d_I):
     # _principal reads only the domain and d_I of the coefficient set
     dom = build_domain(DomainSpec.interval(0, 1, n_nodes))
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=1.0, d_S=0.1, d_I=d_I, p=1.0, q=1.0
     )
     return dom, c

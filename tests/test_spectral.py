@@ -26,13 +26,13 @@ def constants(dom=None, **kw):
         beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0
     )
     params.update(kw)
-    return dom, CoefficientSet.from_values(dom, **params)
+    return dom, CoefficientSet(dom, **params)
 
 
 def varying_1d(d_I=0.05, q=1.0):
     dom = build_domain(DomainSpec.interval(0, 1, 65))
     beta = 2.0 + np.sin(2 * np.pi * dom.coords)
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=beta, gamma=0.6, eta=0.4, recruitment=1.0 + 0.5 * dom.coords,
         d_S=0.07, d_I=d_I, p=1.0, q=q,
     )
@@ -42,7 +42,7 @@ def varying_1d(d_I=0.05, q=1.0):
 def varying_2d(d_I=0.05):
     dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (13, 13)))
     x, y = dom.coords[:, 0], dom.coords[:, 1]
-    c = CoefficientSet.from_values(
+    c = CoefficientSet(
         dom, beta=1.5 + np.cos(np.pi * x) * np.sin(np.pi * y), gamma=0.3 + 0.4 * y,
         eta=0.5, recruitment=1.0 + x * y, d_S=0.1, d_I=d_I, p=1.0, q=1.0,
     )
@@ -90,7 +90,7 @@ def test_coefficients_refuse_nonpositive_rates(name, value):
     dom = build_domain(DomainSpec.interval(0, 1, 9))
     params = dict(beta=1.0, gamma=0.5, eta=0.5, recruitment=2.0, d_S=0.1, d_I=0.05, p=1.0, q=1.0)
     with pytest.raises(ValueError, match=f"{name} must be strictly positive"):
-        CoefficientSet.from_values(dom, **{**params, name: value})
+        CoefficientSet(dom, **{**params, name: value})
 
 
 @pytest.mark.parametrize("compute", [compute_r0, compute_lambda0], ids=["r0", "lambda0"])
