@@ -6,12 +6,13 @@ transfer terms explicitly.  With ``F = beta (S^n)^q (I^n)^p``:
     (1/dt + 1) S' - d_S Lap(S') = S^n/dt + recruitment - F + gamma I^n
     (1/dt) I' - d_I Lap(I') + eta I' = I^n/dt + F - gamma I^n
 
-Both updates are symmetric positive definite solves, each through a
-:func:`sisrd.grid.shifted_solver` that :func:`run` holds for the march:
-an operator is factored again only when dt changes, and dt only moves
-between the levels of a doubling ladder (below), so a march builds one
-factor per operator and level, however many steps it takes; once dt
-reaches ``dt_max`` every step is two pairs of triangular solves.
+Both updates are symmetric positive definite solves, each with an LU
+factor of its time-step operator (:func:`sisrd.grid.shifted_factor`).
+:func:`run` holds the pair of factors for one dt: a new dt frees the pair
+before the next is built, and dt only moves between the levels of a
+doubling ladder (below), so a march builds one factor per operator and
+level, however many steps it takes; once dt reaches ``dt_max`` every step
+is two pairs of triangular solves.
 Because the transfer terms ``-F + gamma I`` and ``+F - gamma I`` appear
 explicitly with opposite signs, they cancel exactly in the discrete
 total-mass balance; integrating the two updates gives
@@ -30,8 +31,7 @@ either output makes the defect non-finite, and the step then raises the
 non-finite values.  Otherwise the outputs become the new fields as they
 are.
 
-:func:`run`, the package's one march, runs on the adaptive driver
-:func:`march` and its rejection policy: a step that raises
+:func:`run` is the package's one time loop.  A step that raises
 :class:`StepRejected` (a nonpositive susceptible or a negative infected
 value) is retried with half the step; dt stays at the accepted value
 after a rejection and otherwise doubles, capped at ``dt_max``; once dt
@@ -42,7 +42,7 @@ a rejection at the cap), so the march factors once per level it visits
 (five from 0.01 to 0.1), not once per step.
 
 A march only has to reach Newton's basin, not the steady state itself.
-Given a ``handoff`` callback, :func:`march` offers its state to a Newton
+Given a ``handoff`` callback, :func:`run` offers its state to a Newton
 solve of the stationary problem at the first step that passes the loose
 rate test ``|du|/dt < 1e-2``, stops there if Newton's answer is accepted,
 and otherwise simply marches on to the caller's steady test: the first
@@ -51,19 +51,20 @@ Anal. 35, 1998).  Every equilibrium, and every one-field limit profile
 of :mod:`sisrd.asymptotics` (the same system with one diffusion rate at
 zero), reaches this one hand-off through
 :func:`sisrd.equilibrium.equilibrate`, whose result carries the march's
-step counts, end time and stop reason (``RunSummary.reason``).
+step counts, end time (``SimState.t``) and stop reason
+(``RunSummary.reason``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .grid import ScalarField, shifted_solver
+from .grid import ScalarField, shifted_factor
 from .solvers import NonConvergenceError
 
 __all__ = [
@@ -74,7 +75,6 @@ __all__ = [
     "MassBalanceError",
     "RunSummary",
     "step_imex",
-    "march",
     "run",
 ]
 
@@ -117,29 +117,31 @@ class RunSummary:
     steps: int = 0
     rejected: int = 0
     reason: str = ""  # "steady" | "t_final" | "max_steps"
-    t: float = 0.0  # time reached
     handoff: Optional[str] = None  # "newton" (accepted) | "resumed" (refused) | None
 
 
-def _solvers(c: CoefficientSet) -> tuple[Callable, Callable]:
-    """The S and I time-step solves of one march, each holding its own factor."""
-    return shifted_solver(c.domain, 1.0, c.d_S), shifted_solver(c.domain, c.eta.values, c.d_I)
+def _factor_pair(c: CoefficientSet, dt: float) -> tuple:
+    """LU factors of the S and I time-step operators for ``dt``."""
+    return (
+        shifted_factor(c.domain, 1.0 / dt + 1.0, c.d_S),
+        shifted_factor(c.domain, 1.0 / dt + c.eta.values, c.d_I),
+    )
 
 
 def step_imex(
-    state: SimState, c: CoefficientSet, dt: float, *, solvers=None
+    state: SimState, c: CoefficientSet, dt: float, *, factors=None
 ) -> tuple[SimState, float]:
     """Advance one IMEX step; raises :class:`StepRejected` on lost positivity.
 
     Returns the new state and the step's relative defect of the discrete
-    mass balance (see the module docstring).  ``solvers`` are the S and I
-    solves of a march (see :func:`run`); a step taken alone factors its two
-    operators for itself.
+    mass balance (see the module docstring).  ``factors`` is the S and I
+    factor pair for ``dt`` that :func:`run` holds; a step taken alone
+    factors its two operators for itself.
     """
     dom = state.domain
     if dom is not c.domain:
         raise ValueError("state and coefficients live on different domains")
-    solve_S, solve_I = _solvers(c) if solvers is None else solvers
+    lu_S, lu_I = _factor_pair(c, dt) if factors is None else factors
     w = dom.cell_measures
     S = state.S.values
     I = state.I.values
@@ -153,12 +155,12 @@ def step_imex(
     rhs -= transfer
     rhs += recovery
     rhs *= w
-    S_new = solve_S(dt, rhs)
+    S_new = lu_S.solve(rhs)
     rhs = I / dt
     rhs += transfer
     rhs -= recovery
     rhs *= w
-    I_new = solve_I(dt, rhs)
+    I_new = lu_I.solve(rhs)
 
     min_S = float(S_new.min())
     min_I = float(I_new.min())
@@ -179,118 +181,90 @@ def step_imex(
     return new_state, defect
 
 
-def march(
-    advance: Callable[[Any, float], tuple[Any, float]],
-    u: Any,
+def run(
+    state: SimState,
+    c: CoefficientSet,
     *,
-    t: float = 0.0,
     t_final: Optional[float] = None,
     steady_tol: Optional[float] = None,
     dt_init: float = 0.01,
     dt_max: float = 0.1,
     dt_min: float = 1e-9,
     max_steps: int = 2_000_000,
-    on_step: Optional[Callable[[Any, int], None]] = None,
-    handoff: Optional[Callable[[Any, RunSummary], bool]] = None,
-) -> tuple[Any, RunSummary]:
-    """Adaptive time loop: advance ``u`` from time ``t`` to a stopping rule.
+    on_step: Optional[Callable[[SimState, int], None]] = None,
+    handoff: Optional[Callable[[SimState, RunSummary], bool]] = None,
+) -> tuple[SimState, RunSummary]:
+    """March ``state`` by :func:`step_imex` from ``state.t`` to a stopping rule.
 
-    ``advance(u, dt)`` returns the next state and its sup-norm change
-    ``|u_new - u|_inf``, or raises :class:`StepRejected`; the step is then
-    retried with half the dt (see the module docstring for the policy).
-    The last step is clipped to end on ``t_final``.  The steady test is
-    ``change / dt < steady_tol`` over one accepted step.  At least one of
-    ``t_final`` and ``steady_tol`` must be given.  ``on_step(u, steps)``
-    is called after every accepted step.
+    A step is retried at half the dt on :class:`StepRejected`, and the last
+    one is clipped to end on ``t_final`` (see the module docstring for the
+    policy).  The steady test is ``|u_new - u|_inf / dt < steady_tol`` over
+    both fields and one accepted step; at least one of ``t_final`` and
+    ``steady_tol`` must be given.  ``on_step(state, steps)`` runs after
+    every accepted step, and an accepted step whose mass-balance defect
+    exceeds ``MASS_BALANCE_RTOL`` raises :class:`MassBalanceError`.
 
-    ``handoff(u, summary) -> bool`` is offered the state once, at the first
-    accepted step with ``change / dt < _HANDOFF_TOL``, before that step's
-    steady test; only a ``steady_tol`` below ``_HANDOFF_TOL`` asks for it.
-    ``summary`` is the one the march would return if it stopped there.  An
-    accepted hand-off ends the march as steady (``summary.handoff ==
-    "newton"``); a refused one lets the same loop go on (``"resumed"``).
+    ``handoff(state, summary) -> bool`` is offered the state once, at the
+    first step whose rate is below ``_HANDOFF_TOL``, before its steady
+    test, and only when ``steady_tol`` is tighter; ``summary`` is the one a
+    stop there would return.  Accepted, it ends the run as steady
+    (``summary.handoff == "newton"``); refused, the loop goes on
+    (``"resumed"``).  The loop holds the LU factor pair of the current dt
+    and frees it before ``handoff`` runs, so none is alive while Newton
+    factors.
     """
     if t_final is None and steady_tol is None:
         raise ValueError("need t_final, steady_tol, or both")
     summary = RunSummary()
     dt = min(dt_init, dt_max)
-    loose = _HANDOFF_TOL
-    offer = handoff is not None and steady_tol is not None and steady_tol < loose
+    offer = handoff is not None and steady_tol is not None and steady_tol < _HANDOFF_TOL
+    held_dt, factors = None, None
     while True:
-        if t_final is not None and t >= t_final - 1e-14:
+        if t_final is not None and state.t >= t_final - 1e-14:
             summary.reason = "t_final"
             break
         if summary.steps >= max_steps:
             summary.reason = "max_steps"
             break
-        step_dt = dt if t_final is None else min(dt, t_final - t)
+        step_dt = dt if t_final is None else min(dt, t_final - state.t)
         rejected = 0
         while True:
+            if step_dt != held_dt:
+                factors = None  # free the old pair before its successor is built
+                factors, held_dt = _factor_pair(c, step_dt), step_dt
             try:
-                u_new, change = advance(u, step_dt)
+                new, defect = step_imex(state, c, step_dt, factors=factors)
                 break
             except StepRejected:
                 rejected += 1
                 step_dt *= 0.5
                 if step_dt < dt_min:
                     raise TimeStepUnderflowError(
-                        f"dt underflow at t = {t:.6g} after {rejected} halvings"
+                        f"dt underflow at t = {state.t:.6g} after {rejected} halvings"
                     ) from None
-        summary.rejected += rejected
-        summary.steps += 1
-        u, t = u_new, t + step_dt
-        if on_step is not None:
-            on_step(u, summary.steps)
-        dt = min(step_dt * _DT_GROWTH, dt_max) if rejected == 0 else step_dt
-        if offer and change / step_dt < loose:
-            offer = False
-            stop = replace(summary, reason="steady", t=t)
-            if handoff(u, stop):
-                summary = replace(stop, handoff="newton")
-                break
-            summary.handoff = "resumed"
-        if steady_tol is not None and change / step_dt < steady_tol:
-            summary.reason = "steady"
-            break
-    summary.t = t
-    return u, summary
-
-
-def run(
-    state: SimState, c: CoefficientSet, *, handoff: Optional[Callable] = None, **controls
-) -> tuple[SimState, RunSummary]:
-    """March the system by :func:`step_imex` on the :func:`march` driver.
-
-    ``controls`` are the stopping and stepping keywords of :func:`march`,
-    and its ``on_step`` callback; ``handoff`` is passed on to it.  Every
-    accepted step must keep the discrete mass balance within
-    ``MASS_BALANCE_RTOL``, or the run aborts with :class:`MassBalanceError`.
-    The march's LU factors die with it, and are freed before ``handoff``
-    runs, so none is alive while Newton factors; a refused hand-off
-    rebuilds them.
-    """
-    solvers = None
-
-    def advance(s: SimState, dt: float) -> tuple[SimState, float]:
-        nonlocal solvers
-        if solvers is None:
-            solvers = _solvers(c)
-        new, defect = step_imex(s, c, dt, solvers=solvers)
         if defect > MASS_BALANCE_RTOL:
             raise MassBalanceError(
                 f"mass-balance defect {defect:.3e} exceeds "
-                f"{MASS_BALANCE_RTOL:.1e} at t = {s.t:.6g}"
+                f"{MASS_BALANCE_RTOL:.1e} at t = {state.t:.6g}"
             )
-        change = max(
-            float(abs(new.S.values - s.S.values).max()),
-            float(abs(new.I.values - s.I.values).max()),
-        )
-        return new, change
-
-    def hand_off(s: SimState, summary: RunSummary) -> bool:
-        nonlocal solvers
-        solvers = None  # no march factor is alive while the hand-off factors
-        return handoff(s, summary)
-
-    return march(advance, state, t=state.t, handoff=hand_off if handoff else None, **controls)
-
+        rate = max(
+            float(abs(new.S.values - state.S.values).max()),
+            float(abs(new.I.values - state.I.values).max()),
+        ) / step_dt
+        summary.rejected += rejected
+        summary.steps += 1
+        state = new
+        if on_step is not None:
+            on_step(state, summary.steps)
+        dt = min(step_dt * _DT_GROWTH, dt_max) if rejected == 0 else step_dt
+        if offer and rate < _HANDOFF_TOL:
+            offer = False
+            held_dt, factors = None, None  # freed before the hand-off factors
+            if handoff(state, replace(summary, reason="steady")):
+                summary.reason, summary.handoff = "steady", "newton"
+                break
+            summary.handoff = "resumed"
+        if steady_tol is not None and rate < steady_tol:
+            summary.reason = "steady"
+            break
+    return state, summary

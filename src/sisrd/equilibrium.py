@@ -14,7 +14,7 @@ factor; why it stopped is recorded in
 
 The march only has to reach Newton's basin, not the steady state itself:
 it offers its state to Newton through the package's one hand-off (the
-``handoff`` callback of :func:`sisrd.dynamics.march`) at the first step
+``handoff`` callback of :func:`sisrd.dynamics.run`) at the first step
 that passes the loose rate test ``|du|/dt < 1e-2``.  Newton's answer is
 kept only if it converged to an endemic state with ``I > 0`` everywhere
 and a conservation gap within 1e-6; otherwise the same march goes on to
@@ -113,7 +113,7 @@ def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> E
     """March to a steady state from ``init`` (default constants 0.8 / 0.2).
 
     ``controls`` are the stopping and stepping keywords of
-    :func:`~sisrd.dynamics.march`; ``steady_tol`` defaults to 1e-9 and
+    :func:`~sisrd.dynamics.run`; ``steady_tol`` defaults to 1e-9 and
     ``t_final`` to 4000.  The march hands its state to Newton at the loose
     steady test and goes on to ``steady_tol`` only if Newton's answer is
     refused (see the module docstring).  Raises :class:`NonConvergenceError`
@@ -195,7 +195,7 @@ def settle(c: CoefficientSet, state: SimState, summary: RunSummary) -> Equilibri
         conservation_gap=conservation_gap(c, S, I),
         steps=summary.steps,
         rejected=summary.rejected,
-        t=summary.t,
+        t=state.t,
         newton_iterations=newton_iters,
         meta={"march_reason": summary.reason, "newton_stop": newton_stop},
     )

@@ -11,6 +11,10 @@ nodes:
   circle (a staircase approximation; the boundary is not fitted), every
   node carrying the full cell area.
 
+:func:`build_domain` first bounds the size of the lattice it would lay out
+(:func:`check_lattice_size`, at most ``MAX_LATTICE_NODES`` points), so an
+oversized spec fails with :class:`DomainError` before any array exists.
+
 The zero-flux Laplacian uses 3-point (1D) / 5-point (2D) stencils with
 ghost-point reflection: a missing neighbor mirrors the center value, so a
 boundary row in 1D reads ``(-2, 2, 0)/h^2``.  The mesh edges assemble
@@ -24,11 +28,11 @@ Every linear solve outside Newton factors a :func:`shifted_operator`
 (:func:`sisrd.solvers.sparse_lu`, through :func:`shifted_factor` unless
 the caller also keeps the operator), owned by its caller, never by the
 domain.  With ``reaction > 0`` the operator is a symmetric, diagonally
-dominant M-matrix, which is what lets that LU skip pivoting.  A time march
-holds the factor of its time-step form ``W diag(1/dt + rate) + d K`` in a
-:func:`shifted_solver`, rebuilt only when dt changes and freed when the
-march returns or hands its state to Newton.  The disease-free solve and
-the two eigenproblems keep theirs for one call.
+dominant M-matrix, which is what lets that LU skip pivoting.  The time
+march (:func:`sisrd.dynamics.run`) holds the factors of its two time-step
+forms ``W diag(1/dt + rate) + d K``, rebuilt only when dt changes and
+freed when the march returns or hands its state to Newton.  The
+disease-free solve and the two eigenproblems keep theirs for one call.
 
 A domain caches what depends only on its mesh, each built on first use:
 the stiffness form ``K``, the Laplacian ``L``, the node adjacency, the
@@ -39,8 +43,9 @@ every CSV row (so :func:`write_field_csv` formats only the values).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,12 +58,13 @@ __all__ = [
     "DomainSpec",
     "DiscreteDomain",
     "ScalarField",
+    "MAX_LATTICE_NODES",
+    "check_lattice_size",
     "build_domain",
     "assemble_neumann_laplacian",
     "stiffness_matrix",
     "shifted_operator",
     "shifted_factor",
-    "shifted_solver",
     "integrate",
     "dilate_mask",
     "erode_mask",
@@ -208,8 +214,36 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+# 64 times the lattice of the finest ladder rung, a unit disk at cell 1/128
+# (256^2 points, 51,468 of them inside)
+MAX_LATTICE_NODES = 2**22
+
+
+def check_lattice_size(spec: DomainSpec) -> None:
+    """Refuse a spec whose lattice exceeds ``MAX_LATTICE_NODES`` points.
+
+    Counted from the spec alone: ``nodes``, ``nx * ny``, or for a disk
+    ``ceil(2 radius / cell_size)^2``, since its builder lays out the whole
+    square lattice.  Other invalid specs are left to the builders.
+    """
+    if spec.kind == "interval":
+        size = spec.nodes
+    elif spec.kind == "rectangle":
+        size = max(spec.shape[0], 0) * max(spec.shape[1], 0)
+    elif spec.kind == "disk" and spec.radius > 0 and spec.cell_size > 0:
+        per_axis = 2 * spec.radius / spec.cell_size
+        size = math.ceil(per_axis) ** 2 if math.isfinite(per_axis) else math.inf
+    else:
+        return
+    if size > MAX_LATTICE_NODES:
+        raise DomainError(
+            f"mesh too large: {size:.3g} lattice points, the limit is {MAX_LATTICE_NODES}"
+        )
+
+
 def build_domain(spec: DomainSpec) -> DiscreteDomain:
-    """Mesh a :class:`DomainSpec`, validating geometry and resolution."""
+    """Mesh a :class:`DomainSpec`, validating geometry, resolution and size."""
+    check_lattice_size(spec)
     if spec.kind == "interval":
         return _build_interval(spec)
     if spec.kind == "rectangle":
@@ -390,27 +424,6 @@ def shifted_factor(dom: DiscreteDomain, reaction, diffusion: float):
     """
     A = shifted_operator(dom, reaction, diffusion)
     return sparse_lu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape))
-
-
-def shifted_solver(dom: DiscreteDomain, rate, diffusion: float) -> Callable[[float, np.ndarray], np.ndarray]:
-    """One-slot LU holder for the time-step operator of a march.
-
-    Returns ``solve(dt, b)``, which solves
-    ``shifted_operator(dom, 1/dt + rate, diffusion) x = b``.  The holder
-    keeps the factor of the last dt: a repeated dt reuses it, and a new dt
-    frees it before its successor is built by :func:`shifted_factor`.  The
-    factor lives as long as ``solve`` does.
-    """
-    held_dt, lu = None, None
-
-    def solve(dt: float, b: np.ndarray) -> np.ndarray:
-        nonlocal held_dt, lu
-        if dt != held_dt:
-            lu = None  # free the old factor before its successor is built
-            lu, held_dt = shifted_factor(dom, 1.0 / dt + rate, diffusion), dt
-        return lu.solve(b)
-
-    return solve
 
 
 def integrate(dom: DiscreteDomain, f) -> float:

@@ -1,9 +1,10 @@
 """JSON scenario configs: domain, coefficients, initial data, run controls.
 
 A scenario file is a single JSON object.  Everything that can fail —
-unknown keys, malformed formulas, missing fields, out-of-range exponents —
-fails during :func:`load_scenario` / :func:`ScenarioConfig.from_dict`,
-before any mesh is built or any solve starts.  Formula strings use the
+unknown keys, malformed formulas, missing fields, out-of-range exponents,
+a mesh past :data:`sisrd.grid.MAX_LATTICE_NODES` — fails during
+:func:`load_scenario` / :func:`ScenarioConfig.from_dict`, before any mesh
+is built or any solve starts.  Formula strings use the
 expression language of :mod:`sisrd.formula` in the spatial variables
 ``x`` (and ``y`` on two-dimensional domains).
 
@@ -27,7 +28,7 @@ joint regime's diffusion ratio for ``sisrd sweep`` and ``sisrd
 asymptotics``).  The ``stopping`` and ``stepping`` values must be positive;
 those set (``null`` counts as unset) become
 :attr:`ScenarioConfig.controls`, the keywords of
-:func:`sisrd.dynamics.march`, which supplies the stepping defaults.  The
+:func:`sisrd.dynamics.run`, which supplies the stepping defaults.  The
 domain's ``nodes`` and ``shape`` entries must be JSON integers, and every
 number in the file must be finite (``json`` reads ``Infinity`` and
 ``NaN``, which are refused).
@@ -44,7 +45,7 @@ from typing import Optional
 from .coefficients import CoefficientSet, evaluate_formula_on
 from .dynamics import SimState
 from .formula import FormulaError, free_variables, parse
-from .grid import DiscreteDomain, DomainSpec, build_domain
+from .grid import DiscreteDomain, DomainError, DomainSpec, build_domain, check_lattice_size
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario"]
 
@@ -175,6 +176,10 @@ class ScenarioConfig:
 
         dom_block = _require(data, "domain", origin)
         spec = cls._domain_spec(dom_block, f"{origin}.domain")
+        try:
+            check_lattice_size(spec)
+        except DomainError as exc:
+            raise ConfigError(f"bad {origin}.domain: {exc}") from None
         dim = 1 if spec.kind == "interval" else 2
 
         coeff = _block(data, "coefficients", origin, _COEFF_KEYS)

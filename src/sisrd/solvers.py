@@ -9,7 +9,7 @@ the marches, the disease-free solve and the eigenproblems.
 on the coupled system by :mod:`sisrd.equilibrium` for every equilibrium
 and every one-field limit profile of :mod:`sisrd.asymptotics`; its caller
 supplies the residual and its Jacobian.  Newton starts from a marched
-state at the hand-off of :func:`sisrd.dynamics.march`, after the march has
+state at the hand-off of :func:`sisrd.dynamics.run`, after the march has
 freed its own factors; a refused answer lets that march go on.  It holds
 one Jacobian factor and refactors only when a step stops cutting the
 residual tenfold (the chord, or Shamanskii, method: Kelley, *Solving

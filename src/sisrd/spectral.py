@@ -35,7 +35,9 @@ one solve with the factor.  The Lanczos vector, mapped back and clipped at
 0, then starts the positive power iteration, which certifies the pair by
 its residual and keeps the eigenvector positive; it usually stops after
 one step.  ``iterations`` counts the factor solves of the whole call, and
-the factor is freed before the result is built.
+the factor is freed before the result is built.  A call that runs past its
+solve budget, that ARPACK fails, or whose products overflow (a ``beta``
+near the float limit) raises :class:`NonConvergenceError`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .coefficients import CoefficientSet
 from .equilibrium import solve_dfe
@@ -87,20 +89,23 @@ def _top_eigenpair(B, a: np.ndarray, what: str) -> tuple[np.ndarray, float, floa
     r = np.sqrt(a)
     C = LinearOperator((n, n), matvec=lambda x: r * solve(r * x.ravel()), dtype=float)
     try:
-        _, x = eigsh(C, k=1, which="LA", v0=r, ncv=min(_LANCZOS_NCV, n), tol=_LANCZOS_TOL)
+        with np.errstate(over="raise"):  # an overflowing product ends the call
+            _, x = eigsh(C, k=1, which="LA", v0=r, ncv=min(_LANCZOS_NCV, n), tol=_LANCZOS_TOL)
+            phi = x[:, 0] / r
+            phi = np.maximum(phi if phi.sum() > 0.0 else -phi, 0.0)
+            while True:
+                y = solve(a * phi)
+                phi = y / float(np.max(np.abs(y)))
+                Aphi = a * phi
+                Bphi = B @ phi
+                mu = float(phi @ Aphi) / float(phi @ Bphi)
+                res = float(np.linalg.norm(Aphi - mu * Bphi)) / float(np.linalg.norm(Bphi))
+                if res <= _POWER_TOL:
+                    return phi, mu, res, solves
     except ArpackNoConvergence:
         raise NonConvergenceError(f"{what} Lanczos iteration stalled") from None
-    phi = x[:, 0] / r
-    phi = np.maximum(phi if phi.sum() > 0.0 else -phi, 0.0)
-    while True:
-        y = solve(a * phi)
-        phi = y / float(np.max(np.abs(y)))
-        Aphi = a * phi
-        Bphi = B @ phi
-        mu = float(phi @ Aphi) / float(phi @ Bphi)
-        res = float(np.linalg.norm(Aphi - mu * Bphi)) / float(np.linalg.norm(Bphi))
-        if res <= _POWER_TOL:
-            return phi, mu, res, solves
+    except (ArpackError, FloatingPointError) as exc:
+        raise NonConvergenceError(f"{what} eigen-solve failed: {exc}") from None
 
 
 def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> SpectralResult:

@@ -5,14 +5,15 @@ a Newton that stalls once, and Newton solves that miss their system.
 :func:`record_acceptance`; at the end of the session one PASS/FAIL line is
 printed per criterion, independent of pytest's own reporting.
 
-The ``factor_log`` fixture routes ``grid.shifted_factor`` through a
-:class:`FactorLog`, which counts the LU factors alive at every moment;
+The ``factor_log`` fixture routes ``grid.shifted_factor``, and the name
+:mod:`sisrd.dynamics` binds to it, through a :class:`FactorLog`, which
+counts the LU factors alive at every moment;
 ``newton_factors`` records the size of every factor Newton builds.
 """
 
 import pytest
 
-from sisrd import equilibrium, grid, solvers
+from sisrd import dynamics, equilibrium, grid, solvers
 
 ACCEPTANCE_LOG: list = []  # entries: (number, title, passed, detail)
 
@@ -88,6 +89,7 @@ class _TrackedFactor:
 def factor_log(monkeypatch) -> FactorLog:
     log = FactorLog(grid.shifted_factor)
     monkeypatch.setattr(grid, "shifted_factor", log)
+    monkeypatch.setattr(dynamics, "shifted_factor", log)
     return log
 
 

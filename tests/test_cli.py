@@ -339,3 +339,36 @@ def test_mass_balance_failure_exits_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: mass-balance defect")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "tweak, code, message",
+    [
+        ({"domain": {"kind": "disk", "radius": 1.0, "cell_size": 1e-12}}, 2, "config error: "),
+        (
+            {"domain": {"kind": "rectangle", "x_range": [0, 1], "y_range": [0, 1],
+                        "shape": [10_000_000, 10_000_000]}},
+            2,
+            "config error: ",
+        ),
+        (
+            {"domain": {"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 10_000_000_000_000}},
+            2,
+            "config error: ",
+        ),
+        (
+            {"coefficients": {"beta": "1e300", "gamma": "0.5", "eta": "0.5", "lambda": "2"}},
+            1,
+            "error: R0 eigen-solve failed",
+        ),
+    ],
+    ids=["disk-cell-size", "rectangle-shape", "interval-nodes", "r0-overflow"],
+)
+def test_oversized_mesh_and_overflowing_r0_exit_cleanly(tmp_path, capsys, tweak, code, message):
+    # the three meshes are refused from the config alone, before any array
+    # exists; the overflowing eigen-solve ends in the typed error
+    cfg = write_config(tmp_path, **tweak)
+    assert main(["r0", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1

@@ -14,7 +14,6 @@ from sisrd.dynamics import (
     SimState,
     StepRejected,
     TimeStepUnderflowError,
-    march,
     run,
     step_imex,
 )
@@ -252,9 +251,31 @@ def test_mass_conservation_totals_over_run():
     assert abs(lhs - rhs) / rhs <= 1e-8
 
 
-def test_march_halves_rejected_steps_and_holds_dt():
-    # a scalar clock that rejects its first two tries: dt_init and its half
-    # are rejected, the quarter is accepted and kept for the next step, and
+TOY = build_domain(DomainSpec.interval(0, 1, 3))
+
+
+def toy_run(monkeypatch, advance, u0=1.0, **controls):
+    """:func:`run` on a three-node interval whose steps are ``advance(u, dt) -> u_new``.
+
+    ``dynamics.step_imex`` is replaced by a step that applies ``advance``
+    to the constant value ``u`` of S (I stays 0), so the loop's sup change
+    is ``|u - u_new|``.  Returns the final ``u``, the final state and the
+    summary.
+    """
+
+    def step(state, c, dt, *, factors=None):
+        u_new = advance(float(state.S.values[0]), dt)
+        return SimState(TOY.field(u_new), state.I, state.t + dt), 0.0
+
+    monkeypatch.setattr(dynamics, "step_imex", step)
+    _, c = make(TOY)
+    state, summary = run(SimState(TOY.field(u0), TOY.field(0.0)), c, **controls)
+    return float(state.S.values[0]), state, summary
+
+
+def test_march_halves_rejected_steps_and_holds_dt(monkeypatch):
+    # a clock that rejects its first two tries: dt_init and its half are
+    # rejected, the quarter is accepted and kept for the next step, and
     # only a step accepted without rejection lets dt grow again
     tried = []
 
@@ -262,17 +283,18 @@ def test_march_halves_rejected_steps_and_holds_dt():
         tried.append(dt)
         if len(tried) <= 2:
             raise StepRejected(f"try {len(tried)} rejected")
-        return u + dt, dt
+        return u
 
-    u, summary = march(advance, 0.0, t_final=10.0, dt_init=0.1, dt_max=1.0, max_steps=3)
+    _, state, summary = toy_run(
+        monkeypatch, advance, t_final=10.0, dt_init=0.1, dt_max=1.0, max_steps=3
+    )
     quarter = 0.025
     grown = quarter * dynamics._DT_GROWTH
     assert tried == pytest.approx([0.1, 0.05, quarter, quarter, grown])
     assert summary.rejected == 2
     assert summary.steps == 3
     assert summary.reason == "max_steps"
-    end = 2 * quarter + grown
-    assert u == pytest.approx(end) and summary.t == pytest.approx(end)
+    assert state.t == pytest.approx(2 * quarter + grown)
 
 
 def test_clean_march_factors_each_operator_once_per_ladder_level(factor_log):
@@ -287,40 +309,56 @@ def test_clean_march_factors_each_operator_once_per_ladder_level(factor_log):
     assert len(factor_log.builds) == 2 * levels
 
 
-def test_march_underflow_is_a_nonconvergence_error():
+def test_march_underflow_is_a_nonconvergence_error(monkeypatch):
     def advance(u, dt):
         raise StepRejected("always")
 
     with pytest.raises(NonConvergenceError) as info:
-        march(advance, 0.0, t_final=1.0, dt_min=1e-3)
+        toy_run(monkeypatch, advance, t_final=1.0, dt_min=1e-3)
     assert isinstance(info.value, TimeStepUnderflowError)
 
 
-_REAL_SOLVERS = dynamics._solvers
+def test_run_holds_one_factor_pair_and_frees_it_before_the_next(factor_log):
+    # the loop keeps exactly one factor of each operator while it steps,
+    # and none once it returns
+    dom, c = make(d_S=0.1, d_I=0.05)
+    state = SimState(dom.field(0.8), dom.field(0.2))
+    live = []
+    run(
+        state, c, t_final=100.0, dt_init=0.01, dt_max=0.05, max_steps=10,
+        on_step=lambda s, k: live.append(dict(factor_log.live)),
+    )
+    assert live == [{0.1: 1, 0.05: 1}] * 10
+    assert factor_log.live == {0.1: 0, 0.05: 0}
 
 
-def _poisoned_solvers(c, species, value):
-    """The march's S and I solves, with one output entry of ``species`` set to ``value``."""
-    solves = dict(zip("SI", _REAL_SOLVERS(c)))
-    real = solves[species]
+class _PoisonedFactor:
+    """A factor whose solves set their middle entry to ``value``."""
 
-    def poisoned(dt, b):
-        x = real(dt, b)
-        x[len(x) // 2] = value
+    def __init__(self, lu, value):
+        self.lu, self.value = lu, value
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        x[len(x) // 2] = self.value
         return x
-
-    solves[species] = poisoned
-    return solves["S"], solves["I"]
 
 
 @pytest.mark.parametrize("species", ["S", "I"])
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_non_finite_solve_output_raises_the_field_error(species, value, monkeypatch):
     dom, c = make()
+    poisoned = {"S": c.d_S, "I": c.d_I}[species]
+
+    def factor(dom, reaction, diffusion):
+        lu = grid.shifted_factor(dom, reaction, diffusion)
+        return _PoisonedFactor(lu, value) if diffusion == poisoned else lu
+
+    monkeypatch.setattr(dynamics, "shifted_factor", factor)
     state = SimState(dom.field(0.8), dom.field(0.2))
+    # a step taken alone, and the steps of a run, which hold their factors
     with pytest.raises(ValueError, match="field contains non-finite values"):
-        step_imex(state, c, 0.05, solvers=_poisoned_solvers(c, species, value))
-    monkeypatch.setattr(dynamics, "_solvers", lambda c: _poisoned_solvers(c, species, value))
+        step_imex(state, c, 0.05)
     with pytest.raises(ValueError, match="field contains non-finite values"):
         run(state, c, t_final=0.5)
 
@@ -338,81 +376,80 @@ def relax(u, dt):
     # march halves and regrows dt; the rate change/dt is u_new
     if dt > 0.07:
         raise StepRejected(f"dt {dt} too large")
-    u_new = u / (1.0 + dt)
-    return u_new, u - u_new
+    return u / (1.0 + dt)
 
 
 def offered(answer):
-    """A hand-off that records what it is offered and answers ``answer``."""
+    """A hand-off that records the ``u`` and state it is offered, and answers ``answer``."""
     calls = []
 
-    def handoff(u, summary):
-        calls.append((u, summary))
+    def handoff(state, summary):
+        calls.append((float(state.S.values[0]), state, summary))
         return answer
 
     handoff.calls = calls
     return handoff
 
 
-def plain_relax_march(**controls):
-    """A march without hand-off, and its states after each step."""
-    states = []
-    u, summary = march(relax, 1.0, on_step=lambda v, k: states.append(v), **controls)
-    return u, summary, states
+def plain_relax_march(monkeypatch, **controls):
+    """A march without hand-off, its final state and summary, and ``u`` after each step."""
+    us = []
+    u, state, summary = toy_run(
+        monkeypatch, relax, on_step=lambda s, k: us.append(float(s.S.values[0])), **controls
+    )
+    return u, state, summary, us
 
 
-def first_loose_step(states):
-    # relax's rate change/dt equals its new state
-    return next(k for k, v in enumerate(states, start=1) if v < 1e-2)
+def first_loose_step(us):
+    # relax's rate change/dt equals its new value
+    return next(k for k, v in enumerate(us, start=1) if v < 1e-2)
 
 
-def test_march_offers_the_handoff_once_at_the_loose_steady_test():
-    _, plain, states = plain_relax_march(steady_tol=1e-6)
-    first = first_loose_step(states)
+def test_march_offers_the_handoff_once_at_the_loose_steady_test(monkeypatch):
+    _, _, plain, us = plain_relax_march(monkeypatch, steady_tol=1e-6)
+    first = first_loose_step(us)
     assert plain.rejected > 0 and plain.steps > first
     handoff = offered(False)
-    march(relax, 1.0, steady_tol=1e-6, handoff=handoff)
+    toy_run(monkeypatch, relax, steady_tol=1e-6, handoff=handoff)
     assert len(handoff.calls) == 1
-    u, summary = handoff.calls[0]
-    assert u == states[first - 1]
+    u, _, summary = handoff.calls[0]
+    assert u == us[first - 1]
     # the summary is the one the march would return if it stopped there
     assert summary.steps == first
     assert (summary.reason, summary.handoff) == ("steady", None)
 
 
-def test_refused_handoff_leaves_the_march_unchanged():
-    u_plain, plain, _ = plain_relax_march(steady_tol=1e-6)
+def test_refused_handoff_leaves_the_march_unchanged(monkeypatch):
+    u_plain, plain_state, plain, _ = plain_relax_march(monkeypatch, steady_tol=1e-6)
     seen = []
-    u, summary = march(
-        relax, 1.0, steady_tol=1e-6, handoff=offered(False),
-        on_step=lambda v, k: seen.append(k),
+    u, state, summary = toy_run(
+        monkeypatch, relax, steady_tol=1e-6, handoff=offered(False),
+        on_step=lambda s, k: seen.append(k),
     )
-    assert (u, summary.steps, summary.rejected, summary.t) == (
-        u_plain, plain.steps, plain.rejected, plain.t
+    assert (u, summary.steps, summary.rejected, state.t) == (
+        u_plain, plain.steps, plain.rejected, plain_state.t
     )
     assert (summary.reason, summary.handoff) == ("steady", "resumed")
     # on_step numbers run on across the hand-off
     assert seen == list(range(1, plain.steps + 1))
 
 
-def test_accepted_handoff_stops_the_march_at_that_step():
-    first = first_loose_step(plain_relax_march(steady_tol=1e-6)[2])
+def test_accepted_handoff_stops_the_march_at_that_step(monkeypatch):
+    first = first_loose_step(plain_relax_march(monkeypatch, steady_tol=1e-6)[3])
     handoff = offered(True)
-    u, summary = march(relax, 1.0, steady_tol=1e-6, t_final=100.0, handoff=handoff)
-    offered_u, offered_summary = handoff.calls[0]
-    assert u == offered_u
+    u, state, summary = toy_run(monkeypatch, relax, steady_tol=1e-6, t_final=100.0, handoff=handoff)
+    offered_u, offered_state, offered_summary = handoff.calls[0]
+    assert u == offered_u and state is offered_state
     assert summary.steps == first
-    assert (summary.steps, summary.rejected, summary.t) == (
-        offered_summary.steps, offered_summary.rejected, offered_summary.t
-    )
+    assert (summary.steps, summary.rejected) == (offered_summary.steps, offered_summary.rejected)
     assert (summary.reason, summary.handoff) == ("steady", "newton")
 
 
 @pytest.mark.parametrize("answer, handoff_result", [(True, "newton"), (False, "resumed")])
-def test_march_started_at_its_steady_state_still_hands_off(answer, handoff_result):
+def test_march_started_at_its_steady_state_still_hands_off(answer, handoff_result, monkeypatch):
     # the first step passes both tests; the hand-off is offered before the steady test
     handoff = offered(answer)
-    u, summary = march(relax, 0.0, steady_tol=1e-9, handoff=handoff)
+    u, _, summary = toy_run(monkeypatch, relax, 0.0, steady_tol=1e-9, handoff=handoff)
     assert len(handoff.calls) == 1
     assert (u, summary.steps, summary.reason, summary.handoff) == (0.0, 1, "steady", handoff_result)
 
@@ -422,10 +459,10 @@ def test_march_started_at_its_steady_state_still_hands_off(answer, handoff_resul
     [{"t_final": 20.0}, {"steady_tol": 1e-2}, {"steady_tol": 0.5}],
     ids=["no-steady-test", "steady-tol-at-handoff", "steady-tol-above-handoff"],
 )
-def test_march_offers_no_handoff_without_a_tighter_steady_test(controls):
+def test_march_offers_no_handoff_without_a_tighter_steady_test(controls, monkeypatch):
     handoff = offered(True)
-    u, summary = march(relax, 1.0, handoff=handoff, **controls)
-    plain_u, plain = march(relax, 1.0, **controls)
+    u, state, summary = toy_run(monkeypatch, relax, handoff=handoff, **controls)
+    plain_u, plain_state, plain = toy_run(monkeypatch, relax, **controls)
     assert handoff.calls == []
     assert summary.handoff is None
-    assert (u, summary) == (plain_u, plain)
+    assert (u, state.t, summary) == (plain_u, plain_state.t, plain)

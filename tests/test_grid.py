@@ -19,7 +19,6 @@ from sisrd.grid import (
     load_field_csv,
     shifted_factor,
     shifted_operator,
-    shifted_solver,
     stiffness_matrix,
     write_field_csv,
 )
@@ -201,6 +200,26 @@ def test_too_coarse_domains_rejected():
         build_domain(DomainSpec(kind="hexagon"))
 
 
+def test_lattice_size_is_bounded_from_the_spec_alone(monkeypatch):
+    # no builder is reached (a broken bound fails on calling None rather
+    # than allocating): the check runs on the spec before any array exists
+    for builder in ("_build_interval", "_build_rectangle", "_build_disk"):
+        monkeypatch.setattr(grid, builder, None)
+    limit = grid.MAX_LATTICE_NODES
+    assert limit == 2**22
+    grid.check_lattice_size(DomainSpec.disk(1.0, cell_size=1 / 1024))  # 2048^2 points, at the limit
+    grid.check_lattice_size(DomainSpec.interval(0, 1, limit))
+    grid.check_lattice_size(DomainSpec.rectangle((0, 1), (0, 1), (2048, 2048)))
+    for spec in (
+        DomainSpec.disk(1.0, cell_size=1 / 1025),
+        DomainSpec.disk(1.0, cell_size=5e-324),  # 2 r / s overflows to inf
+        DomainSpec.interval(0, 1, limit + 1),
+        DomainSpec.rectangle((0, 1), (0, 1), (2048, 2049)),
+    ):
+        with pytest.raises(DomainError, match="mesh too large"):
+            build_domain(spec)
+
+
 # ---------------------------------------------------------------------------
 # Fields, operators, quadrature
 # ---------------------------------------------------------------------------
@@ -264,7 +283,7 @@ def test_shifted_solve_matches_dense_solve():
     dom = disk(0.125)
     rate = 1.0 + dom.coords[:, 0] ** 2
     b = np.sin(3 * dom.coords[:, 0]) + dom.coords[:, 1]
-    x = shifted_solver(dom, rate, 0.3)(0.1, b)
+    x = shifted_factor(dom, 10.0 + rate, 0.3).solve(b)
     expected = np.linalg.solve(shifted_operator(dom, 10.0 + rate, 0.3).toarray(), b)
     assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -323,19 +342,6 @@ def test_shifted_operator_drops_an_exactly_cancelled_diagonal():
     A = shifted_operator(dom, reaction, 1.0)
     assert A.nnz == K.nnz - 1
     _assert_bitwise_equal(A, _generic_operator(dom, reaction, 1.0))
-
-
-def test_shifted_solver_holds_one_factor_and_frees_it_before_the_next(factor_log):
-    dom = interval(17)
-    b = np.ones(dom.n_nodes)
-    solve = shifted_solver(dom, 1.0, 0.1)
-    for dt in (0.1, 0.1, 0.2, 0.2, 0.1):
-        solve(dt, b)
-        assert factor_log.live == {0.1: 1}
-    # a repeated dt reuses the factor; each new dt builds one after the old is gone
-    assert factor_log.builds == [(0.1, 0), (0.1, 0), (0.1, 0)]
-    del solve
-    assert factor_log.live == {0.1: 0}
 
 
 def test_mask_morphology():

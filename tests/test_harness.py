@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import interior_max
 
-from sisrd import dynamics, harness
+from sisrd import dynamics, equilibrium, harness
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MASS_BALANCE_RTOL, TimeStepUnderflowError, run
 from sisrd.grid import DomainSpec, build_domain
@@ -199,14 +199,14 @@ def test_run_scenario_snapshots(tmp_path):
 
 @pytest.mark.parametrize("every", [0, 50])
 def test_march_gets_a_step_callback_only_for_snapshots(every, tmp_path, monkeypatch):
-    real = dynamics.march
+    real = equilibrium.run
     callbacks = []
 
-    def recording_march(advance, u, **kwargs):
+    def recording_run(state, c, **kwargs):
         callbacks.append(kwargs.get("on_step"))
-        return real(advance, u, **kwargs)
+        return real(state, c, **kwargs)
 
-    monkeypatch.setattr(dynamics, "march", recording_march)
+    monkeypatch.setattr(equilibrium, "run", recording_run)
     data = rect_scenario_dict()
     data["outputs"] = {"snapshot_every": every}
     run_scenario(ScenarioConfig.from_dict(data), tmp_path / "out")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from sisrd import spectral
 from sisrd.coefficients import CoefficientSet
@@ -109,6 +109,16 @@ def test_lanczos_without_convergence_raises_stalled(monkeypatch):
     _, c = varying_1d()
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
     with pytest.raises(NonConvergenceError, match="stalled"):
+        compute_r0(c)
+
+
+def test_arpack_failure_raises_nonconvergence(monkeypatch):
+    def arpack_error(*args, **kwargs):
+        raise ArpackError(-9999)
+
+    _, c = varying_1d()
+    monkeypatch.setattr(spectral, "eigsh", arpack_error)
+    with pytest.raises(NonConvergenceError, match="R0 eigen-solve failed: ARPACK error -9999"):
         compute_r0(c)
 
 
