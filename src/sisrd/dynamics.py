@@ -11,8 +11,8 @@ factor of its time-step operator (:func:`sisrd.grid.shifted_factor`).
 :func:`run` holds the pair of factors for one dt: a new dt frees the pair
 before the next is built, and dt only moves between the levels of a
 doubling ladder (below), so a march builds one factor per operator and
-level, however many steps it takes; once dt reaches ``dt_max`` every step
-is two pairs of triangular solves.
+level, however many steps it takes; while dt stays at ``dt_max`` every
+step is two pairs of triangular solves.
 Because the transfer terms ``-F + gamma I`` and ``+F - gamma I`` appear
 explicitly with opposite signs, they cancel exactly in the discrete
 total-mass balance; integrating the two updates gives
@@ -31,15 +31,21 @@ either output makes the defect non-finite, and the step then raises the
 non-finite values.  Otherwise the outputs become the new fields as they
 are.
 
-:func:`run` is the package's one time loop.  A step that raises
+:func:`run` is the package's one time loop.  It starts at ``dt_max``
+(0.4) unless given a ``dt_init``.  A step that raises
 :class:`StepRejected` (a nonpositive susceptible or a negative infected
-value) is retried with half the step; dt stays at the accepted value
-after a rejection and otherwise doubles, capped at ``dt_max``; once dt
-falls below ``dt_min`` the march aborts with
-:class:`TimeStepUnderflowError`.  Halving and
-doubling keep every dt on the ladder ``dt_init 2^k`` (``dt_max 2^-j`` after
-a rejection at the cap), so the march factors once per level it visits
-(five from 0.01 to 0.1), not once per step.
+value) is retried with half the step; once dt falls below ``dt_min`` the
+march aborts with :class:`TimeStepUnderflowError`.  After an accepted
+step dt halves if the step's increment ``(dS, dI)`` reverses the last
+one, ``<dS, dS_prev>_W + <dI, dI_prev>_W < 0``: the explicit transfer
+overshoots and the march oscillates instead of settling (a discrete form
+of switched evolution relaxation).  These halvings stop at
+``dt_max 2^-4``, where dt holds.  Otherwise dt stays at the accepted
+value after a rejection and doubles, capped at ``dt_max``.  Halving and
+doubling keep every dt on the ladder ``dt_max 2^-j`` (``dt_init 2^k``
+from an explicit start), so the march factors once per level it visits,
+not once per step; on the shipped scenarios it never leaves the cap and
+builds one factor pair.
 
 A march only has to reach Newton's basin, not the steady state itself.
 Given a ``handoff`` callback, :func:`run` offers its state to a Newton
@@ -81,6 +87,7 @@ __all__ = [
 MASS_BALANCE_RTOL = 1e-10
 _DT_GROWTH = 2.0  # undoes a rejection halving, so dt stays on the levels of one ladder
 _HANDOFF_TOL = 1e-2  # steady test at which a march hands its state to Newton
+_REVERSAL_FLOOR = 2.0**-4  # a reversal halves dt only down to dt_max times this
 
 
 class StepRejected(RuntimeError):
@@ -116,6 +123,7 @@ class SimState:
 class RunSummary:
     steps: int = 0
     rejected: int = 0
+    reversals: int = 0  # dt halvings after an increment reversal
     reason: str = ""  # "steady" | "t_final" | "max_steps"
     handoff: Optional[str] = None  # "newton" (accepted) | "resumed" (refused) | None
 
@@ -187,8 +195,8 @@ def run(
     *,
     t_final: Optional[float] = None,
     steady_tol: Optional[float] = None,
-    dt_init: float = 0.01,
-    dt_max: float = 0.1,
+    dt_init: Optional[float] = None,
+    dt_max: float = 0.4,
     dt_min: float = 1e-9,
     max_steps: int = 2_000_000,
     on_step: Optional[Callable[[SimState, int], None]] = None,
@@ -196,10 +204,13 @@ def run(
 ) -> tuple[SimState, RunSummary]:
     """March ``state`` by :func:`step_imex` from ``state.t`` to a stopping rule.
 
-    A step is retried at half the dt on :class:`StepRejected`, and the last
-    one is clipped to end on ``t_final`` (see the module docstring for the
-    policy).  The steady test is ``|u_new - u|_inf / dt < steady_tol`` over
-    both fields and one accepted step; at least one of ``t_final`` and
+    The march starts at ``dt_init``, or at ``dt_max`` when it is None.  A
+    step is retried at half the dt on :class:`StepRejected`, the next dt
+    halves after an increment reversal (counted in ``summary.reversals``),
+    and the last step is clipped to end on ``t_final`` (see the module
+    docstring for the policy).  The steady test is
+    ``|u_new - u|_inf / dt < steady_tol`` over both fields and one
+    accepted step; at least one of ``t_final`` and
     ``steady_tol`` must be given.  ``on_step(state, steps)`` runs after
     every accepted step, and an accepted step whose mass-balance defect
     exceeds ``MASS_BALANCE_RTOL`` raises :class:`MassBalanceError`.
@@ -216,9 +227,12 @@ def run(
     if t_final is None and steady_tol is None:
         raise ValueError("need t_final, steady_tol, or both")
     summary = RunSummary()
-    dt = min(dt_init, dt_max)
+    dt = dt_max if dt_init is None else min(dt_init, dt_max)
+    dt_floor = dt_max * _REVERSAL_FLOOR
     offer = handoff is not None and steady_tol is not None and steady_tol < _HANDOFF_TOL
     held_dt, factors = None, None
+    w = state.domain.cell_measures
+    dS_prev = dI_prev = 0.0  # the first step has no increment to reverse
     while True:
         if t_final is not None and state.t >= t_final - 1e-14:
             summary.reason = "t_final"
@@ -247,16 +261,23 @@ def run(
                 f"mass-balance defect {defect:.3e} exceeds "
                 f"{MASS_BALANCE_RTOL:.1e} at t = {state.t:.6g}"
             )
-        rate = max(
-            float(abs(new.S.values - state.S.values).max()),
-            float(abs(new.I.values - state.I.values).max()),
-        ) / step_dt
+        dS = new.S.values - state.S.values
+        dI = new.I.values - state.I.values
+        rate = max(float(abs(dS).max()), float(abs(dI).max())) / step_dt
+        reversed_ = float(np.dot(w, dS * dS_prev)) + float(np.dot(w, dI * dI_prev)) < 0.0
+        dS_prev, dI_prev = dS, dI
         summary.rejected += rejected
         summary.steps += 1
         state = new
         if on_step is not None:
             on_step(state, summary.steps)
-        dt = min(step_dt * _DT_GROWTH, dt_max) if rejected == 0 else step_dt
+        if reversed_ and step_dt * 0.5 >= dt_floor:
+            dt = step_dt * 0.5
+            summary.reversals += 1
+        elif reversed_ or rejected:
+            dt = step_dt
+        else:
+            dt = min(step_dt * _DT_GROWTH, dt_max)
         if offer and rate < _HANDOFF_TOL:
             offer = False
             held_dt, factors = None, None  # freed before the hand-off factors

@@ -20,9 +20,9 @@ are removed.
 :func:`sweep` shrinks one or both diffusion rates over a descending list
 of values (the regimes and their one rule for ``sigma`` are those of
 :func:`~sisrd.asymptotics.shrink_diffusion`), solves for the equilibrium at
-each (rows after the first are warm-started from the previous equilibrium
-at the march's ``dt_max``), and measures the distance to the predicted
-small-diffusion profile; where only envelopes of the profile are known
+each (rows after the first are warm-started from the previous
+equilibrium), and measures the distance to the predicted small-diffusion
+profile; where only envelopes of the profile are known
 (the joint limit below its closed-form threshold), the distance is how far
 the equilibrium lies outside them.  Rows go to a CSV with the fixed header
 ``d_S,d_I,sigma,dist_S_sup,dist_I_sup,dist_S_L1,dist_I_L1,R0,gap,seconds``;
@@ -36,7 +36,6 @@ its ``error``, and the sweep moves on.
 from __future__ import annotations
 
 import json
-import math
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
@@ -66,9 +65,6 @@ __all__ = [
 
 SWEEP_HEADER = "d_S,d_I,sigma,dist_S_sup,dist_I_sup,dist_S_L1,dist_I_L1,R0,gap,seconds"
 _DISTANCES = ("dist_S_sup", "dist_I_sup", "dist_S_L1", "dist_I_L1")  # of _row_distances
-# a warm sweep row starts from an equilibrium, so it skips the dt ramp:
-# the march clips this ``dt_init`` to its ``dt_max``
-_WARM_DT_INIT = math.inf
 _TREND_FACTOR = 1.1  # check_trend's multiplicative slack
 _TREND_FLOOR = 1e-9  # and its additive floor
 
@@ -281,11 +277,10 @@ def sweep(
     (see :func:`~sisrd.asymptotics.shrink_diffusion`: the joint regime
     needs ``sigma``, and the other rate keeps its base value).  Each row is
     a :func:`~sisrd.equilibrium.find_ee` call with its default
-    controls.  Rows after the first are warm-started from the previous
-    equilibrium and start at the march's ``dt_max``, not at the bottom of
-    its dt ramp.  The returned ``violations`` map flags rows where a
-    distance column stopped shrinking (beyond slack; see
-    :func:`check_trend`).
+    controls, so its march starts at ``dt_max``.  Rows after the first
+    are warm-started from the previous equilibrium.  The returned
+    ``violations`` map flags rows where a distance column stopped
+    shrinking (beyond slack; see :func:`check_trend`).
     """
     vals = [float(v) for v in values]
     if len(vals) == 0:
@@ -303,7 +298,7 @@ def sweep(
         row = {"d_S": c.d_S, "d_I": c.d_I, "sigma": c.sigma(), "R0": float("nan")}
         t0 = time.perf_counter()
         try:
-            eq = find_ee(c) if init is None else find_ee(c, init=init, dt_init=_WARM_DT_INIT)
+            eq = find_ee(c, init=init)
             distances = zip(_DISTANCES, _row_distances(c, eq, oracle))
             row.update(distances, gap=eq.conservation_gap, eq=eq)
             init = SimState(eq.S, eq.I)

@@ -56,7 +56,7 @@ __all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
 
 _LANCZOS_TOL = 1e-12  # eigsh's relative accuracy of the Ritz value
 _LANCZOS_NCV = 20  # Lanczos basis size
-_POWER_TOL = 1e-10  # on ||a phi - mu B phi|| / ||B phi||
+_POWER_TOL = 1e-10  # on ||a phi - mu B phi|| / ||a phi||
 _MAX_SOLVES = 5000  # factor solves per call, Lanczos and power steps together
 
 
@@ -99,7 +99,7 @@ def _top_eigenpair(B, a: np.ndarray, what: str) -> tuple[np.ndarray, float, floa
                 Aphi = a * phi
                 Bphi = B @ phi
                 mu = float(phi @ Aphi) / float(phi @ Bphi)
-                res = float(np.linalg.norm(Aphi - mu * Bphi)) / float(np.linalg.norm(Bphi))
+                res = float(np.linalg.norm(Aphi - mu * Bphi)) / float(np.linalg.norm(Aphi))
                 if res <= _POWER_TOL:
                     return phi, mu, res, solves
     except ArpackNoConvergence:
@@ -118,7 +118,8 @@ def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> Spectra
     coefficient set refuses a nonpositive rate) and ``B`` an M-matrix with
     a positive inverse, so every power iterate is positive.  The estimate
     is the Rayleigh quotient, and the iteration stops when
-    ``||a phi - mu B phi||_2 <= 1e-10 ||B phi||_2``.  Every product is one
+    ``||a phi - mu B phi||_2 <= 1e-10 ||a phi||_2``; both sides scale
+    alike with ``a``, so the test holds for a ``mu`` of any size.  Every product is one
     solve with one LU factor of ``B``; past ``_MAX_SOLVES`` of them the
     call raises :class:`NonConvergenceError`.  ``value`` is ``mu``, the
     field has sup-norm 1, and ``iterations`` is the number of solves.

@@ -365,16 +365,15 @@ def test_no_march_factor_is_alive_while_newton_factors(
 
 
 def test_small_ds_limit_on_scenario1_factors_once_per_ladder_level(factor_log):
-    # the march's dt ladder 0.01, 0.02, 0.04, 0.08, 0.1 needs five factors of
-    # each of its two operators, however many steps the march takes
+    # the march starts at its cap and never leaves it, so it visits one
+    # ladder level and builds one factor of each of its two operators,
+    # however many steps it takes
     cfg = load_scenario(CONFIG_DIR / "scenario1.json")
     dom = cfg.build_domain()
     profile = limit_small_ds(cfg.build_coefficients(dom))
     assert profile.meta["handoff"] == "newton"
-    assert profile.meta["steps"] >= 50
-    per_operator = Counter(key for key, _ in factor_log.builds)
-    assert set(per_operator) == {0.0, cfg.d_I}
-    assert max(per_operator.values()) <= 5
+    assert profile.meta["steps"] >= 10
+    assert Counter(key for key, _ in factor_log.builds) == {0.0: 1, cfg.d_I: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sisrd import dynamics
+from sisrd import dynamics, equilibrium
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import (
     MASS_BALANCE_RTOL,
@@ -18,7 +18,9 @@ from sisrd.dynamics import (
     step_imex,
 )
 from sisrd import grid
+from sisrd.equilibrium import find_ee
 from sisrd.grid import DomainSpec, build_domain, integrate, shifted_operator
+from sisrd.harness import run_scenario
 from sisrd.scenario import load_scenario
 from sisrd.solvers import NonConvergenceError
 
@@ -295,6 +297,62 @@ def test_march_halves_rejected_steps_and_holds_dt(monkeypatch):
     assert summary.steps == 3
     assert summary.reason == "max_steps"
     assert state.t == pytest.approx(2 * quarter + grown)
+
+
+def test_reversing_increments_halve_dt_down_to_its_floor(monkeypatch):
+    # a two-step oscillation u = 1, 2, 1, 2, ...: every increment after the
+    # first reverses its predecessor, so dt halves from the cap down to
+    # dt_max * 2^-4 and holds there
+    tried = []
+
+    def advance(u, dt):
+        tried.append(dt)
+        return 3.0 - u
+
+    _, _, summary = toy_run(monkeypatch, advance, t_final=100.0, dt_max=1.6, max_steps=8)
+    assert tried == pytest.approx([1.6, 1.6, 0.8, 0.4, 0.2, 0.1, 0.1, 0.1])
+    assert 1.6 * dynamics._REVERSAL_FLOOR == pytest.approx(0.1)
+    assert summary.reversals == 4
+    assert summary.rejected == 0
+
+
+def test_stiff_transfer_settles_and_hands_off():
+    # explicit transfer on a stiff problem makes the increments alternate
+    # in sign; the reversal halving damps it, so the march settles and
+    # Newton lands on the closed form S* = ((gamma + eta)/beta)^(1/q),
+    # I* = (recruitment - S*)/eta
+    dom = build_domain(DomainSpec.interval(0, 1, 17))
+    beta, gamma, eta, q, lam = 16.42, 0.390, 1.701, 0.895, 3.316
+    c = CoefficientSet(
+        dom, beta=beta, gamma=gamma, eta=eta, recruitment=lam, d_S=0.231, d_I=0.0281,
+        p=1.0, q=q,
+    )
+    eq = find_ee(c, max_steps=2000)
+    assert eq.meta["handoff"] == "newton"
+    S_star = ((gamma + eta) / beta) ** (1.0 / q)
+    np.testing.assert_allclose(eq.S.values, S_star, rtol=1e-10)
+    np.testing.assert_allclose(eq.I.values, (lam - S_star) / eta, rtol=1e-10)
+
+
+@pytest.mark.parametrize("name, most_steps", [("scenario1", 60), ("scenario2", 300)])
+def test_shipped_configs_march_at_the_cap(name, most_steps, factor_log, tmp_path, monkeypatch):
+    # started at dt_max, the march never reverses or rejects on the shipped
+    # configs, so it builds one scalar factor per operator
+    summaries = []
+    real = equilibrium.run
+
+    def recording_run(state, c, **kwargs):
+        state, summary = real(state, c, **kwargs)
+        summaries.append(summary)
+        return state, summary
+
+    monkeypatch.setattr(equilibrium, "run", recording_run)
+    cfg = load_scenario(CONFIG_DIR / f"{name}.json")
+    run_scenario(cfg, tmp_path / name)
+    (summary,) = summaries
+    assert summary.steps <= most_steps
+    assert (summary.reversals, summary.rejected) == (0, 0)
+    assert sorted(key for key, _ in factor_log.builds) == sorted([cfg.d_S, cfg.d_I])
 
 
 def test_clean_march_factors_each_operator_once_per_ladder_level(factor_log):

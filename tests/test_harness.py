@@ -188,12 +188,13 @@ def test_run_scenario_is_byte_reproducible(tmp_path):
 
 def test_run_scenario_snapshots(tmp_path):
     data = rect_scenario_dict()
-    data["outputs"] = {"snapshot_every": 50}
+    data["outputs"] = {"snapshot_every": 10}
     cfg = ScenarioConfig.from_dict(data)
     art = run_scenario(cfg, tmp_path / "snap")
     s_snaps = sorted(n for n in art.paths if n.startswith("S_"))
     i_snaps = sorted(n for n in art.paths if n.startswith("I_"))
     assert s_snaps and len(s_snaps) == len(i_snaps)
+    assert len(s_snaps) == art.summary["steps"] // 10
     assert all(n.endswith(".csv") for n in s_snaps)
 
 

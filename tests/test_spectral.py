@@ -62,6 +62,18 @@ def test_r0_constant_coefficients_closed_form():
     assert res.field.values.min() > 0.0
 
 
+@pytest.mark.parametrize("beta", [1e5, 1e8])
+def test_large_r0_passes_the_scale_invariant_power_test(beta):
+    # R0 = 2 beta; the power step's residual grows with mu, so a test
+    # relative to ||B phi|| alone never passed for beta >= 1e5
+    dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
+    _, c = constants(dom, beta=beta)
+    res = compute_r0(c)
+    assert res.value == pytest.approx(2.0 * beta, rel=1e-12)
+    assert res.residual <= spectral._POWER_TOL
+    assert res.iterations <= 30
+
+
 def test_r0_rejects_sublinear_incidence():
     _, c = constants(p=0.5)
     with pytest.raises(ValueError, match="p = 1"):
