@@ -48,7 +48,9 @@ every iterate shrinks the bracket, so each returned root is its own
 certificate.
 :func:`bounds_audit` checks a computed equilibrium against the a-priori
 interior-extremum bounds (susceptible range for p = 1; infected range,
-diffusion-weighted caps, and the positive floor root ``c0`` for p < 1).
+diffusion-weighted caps, and the positive floor root ``c0`` for p < 1)
+and, for every p, against the maximum principle's sign of each field's
+local reaction at that field's extrema.
 """
 
 from __future__ import annotations
@@ -586,7 +588,12 @@ def bounds_audit(c: CoefficientSet, eq: EquilibriumResult) -> BoundsReport:
     p < 1: the infected range is pinned by the susceptible extremes through
     ``[(beta/(gamma+eta)) S^q]^(1/(1-p))``, both fields obey the
     diffusion-weighted caps, and ``min(S) >= c0`` with the matching
-    infected floor.  Margins are judged against the grid tolerance.
+    infected floor.  Any p: at a discrete maximum of a field its diffusion
+    term is nonpositive, so its local reaction (``recruitment - S -
+    beta S^q I^p + gamma I`` for S, ``beta S^q I^p - (gamma+eta) I`` for I)
+    is nonnegative there, and nonpositive at a minimum (the
+    ``reaction_*`` checks, with bound 0).  Margins are judged against the
+    grid tolerance.
     """
     dom = c.domain
     tol = grid_tolerance(dom)
@@ -633,6 +640,13 @@ def bounds_audit(c: CoefficientSet, eq: EquilibriumResult) -> BoundsReport:
         c0 = susceptible_floor_constant(c)
         add("S_min_positive_floor", "lower", c0, S.min())
         add("I_min_positive_floor", "lower", (ratio.min() * c0**c.q) ** expo, I.min())
+    transfer = c.beta.values * S**c.q * I**c.p
+    reaction_S = lam - S - transfer + c.gamma.values * I
+    reaction_I = transfer - (c.gamma.values + c.eta.values) * I
+    add("reaction_S_at_max_S", "lower", 0.0, reaction_S[np.argmax(S)])
+    add("reaction_S_at_min_S", "upper", 0.0, reaction_S[np.argmin(S)])
+    add("reaction_I_at_max_I", "lower", 0.0, reaction_I[np.argmax(I)])
+    add("reaction_I_at_min_I", "upper", 0.0, reaction_I[np.argmin(I)])
     return BoundsReport(
         checks=checks,
         all_passed=all(ch["passed"] for ch in checks),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .asymptotics import REGIMES, bounds_audit, limit_profile
 from .dynamics import MassBalanceError
-from .equilibrium import diagnostics, find_ee
+from .equilibrium import find_ee
 from .grid import load_field_csv, write_field_csv
 from .harness import compare_fields, run_scenario, sweep
 from .scenario import ConfigError, load_scenario
@@ -83,8 +83,6 @@ def _cmd_equilibrium(args) -> int:
         f"S in [{_fmt(eq.S.values.min())}, {_fmt(eq.S.values.max())}]  "
         f"I in [{_fmt(eq.I.values.min())}, {_fmt(eq.I.values.max())}]"
     )
-    diag = diagnostics(c, eq)
-    print(f"extremum_checks_pass={diag['extremum_checks_pass']}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -32,20 +32,20 @@ non-finite values.  Otherwise the outputs become the new fields as they
 are.
 
 :func:`run` is the package's one time loop.  It starts at ``dt_max``
-(0.4) unless given a ``dt_init``.  A step that raises
-:class:`StepRejected` (a nonpositive susceptible or a negative infected
-value) is retried with half the step; once dt falls below ``dt_min`` the
-march aborts with :class:`TimeStepUnderflowError`.  After an accepted
-step dt halves if the step's increment ``(dS, dI)`` reverses the last
-one, ``<dS, dS_prev>_W + <dI, dI_prev>_W < 0``: the explicit transfer
-overshoots and the march oscillates instead of settling (a discrete form
-of switched evolution relaxation).  These halvings stop at
-``dt_max 2^-4``, where dt holds.  Otherwise dt stays at the accepted
-value after a rejection and doubles, capped at ``dt_max``.  Halving and
-doubling keep every dt on the ladder ``dt_max 2^-j`` (``dt_init 2^k``
-from an explicit start), so the march factors once per level it visits,
-not once per step; on the shipped scenarios it never leaves the cap and
-builds one factor pair.
+(0.4); a start that is too large is handled like any other step.  A step
+that raises :class:`StepRejected` (a nonpositive susceptible or a
+negative infected value) is retried with half the step; once dt falls
+below ``dt_min`` the march aborts with :class:`TimeStepUnderflowError`.
+After an accepted step dt halves if the step's increment ``(dS, dI)``
+reverses the last one, ``<dS, dS_prev>_W + <dI, dI_prev>_W < 0``: the
+explicit transfer overshoots and the march oscillates instead of
+settling (a discrete form of switched evolution relaxation).  These
+halvings stop at ``dt_max 2^-4``, where dt holds.  Otherwise dt stays at
+the accepted value after a rejection and doubles, capped at ``dt_max``.
+Halving and doubling keep every dt on the ladder ``dt_max 2^-j``, apart
+from steps clipped to end on ``t_final``, so the march factors once per
+level it visits, not once per step; on the shipped scenarios it never
+leaves the cap and builds one factor pair.
 
 A march only has to reach Newton's basin, not the steady state itself.
 Given a ``handoff`` callback, :func:`run` offers its state to a Newton
@@ -195,7 +195,6 @@ def run(
     *,
     t_final: Optional[float] = None,
     steady_tol: Optional[float] = None,
-    dt_init: Optional[float] = None,
     dt_max: float = 0.4,
     dt_min: float = 1e-9,
     max_steps: int = 2_000_000,
@@ -204,16 +203,15 @@ def run(
 ) -> tuple[SimState, RunSummary]:
     """March ``state`` by :func:`step_imex` from ``state.t`` to a stopping rule.
 
-    The march starts at ``dt_init``, or at ``dt_max`` when it is None.  A
-    step is retried at half the dt on :class:`StepRejected`, the next dt
-    halves after an increment reversal (counted in ``summary.reversals``),
-    and the last step is clipped to end on ``t_final`` (see the module
-    docstring for the policy).  The steady test is
-    ``|u_new - u|_inf / dt < steady_tol`` over both fields and one
-    accepted step; at least one of ``t_final`` and
-    ``steady_tol`` must be given.  ``on_step(state, steps)`` runs after
-    every accepted step, and an accepted step whose mass-balance defect
-    exceeds ``MASS_BALANCE_RTOL`` raises :class:`MassBalanceError`.
+    The march starts at ``dt_max``.  A step is retried at half the dt on
+    :class:`StepRejected`, the next dt halves after an increment reversal
+    (counted in ``summary.reversals``), and the last step is clipped to
+    end on ``t_final`` (see the module docstring for the policy).  The
+    steady test is ``|u_new - u|_inf / dt < steady_tol`` over both fields
+    and one accepted step; at least one of ``t_final`` and ``steady_tol``
+    must be given.  ``on_step(state, steps)`` runs after every accepted
+    step, and an accepted step whose mass-balance defect exceeds
+    ``MASS_BALANCE_RTOL`` raises :class:`MassBalanceError`.
 
     ``handoff(state, summary) -> bool`` is offered the state once, at the
     first step whose rate is below ``_HANDOFF_TOL``, before its steady
@@ -227,7 +225,7 @@ def run(
     if t_final is None and steady_tol is None:
         raise ValueError("need t_final, steady_tol, or both")
     summary = RunSummary()
-    dt = dt_max if dt_init is None else min(dt_init, dt_max)
+    dt = dt_max
     dt_floor = dt_max * _REVERSAL_FLOOR
     offer = handoff is not None and steady_tol is not None and steady_tol < _HANDOFF_TOL
     held_dt, factors = None, None

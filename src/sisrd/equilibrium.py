@@ -55,7 +55,6 @@ __all__ = [
     "find_ee",
     "equilibrate",
     "settle",
-    "diagnostics",
     "grid_tolerance",
 ]
 
@@ -233,45 +232,3 @@ def _newton_coupled(
     x, iters, stop = damped_newton(residual, jacobian, np.concatenate([S, I]))
     return x[:n], x[n:], iters, stop
 
-
-def diagnostics(c: CoefficientSet, result: EquilibriumResult) -> dict:
-    """Interior-extremum sign checks and global balances for an equilibrium.
-
-    At a discrete maximum of S the diffusion term is nonpositive, so the
-    local reaction ``recruitment - S - beta S^q I^p + gamma I`` must be
-    nonnegative there (and nonpositive at a minimum); the infected
-    equation satisfies the mirrored inequalities for its own reaction.
-    Violations beyond the grid tolerance indicate a broken profile.
-    """
-    dom = c.domain
-    S = result.S.values
-    I = result.I.values
-    tol = grid_tolerance(dom)
-    transfer = c.beta.values * S**c.q * I**c.p
-    reaction_S = c.recruitment.values - S - transfer + c.gamma.values * I
-    reaction_I = transfer - (c.gamma.values + c.eta.values) * I
-    checks = {
-        "reaction_S_at_max_S": float(reaction_S[np.argmax(S)]),
-        "reaction_S_at_min_S": float(reaction_S[np.argmin(S)]),
-        "reaction_I_at_max_I": float(reaction_I[np.argmax(I)]),
-        "reaction_I_at_min_I": float(reaction_I[np.argmin(I)]),
-    }
-    ok = (
-        checks["reaction_S_at_max_S"] >= -tol
-        and checks["reaction_S_at_min_S"] <= tol
-        and checks["reaction_I_at_max_I"] >= -tol
-        and checks["reaction_I_at_min_I"] <= tol
-    )
-    return {
-        "endemic": result.endemic,
-        "conservation_gap": result.conservation_gap,
-        "residual_S_sup": result.residual_S,
-        "residual_I_sup": result.residual_I,
-        "extremum_checks": checks,
-        "extremum_checks_pass": bool(ok),
-        "grid_tolerance": tol,
-        "min_S": float(S.min()),
-        "max_S": float(S.max()),
-        "min_I": float(I.min()),
-        "max_I": float(I.max()),
-    }

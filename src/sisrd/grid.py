@@ -28,11 +28,13 @@ Every linear solve outside Newton factors a :func:`shifted_operator`
 (:func:`sisrd.solvers.sparse_lu`, through :func:`shifted_factor` unless
 the caller also keeps the operator), owned by its caller, never by the
 domain.  With ``reaction > 0`` the operator is a symmetric, diagonally
-dominant M-matrix, which is what lets that LU skip pivoting.  The time
-march (:func:`sisrd.dynamics.run`) holds the factors of its two time-step
-forms ``W diag(1/dt + rate) + d K``, rebuilt only when dt changes and
-freed when the march returns or hands its state to Newton.  The
-disease-free solve and the two eigenproblems keep theirs for one call.
+dominant M-matrix, which is what lets that LU skip pivoting; at ``d = 0``
+(the one-field limits of :mod:`sisrd.asymptotics`) the same assembly
+leaves only its diagonal.  The time march (:func:`sisrd.dynamics.run`)
+holds the factors of its two time-step forms ``W diag(1/dt + rate) +
+d K``, rebuilt only when dt changes and freed when the march returns or
+hands its state to Newton.  The disease-free solve and the two
+eigenproblems keep theirs for one call.
 
 A domain caches what depends only on its mesh, each built on first use:
 the stiffness form ``K``, the Laplacian ``L``, the node adjacency, the
@@ -395,17 +397,16 @@ def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_
     Solving ``A u = W b`` with this matrix realizes
     ``reaction * u - diffusion * Lap(u) = b`` under zero-flux conditions;
     the result is symmetric, and positive definite when ``reaction > 0``.
-    With ``diffusion != 0`` it is ``diffusion * K.data`` on ``K``'s
-    pattern, with ``W reaction`` added in the diagonal slots and exact
-    zeros dropped: bit for bit the sparse sum ``sp.diags(W reaction) +
-    diffusion * K``, without its merge.
+    It is ``diffusion * K.data`` on ``K``'s pattern, with ``W reaction``
+    added in the diagonal slots and exact zeros dropped: bit for bit the
+    sparse sum ``sp.diags(W reaction) + diffusion * K``, without its
+    merge.  At zero diffusion every off-diagonal entry is such a zero, so
+    the same path gives the diagonal ``W diag(reaction)``.
     """
     w = dom.cell_measures
     react = np.asarray(reaction, dtype=float)
     if react.shape == ():
         react = np.full(dom.n_nodes, float(react))
-    if diffusion == 0.0:
-        return sp.diags(w * react).tocsr()
     K = stiffness_matrix(dom)
     data = diffusion * K.data
     data[_diagonal_slots(dom)] += w * react

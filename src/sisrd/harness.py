@@ -277,10 +277,10 @@ def sweep(
     (see :func:`~sisrd.asymptotics.shrink_diffusion`: the joint regime
     needs ``sigma``, and the other rate keeps its base value).  Each row is
     a :func:`~sisrd.equilibrium.find_ee` call with its default
-    controls, so its march starts at ``dt_max``.  Rows after the first
-    are warm-started from the previous equilibrium.  The returned
-    ``violations`` map flags rows where a distance column stopped
-    shrinking (beyond slack; see :func:`check_trend`).
+    controls.  Rows after the first are warm-started from the previous
+    equilibrium.  The returned ``violations`` map flags rows where a
+    distance column stopped shrinking (beyond slack; see
+    :func:`check_trend`).
     """
     vals = [float(v) for v in values]
     if len(vals) == 0:

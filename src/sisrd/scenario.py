@@ -21,7 +21,7 @@ Example::
       "stopping": {"steady_tol": 1e-9, "t_final": 4000.0}
     }
 
-Optional blocks: ``"stepping"`` (``dt_init``, ``dt_max``, ``dt_min``),
+Optional blocks: ``"stepping"`` (``dt_max``, ``dt_min``),
 ``"outputs"`` (``snapshot_every``, ``mask_deltas``, ``zero_infection_tol``),
 a free-text ``"comment"`` (accepted and ignored), and ``"sigma"`` (the
 joint regime's diffusion ratio for ``sisrd sweep`` and ``sisrd
@@ -62,7 +62,7 @@ _DOMAIN_KEYS = {
 _COEFF_KEYS = {"beta", "gamma", "eta", "lambda"}
 _PARAM_KEYS = {"d_S", "d_I", "p", "q"}
 _STOP_KEYS = {"t_final", "steady_tol"}
-_STEP_KEYS = {"dt_init", "dt_max", "dt_min"}
+_STEP_KEYS = {"dt_max", "dt_min"}
 _OUTPUT_KEYS = {"snapshot_every", "mask_deltas", "zero_infection_tol"}
 _TOP_KEYS = {
     "version",

@@ -154,8 +154,10 @@ def compute_r0(c: CoefficientSet) -> SpectralResult:
 def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     """Smallest eigenvalue of ``-d_I Lap - (beta recruitment^q - gamma - eta)``.
 
-    ``residual`` is ``||M phi - lambda0 W phi|| / ||W phi||``, in the units
-    of the unshifted problem.
+    ``residual`` is ``||M phi - lambda0 W phi|| / (max(1, |lambda0|) ||W phi||)``
+    with ``M`` assembled afresh, so it also checks the back-shift
+    ``lambda0 = shift + 1/mu``; relative to ``|lambda0|`` once that exceeds
+    1, it stays at the rounding level for a ``lambda0`` of any size.
     """
     w = c.domain.cell_measures
     potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
@@ -164,5 +166,8 @@ def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     lam0 = shift + 1.0 / res.value
     phi = res.field.values
     M = shifted_operator(c.domain, -potential, c.d_I)
-    resid = float(np.linalg.norm(M @ phi - lam0 * (w * phi))) / float(np.linalg.norm(w * phi))
+    Wphi = w * phi
+    resid = float(np.linalg.norm(M @ phi - lam0 * Wphi)) / (
+        max(1.0, abs(lam0)) * float(np.linalg.norm(Wphi))
+    )
     return replace(res, value=lam0, residual=resid)

@@ -397,6 +397,10 @@ def test_criterion_10_bounds_audit(battery):
               f"{label}: audit tolerance {report.tolerance!r} != {tol!r}")
         names = ", ".join(ch["name"] for ch in report.checks if not ch["passed"])
         check(10, report.all_passed, f"{label}: failed bounds [{names}]")
+        missing = {
+            f"reaction_{f}_at_{end}_{f}" for f in ("S", "I") for end in ("max", "min")
+        } - {ch["name"] for ch in report.checks}
+        check(10, not missing, f"{label}: no maximum-principle checks {sorted(missing)}")
 
     dom = build_domain(DomainSpec.interval(0, 1, 33))
     c0_case = CoefficientSet(

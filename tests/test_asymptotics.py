@@ -643,13 +643,22 @@ def test_floor_constant_frozen_value():
     assert susceptible_floor_constant(c) == pytest.approx(C0_REFERENCE, abs=1e-12)
 
 
+# the maximum-principle sign checks, audited for every p
+EXTREMUM_CHECKS = {
+    "reaction_S_at_max_S",
+    "reaction_S_at_min_S",
+    "reaction_I_at_max_I",
+    "reaction_I_at_min_I",
+}
+
+
 def test_audit_mass_action_ee():
     dom = interval(65)
     c = mass_action_constants(dom)
     report = bounds_audit(c, find_ee(c))
     assert report.all_passed
     names = {ch["name"] for ch in report.checks}
-    assert names == {"S_min_floor", "S_max_cap"}
+    assert names == {"S_min_floor", "S_max_cap"} | EXTREMUM_CHECKS
     assert report.c0 is None
 
 
@@ -666,7 +675,7 @@ def test_audit_sublinear_ee():
         "I_max_diffusion_cap",
         "S_min_positive_floor",
         "I_min_positive_floor",
-    }
+    } | EXTREMUM_CHECKS
     assert report.c0 is not None and report.c0 > 0.0
     assert all(ch["passed"] for ch in report.checks)
 
@@ -684,3 +693,15 @@ def test_audit_detects_violations():
     assert any(
         ch["name"] == "S_max_diffusion_cap" and not ch["passed"] for ch in report.checks
     )
+
+    # a bump of S at one node stays inside the p = 1 range bounds (EE (1, 1),
+    # range [1, 2]), but there the local reaction 2 - 1.1 - 2.2 + 1 = -0.3 is
+    # negative at a maximum of S, which the maximum principle forbids
+    c = mass_action_constants(dom)
+    eq = find_ee(c)
+    S = eq.S.values.copy()
+    S[32] += 0.1
+    report = bounds_audit(c, replace(eq, S=dom.field(S)))
+    failed = {ch["name"]: ch for ch in report.checks if not ch["passed"]}
+    assert set(failed) == {"reaction_S_at_max_S"}
+    assert failed["reaction_S_at_max_S"]["observed"] == pytest.approx(-0.3, abs=1e-6)

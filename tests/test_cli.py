@@ -69,7 +69,6 @@ def test_equilibrium_command_writes_fields(tmp_path, capsys):
     assert main(["equilibrium", "--config", cfg, "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "endemic=True" in out
-    assert "extremum_checks_pass=True" in out
     assert (out_dir / "S.csv").exists() and (out_dir / "I.csv").exists()
 
 
@@ -202,6 +201,13 @@ def test_audit_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all_passed=True" in out
     assert "S_min_floor" in out
+    for name in (
+        "reaction_S_at_max_S",
+        "reaction_S_at_min_S",
+        "reaction_I_at_max_I",
+        "reaction_I_at_min_I",
+    ):
+        assert f"ok  {name}: " in out
 
 
 def test_compare_command(tmp_path, capsys):

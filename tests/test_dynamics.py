@@ -1,6 +1,5 @@
 """Time stepping: positivity control, adaptive steps, and exact mass balance."""
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,12 @@ def make(dom=None, **kw):
     )
     params.update(kw)
     return dom, CoefficientSet(dom, **params)
+
+
+def stiff_start():
+    """Coefficients and start whose first tries at the cap lose positivity."""
+    dom, c = make(beta=50.0, recruitment=1.0, gamma=0.5, eta=0.5)
+    return c, SimState(dom.field(0.05), dom.field(1.0))
 
 
 def test_state_requires_matching_domains():
@@ -143,7 +148,7 @@ def test_fixed_dt_run_factors_each_operator_once(monkeypatch):
     monkeypatch.setattr(grid, "shifted_operator", counting)
     dom, c = make(d_S=0.1, d_I=0.05)
     state = SimState(dom.field(0.8), dom.field(0.2))
-    _, summary = run(state, c, t_final=100.0, dt_init=0.05, dt_max=0.05, max_steps=25)
+    _, summary = run(state, c, t_final=100.0, dt_max=0.05, max_steps=25)
     assert summary.steps == 25
     assert sorted(built) == [0.05, 0.1]
 
@@ -157,11 +162,10 @@ def test_run_owns_one_factor_per_operator_and_frees_them(factor_log, monkeypatch
         return real_step(state, c, dt, **kw)
 
     monkeypatch.setattr(dynamics, "step_imex", recording_step)
-    dom, c = make(d_S=0.1, d_I=0.05)
-    state = SimState(dom.field(0.8), dom.field(0.2))
-    _, summary = run(state, c, t_final=100.0, dt_init=0.01, dt_max=0.05, max_steps=40)
-    assert summary.steps == 40
-    # the dt ramp changes dt on some steps and repeats it once capped
+    c, state = stiff_start()
+    _, summary = run(state, c, t_final=100.0, max_steps=40)
+    assert summary.steps == 40 and summary.rejected > 0
+    # rejections at the cap change dt on some tries, and dt repeats on others
     new_dts = 1 + sum(a != b for a, b in zip(step_dts, step_dts[1:]))
     assert 1 < new_dts < len(step_dts)
     # one factorization per operator and new dt, each after its predecessor was freed
@@ -215,9 +219,8 @@ def test_timestep_underflow_on_hopeless_stiffness():
 def test_rejection_shrinks_then_recovers():
     # moderate stiffness: the first steps reject and halve, later steps
     # accept and regrow toward dt_max
-    dom, c = make(beta=50.0, recruitment=1.0, gamma=0.5, eta=0.5)
-    state = SimState(dom.field(0.05), dom.field(1.0))
-    final, summary = run(state, c, t_final=2.0, dt_init=0.1)
+    c, state = stiff_start()
+    final, summary = run(state, c, t_final=2.0)
     assert summary.rejected > 0
     assert summary.reason == "t_final"
     assert final.S.values.min() > 0.0
@@ -276,7 +279,7 @@ def toy_run(monkeypatch, advance, u0=1.0, **controls):
 
 
 def test_march_halves_rejected_steps_and_holds_dt(monkeypatch):
-    # a clock that rejects its first two tries: dt_init and its half are
+    # a clock that rejects its first two tries: the cap and its half are
     # rejected, the quarter is accepted and kept for the next step, and
     # only a step accepted without rejection lets dt grow again
     tried = []
@@ -288,7 +291,7 @@ def test_march_halves_rejected_steps_and_holds_dt(monkeypatch):
         return u
 
     _, state, summary = toy_run(
-        monkeypatch, advance, t_final=10.0, dt_init=0.1, dt_max=1.0, max_steps=3
+        monkeypatch, advance, t_final=10.0, dt_max=0.1, max_steps=3
     )
     quarter = 0.025
     grown = quarter * dynamics._DT_GROWTH
@@ -316,22 +319,52 @@ def test_reversing_increments_halve_dt_down_to_its_floor(monkeypatch):
     assert summary.rejected == 0
 
 
+STIFF = (16.42, 0.390, 1.701, 0.895, 3.316)  # beta, gamma, eta, q, recruitment
+
+
+def stiff_transfer():
+    beta, gamma, eta, q, lam = STIFF
+    return CoefficientSet(
+        build_domain(DomainSpec.interval(0, 1, 17)), beta=beta, gamma=gamma, eta=eta,
+        recruitment=lam, d_S=0.231, d_I=0.0281, p=1.0, q=q,
+    )
+
+
 def test_stiff_transfer_settles_and_hands_off():
     # explicit transfer on a stiff problem makes the increments alternate
     # in sign; the reversal halving damps it, so the march settles and
     # Newton lands on the closed form S* = ((gamma + eta)/beta)^(1/q),
     # I* = (recruitment - S*)/eta
-    dom = build_domain(DomainSpec.interval(0, 1, 17))
-    beta, gamma, eta, q, lam = 16.42, 0.390, 1.701, 0.895, 3.316
-    c = CoefficientSet(
-        dom, beta=beta, gamma=gamma, eta=eta, recruitment=lam, d_S=0.231, d_I=0.0281,
-        p=1.0, q=q,
-    )
+    beta, gamma, eta, q, lam = STIFF
+    c = stiff_transfer()
     eq = find_ee(c, max_steps=2000)
     assert eq.meta["handoff"] == "newton"
     S_star = ((gamma + eta) / beta) ** (1.0 / q)
     np.testing.assert_allclose(eq.S.values, S_star, rtol=1e-10)
     np.testing.assert_allclose(eq.I.values, (lam - S_star) / eta, rtol=1e-10)
+
+
+def test_every_accepted_dt_is_on_the_ladder(monkeypatch):
+    # rejections and reversals only halve and regrowth only doubles, so on
+    # the stiff march every accepted dt is exactly dt_max 2^-j, apart from
+    # the last one, clipped to end on t_final
+    accepted = []
+    real_step = dynamics.step_imex
+
+    def recording_step(state, c, dt, **kw):
+        out = real_step(state, c, dt, **kw)
+        accepted.append(dt)
+        return out
+
+    monkeypatch.setattr(dynamics, "step_imex", recording_step)
+    c = stiff_transfer()
+    init = SimState(c.domain.field(0.8), c.domain.field(0.2))
+    final, summary = run(init, c, t_final=3.3, max_steps=2000)
+    assert summary.reason == "t_final" and final.t == pytest.approx(3.3, abs=1e-14)
+    assert summary.rejected > 0 and summary.reversals > 0
+    ladder = {0.4 * 2.0**-j for j in range(60)}
+    assert set(accepted[:-1]) <= ladder
+    assert accepted[-1] not in ladder
 
 
 @pytest.mark.parametrize("name, most_steps", [("scenario1", 60), ("scenario2", 300)])
@@ -355,16 +388,28 @@ def test_shipped_configs_march_at_the_cap(name, most_steps, factor_log, tmp_path
     assert sorted(key for key, _ in factor_log.builds) == sorted([cfg.d_S, cfg.d_I])
 
 
-def test_clean_march_factors_each_operator_once_per_ladder_level(factor_log):
-    # dt doubles from dt_init up to dt_max, the inverse of the rejection
-    # halving, so however many steps a march takes it factors each of its two
-    # operators once per level: 0.01, 0.02, 0.04, 0.08 and the cap 0.1
+def test_clean_march_factors_each_operator_once_per_ladder_level(factor_log, monkeypatch):
+    # a large infected start loses positivity at the cap, so dt halves down
+    # the ladder; once the transient passes, dt doubles back, the inverse of
+    # the halving, and stays at the cap.  However many steps the march
+    # takes, it factors each of its two operators once per level on the way
+    # down and once on the way up: 0.4, 0.2, 0.1, 0.05, 0.025 and back
+    tried = []
+    real_step = dynamics.step_imex
+
+    def recording_step(state, c, dt, **kw):
+        tried.append(dt)
+        return real_step(state, c, dt, **kw)
+
+    monkeypatch.setattr(dynamics, "step_imex", recording_step)
     dom, c = make(d_S=0.1, d_I=0.05)
-    state = SimState(dom.field(0.8), dom.field(0.2))
-    _, summary = run(state, c, t_final=1000.0, dt_init=0.01, dt_max=0.1, max_steps=120)
-    assert summary.steps == 120 and summary.rejected == 0
-    levels = 1 + math.ceil(math.log2(0.1 / 0.01))
-    assert len(factor_log.builds) == 2 * levels
+    state = SimState(dom.field(2.0), dom.field(20.0))
+    _, summary = run(state, c, t_final=1000.0, max_steps=120)
+    assert summary.steps == 120 and summary.rejected > 0
+    levels = sorted(set(tried), reverse=True)
+    assert levels == [0.4 * 2.0**-j for j in range(len(levels))] and len(levels) > 2
+    assert tried[-100:] == [0.4] * 100
+    assert len(factor_log.builds) == 2 * (2 * len(levels) - 1)
 
 
 def test_march_underflow_is_a_nonconvergence_error(monkeypatch):
@@ -379,15 +424,19 @@ def test_march_underflow_is_a_nonconvergence_error(monkeypatch):
 def test_run_holds_one_factor_pair_and_frees_it_before_the_next(factor_log):
     # the loop keeps exactly one factor of each operator while it steps,
     # and none once it returns
-    dom, c = make(d_S=0.1, d_I=0.05)
-    state = SimState(dom.field(0.8), dom.field(0.2))
+    c, state = stiff_start()
     live = []
-    run(
-        state, c, t_final=100.0, dt_init=0.01, dt_max=0.05, max_steps=10,
+    _, summary = run(
+        state, c, t_final=100.0, max_steps=10,
         on_step=lambda s, k: live.append(dict(factor_log.live)),
     )
+    assert summary.rejected > 0
     assert live == [{0.1: 1, 0.05: 1}] * 10
     assert factor_log.live == {0.1: 0, 0.05: 0}
+    # rejections at the cap change dt, and each new pair is built only
+    # after the old one was freed
+    assert len(factor_log.builds) > 2
+    assert all(alive == 0 for _, alive in factor_log.builds)
 
 
 class _PoisonedFactor:

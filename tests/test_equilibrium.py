@@ -12,7 +12,6 @@ from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MassBalanceError, SimState, run
 from sisrd.equilibrium import (
     conservation_gap,
-    diagnostics,
     elliptic_residuals,
     find_ee,
     grid_tolerance,
@@ -343,14 +342,6 @@ def test_conservation_gap_definition():
     I = np.full(dom.n_nodes, 2.0)
     assert conservation_gap(c, S, I) <= 1e-14  # 1 + 0.5*2 = 2 = Lambda
     assert conservation_gap(c, S, 0.0 * I) == pytest.approx(0.5)
-
-
-def test_diagnostics_extremum_signs():
-    dom, c = constants_sublinear()
-    eq = find_ee(c)
-    diag = diagnostics(c, eq)
-    assert diag["extremum_checks_pass"]
-    assert "conservation_gap" in diag
 
 
 def test_grid_tolerance_scales_with_spacing():

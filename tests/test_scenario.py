@@ -73,7 +73,7 @@ def test_realization_builds_fields_and_state():
 
 def test_stepping_and_outputs_blocks():
     data = base_config()
-    data["stepping"] = {"dt_init": 0.005, "dt_max": 0.2}
+    data["stepping"] = {"dt_min": 0.005, "dt_max": 0.2}
     data["outputs"] = {
         "snapshot_every": 7,
         "mask_deltas": [0.1],
@@ -84,7 +84,7 @@ def test_stepping_and_outputs_blocks():
     assert cfg.controls == {
         "steady_tol": 1e-9,
         "t_final": 400.0,
-        "dt_init": 0.005,
+        "dt_min": 0.005,
         "dt_max": 0.2,
     }
     assert cfg.snapshot_every == 7
@@ -125,6 +125,10 @@ def test_rejects_unknown_keys_everywhere():
 
     data = base_config()
     data["outputs"] = {"newton_refine": True}
+    expect_error(data, "unknown key")
+
+    data = base_config()
+    data["stepping"] = {"dt_init": 0.01}  # every march starts at dt_max
     expect_error(data, "unknown key")
 
 
@@ -183,7 +187,6 @@ def test_rejects_nonpositive_controls():
     for block, key in (
         ("stopping", "steady_tol"),
         ("stopping", "t_final"),
-        ("stepping", "dt_init"),
         ("stepping", "dt_max"),
         ("stepping", "dt_min"),
     ):
@@ -196,9 +199,9 @@ def test_rejects_nonpositive_controls():
 def test_null_control_is_unset():
     data = base_config()
     data["stopping"]["t_final"] = None
-    data["stepping"] = {"dt_max": None, "dt_init": 0.02}
+    data["stepping"] = {"dt_max": None, "dt_min": 0.02}
     cfg = ScenarioConfig.from_dict(data)
-    assert cfg.controls == {"steady_tol": 1e-9, "dt_init": 0.02}
+    assert cfg.controls == {"steady_tol": 1e-9, "dt_min": 0.02}
 
 
 def test_rejects_bad_mask_deltas():

@@ -162,6 +162,17 @@ def test_lambda0_constant_coefficients_closed_form():
     assert res.value == pytest.approx(-1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("beta", [1e8, 1e12])
+def test_large_lambda0_has_a_scale_invariant_residual(beta):
+    # lambda0 = -(2 beta - 1) is exact, but a residual in the units of
+    # lambda0 grew with it (3.0e-8 at beta = 1e8, 2.4e-4 at 1e12)
+    dom = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
+    _, c = constants(dom, beta=beta)
+    res = compute_lambda0(c)
+    assert res.value == pytest.approx(-(2.0 * beta - 1.0), rel=1e-12)
+    assert res.residual <= 1e-12
+
+
 def test_lambda0_matches_dense_generalized_eigenproblem():
     for dom, c in (varying_1d(), varying_2d(d_I=1e-3)):
         res = compute_lambda0(c)
