@@ -130,6 +130,7 @@ class BoundsReport:
 
 _NEWTON_MAX_ITER = 100  # the old halving count
 _NEWTON_ULPS = 4.0
+_MASS_IDENTITY_RTOL = 1e-12  # of max recruitment; a converged joint limit meets it to rounding
 
 
 def newton_increasing(
@@ -346,7 +347,9 @@ def limit_joint_sublinear(c: CoefficientSet, sigma: float) -> LimitProfile:
     ``recruitment = eta t + h^(1/q) t^((1-p)/q)`` and
     ``S* = h^(1/q) (I*)^((1-p)/q)``, so ``S* + eta I* = recruitment``.  The
     root is found by :func:`newton_increasing` on
-    ``[0, recruitment_max/eta_min + 1]``.
+    ``[0, recruitment_max/eta_min + 1]``.  A profile whose
+    ``sup|S* + eta I* - recruitment|`` exceeds 1e-12 of the largest
+    recruitment raises :class:`NonConvergenceError`.
     """
     if not c.p < 1.0:
         raise ValueError("this joint limit requires 0 < p < 1")
@@ -367,14 +370,19 @@ def limit_joint_sublinear(c: CoefficientSet, sigma: float) -> LimitProfile:
     hi = np.full(dom.n_nodes, lam.max() / eta.min() + 1.0)
     I_star = newton_increasing(f, df, np.zeros(dom.n_nodes), hi)
     S_star = ceiling * I_star**expo
+    defect = float(np.max(np.abs(S_star + eta * I_star - lam)))
+    if defect > _MASS_IDENTITY_RTOL * float(lam.max()):
+        # a root far below the bracket's ulp resolution: I* is only accurate
+        # to a few ulp of hi, and t^((1-p)/q) magnifies that error in S*
+        raise NonConvergenceError(
+            f"joint limit misses its mass identity S* + eta I* = recruitment by {defect:.3g}"
+        )
     return LimitProfile(
         regime="joint",
         S_limit=dom.field(S_star),
         I_limit=dom.field(I_star),
         sigma=float(sigma),
-        meta={
-            "mass_identity_sup": float(np.max(np.abs(S_star + eta * I_star - lam))),
-        },
+        meta={"mass_identity_sup": defect},
     )
 
 

@@ -64,7 +64,10 @@ _HANDOFF_GAP = 1e-6  # largest conservation gap of an accepted hand-off
 
 def grid_tolerance(dom) -> float:
     """Discretization allowance ``1e-6 + 2 h^2`` used by pointwise checks."""
-    return 1e-6 + 2.0 * dom.max_spacing**2
+    try:
+        return 1e-6 + 2.0 * dom.max_spacing**2
+    except OverflowError:  # a float power past the float range raises, not inf
+        return float("inf")
 
 
 @dataclass(frozen=True)

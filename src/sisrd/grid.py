@@ -15,6 +15,13 @@ nodes:
 (:func:`check_lattice_size`, at most ``MAX_LATTICE_NODES`` points), so an
 oversized spec fails with :class:`DomainError` before any array exists.
 
+All three are laid out by one lattice builder: the nodes are the points
+of a Cartesian lattice that carry a positive cell measure, numbered
+lexicographically, and two nodes next to each other along an axis share
+an edge whose weight is the measure of their common face over their
+distance.  A shape differs from another only in its cell-measure and
+face-measure arrays.
+
 The zero-flux Laplacian uses 3-point (1D) / 5-point (2D) stencils with
 ghost-point reflection: a missing neighbor mirrors the center value, so a
 boundary row in 1D reads ``(-2, 2, 0)/h^2``.  The mesh edges assemble
@@ -36,11 +43,12 @@ d K``, rebuilt only when dt changes and freed when the march returns or
 hands its state to Newton.  The disease-free solve and the two
 eigenproblems keep theirs for one call.
 
-A domain caches what depends only on its mesh, each built on first use:
-the stiffness form ``K``, the Laplacian ``L``, the node adjacency, the
-positions of ``K``'s diagonal in ``K.data`` (so :func:`shifted_operator`
-fills ``d K.data`` in place of a sparse sum), and the ``x[,y],`` text of
-every CSV row (so :func:`write_field_csv` formats only the values).
+A domain holds what depends only on its mesh from construction: ``K``,
+``L`` and the positions of ``K``'s diagonal in ``K.data`` (so
+:func:`shifted_operator` fills ``d K.data`` in place of a sparse sum);
+:func:`stiffness_matrix` and :func:`assemble_neumann_laplacian` are the
+accessors.  Only the ``x[,y],`` text of every CSV row is cached on first
+use (so :func:`write_field_csv` formats only the values).
 """
 
 from __future__ import annotations
@@ -114,14 +122,15 @@ class DomainSpec:
 
 
 class DiscreteDomain:
-    """A meshed domain: node coordinates, cell measures, and adjacency.
+    """A meshed domain: node coordinates, cell measures and the mesh operators.
 
-    Instances are immutable by convention; what depends only on the mesh
-    is cached on first use (the stiffness form, the Laplacian, the
-    adjacency, the diagonal slots of the stiffness data and the
-    coordinate text of each CSV row), and no solver state is kept.  Node
-    order is lexicographic in the grid index, which fixes the order of
-    every serialized field.
+    Instances are immutable by convention.  The stiffness form ``K``, the
+    Laplacian ``L = -W^{-1} K`` and the slots of ``K``'s diagonal are
+    worked out here, and a ``K`` row without a diagonal entry (an isolated
+    node) is refused; only the coordinate text of each CSV row is cached
+    on first use, and no solver state is kept.  Node order is
+    lexicographic in the grid index, which fixes the order of every
+    serialized field.
     """
 
     def __init__(
@@ -129,27 +138,27 @@ class DiscreteDomain:
         kind: str,
         coords: np.ndarray,
         cell_measures: np.ndarray,
-        edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+        stiffness: sp.csr_matrix,
         spacing: tuple[float, ...],
     ):
         self.kind = kind
         self.coords = coords
         self.cell_measures = cell_measures
-        self.edges_i, self.edges_j, self.edge_weights = edges
         self.spacing = spacing
         self.n_nodes = len(cell_measures)
         self.dim = 1 if coords.ndim == 1 else coords.shape[1]
-        self._laplacian: Optional[sp.csr_matrix] = None
-        self._stiffness: Optional[sp.csr_matrix] = None
-        self._adjacency: Optional[sp.csr_matrix] = None
-        self._diagonal_slots: Optional[np.ndarray] = None
         self._csv_rows: Optional[list[str]] = None
 
-        degree = np.zeros(self.n_nodes, dtype=int)
-        np.add.at(degree, self.edges_i, 1)
-        np.add.at(degree, self.edges_j, 1)
-        if self.n_nodes and degree.min() < 1:
+        counts = np.diff(stiffness.indptr)
+        rows = np.repeat(np.arange(self.n_nodes), counts)
+        self._diagonal = np.flatnonzero(stiffness.indices == rows)
+        if len(self._diagonal) < self.n_nodes:
             raise DomainError("domain has an isolated node; refine the resolution")
+        self._stiffness = stiffness
+        # dividing K's rows in place keeps its sorted column indices, which
+        # fix the summation order of L @ x
+        self._laplacian = stiffness.copy()
+        self._laplacian.data /= -np.repeat(cell_measures, counts)
 
     @property
     def measure(self) -> float:
@@ -166,15 +175,6 @@ class DiscreteDomain:
         if arr.shape == ():
             arr = np.full(self.n_nodes, float(arr))
         return ScalarField(self, arr)
-
-    def adjacency(self) -> sp.csr_matrix:
-        """Boolean symmetric node adjacency (shared-face neighbors)."""
-        if self._adjacency is None:
-            i = np.concatenate([self.edges_i, self.edges_j])
-            j = np.concatenate([self.edges_j, self.edges_i])
-            data = np.ones(len(i), dtype=bool)
-            self._adjacency = sp.csr_matrix((data, (i, j)), shape=(self.n_nodes, self.n_nodes))
-        return self._adjacency
 
 
 @dataclass(frozen=True)
@@ -238,8 +238,9 @@ def check_lattice_size(spec: DomainSpec) -> None:
     else:
         return
     if size > MAX_LATTICE_NODES:
+        shown = f"{size:.3g}" if size < 1e300 else "over 1e300"  # an int past the float range
         raise DomainError(
-            f"mesh too large: {size:.3g} lattice points, the limit is {MAX_LATTICE_NODES}"
+            f"mesh too large: {shown} lattice points, the limit is {MAX_LATTICE_NODES}"
         )
 
 
@@ -262,11 +263,8 @@ def _build_interval(spec: DomainSpec) -> DiscreteDomain:
         raise DomainError("resolution too small: an interval needs at least 3 nodes")
     n = spec.nodes
     h = (spec.end - spec.start) / (n - 1)
-    coords = spec.start + h * np.arange(n)
-    w = _trapezoid_weights(n, h)
-    i = np.arange(n - 1)
-    edges = (i, i + 1, np.full(n - 1, 1.0 / h))
-    return DiscreteDomain("interval", coords, w, edges, (h,))
+    xs = spec.start + h * np.arange(n)
+    return _lattice("interval", (xs,), (h,), _trapezoid_weights(n, h), (1.0,))
 
 
 def _build_rectangle(spec: DomainSpec) -> DiscreteDomain:
@@ -282,29 +280,8 @@ def _build_rectangle(spec: DomainSpec) -> DiscreteDomain:
     ys = ay + hy * np.arange(ny)
     wx = _trapezoid_weights(nx, hx)
     wy = _trapezoid_weights(ny, hy)
-
-    # node order: lexicographic in (ix, iy)
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    ix, iy = ix.ravel(), iy.ravel()
-    coords = np.column_stack([xs[ix], ys[iy]])
-    w = wx[ix] * wy[iy]
-
-    def node(i, j):
-        return i * ny + j
-
-    # x-direction edges carry the transverse trapezoid weight wy, and vice versa
-    exi, exj = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
-    e1 = (node(exi.ravel(), exj.ravel()), node(exi.ravel() + 1, exj.ravel()),
-          wy[exj.ravel()] / hx)
-    eyi, eyj = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
-    e2 = (node(eyi.ravel(), eyj.ravel()), node(eyi.ravel(), eyj.ravel() + 1),
-          wx[eyi.ravel()] / hy)
-    edges = (
-        np.concatenate([e1[0], e2[0]]),
-        np.concatenate([e1[1], e2[1]]),
-        np.concatenate([e1[2], e2[2]]),
-    )
-    return DiscreteDomain("rectangle", coords, w, edges, (hx, hy))
+    # an x-face carries the transverse trapezoid weight wy, and vice versa
+    return _lattice("rectangle", (xs, ys), (hx, hy), np.multiply.outer(wx, wy), (wy, wx[:, None]))
 
 
 def _build_disk(spec: DomainSpec) -> DiscreteDomain:
@@ -319,33 +296,52 @@ def _build_disk(spec: DomainSpec) -> DiscreteDomain:
     cx, cy = spec.center
     xs = cx - spec.radius + (np.arange(n_axis) + 0.5) * s
     ys = cy - spec.radius + (np.arange(n_axis) + 0.5) * s
-    ix, iy = np.meshgrid(np.arange(n_axis), np.arange(n_axis), indexing="ij")
-    inside = (xs[ix] - cx) ** 2 + (ys[iy] - cy) ** 2 < spec.radius**2
-    ix, iy = ix[inside], iy[inside]  # lexicographic in (ix, iy) by construction
-    if len(ix) == 0:
+    inside = (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 < spec.radius**2
+    if not inside.any():
         raise DomainError("resolution too small: no cell centers fall inside the disk")
-    coords = np.column_stack([xs[ix], ys[iy]])
-    w = np.full(len(ix), s * s)
+    # a cell is whole or absent, so every face is a full side s
+    return _lattice("disk", (xs, ys), (s, s), np.where(inside, s * s, 0.0), (s, s))
 
-    index = -np.ones((n_axis, n_axis), dtype=int)
-    index[ix, iy] = np.arange(len(ix))
-    ei, ej = [], []
-    # x-neighbors
-    has_right = (ix + 1 < n_axis)
-    right = index[np.minimum(ix + 1, n_axis - 1), iy]
-    ok = has_right & (right >= 0)
-    ei.append(index[ix, iy][ok])
-    ej.append(right[ok])
-    # y-neighbors
-    has_up = (iy + 1 < n_axis)
-    up = index[ix, np.minimum(iy + 1, n_axis - 1)]
-    ok = has_up & (up >= 0)
-    ei.append(index[ix, iy][ok])
-    ej.append(up[ok])
-    ei = np.concatenate(ei)
-    ej = np.concatenate(ej)
-    edges = (ei, ej, np.full(len(ei), 1.0))  # face s over distance s
-    return DiscreteDomain("disk", coords, w, edges, (s, s))
+
+def _lattice(kind, axes, spacing, measure, faces) -> DiscreteDomain:
+    """Mesh the points of positive cell ``measure`` of the lattice ``axes[0] x axes[1] ...``.
+
+    ``measure`` has the lattice's shape, and ``faces[k]`` broadcasts
+    against it: the measure of the face between a point and its successor
+    along axis ``k``.  The nodes are numbered lexicographically in the
+    lattice index; two nodes next to each other along axis ``k`` share an
+    edge of weight ``faces[k] / spacing[k]``, listed axis by axis in the
+    order of the lower node (an order that fixes the summation order of
+    ``K``'s diagonal).  The edges assemble ``K``: ``K[i, j]`` is minus the
+    weight of the edge ``ij`` and ``K[i, i]`` the sum of node ``i``'s edge
+    weights.
+    """
+    inside = measure > 0
+    if not inside.any():  # a rectangle's cell measures can underflow
+        raise DomainError("resolution too small: no lattice point has a positive cell measure")
+    index = np.full(measure.shape, -1)
+    index[inside] = np.arange(np.count_nonzero(inside))
+    points = np.nonzero(inside)
+    if len(axes) == 1:
+        coords = axes[0][points[0]]
+    else:
+        coords = np.column_stack([x[i] for x, i in zip(axes, points)])
+
+    ei, ej, weights = [], [], []
+    for k, (face, h) in enumerate(zip(faces, spacing)):
+        lower = tuple(slice(None, -1) if a == k else slice(None) for a in range(len(axes)))
+        upper = tuple(slice(1, None) if a == k else slice(None) for a in range(len(axes)))
+        pair = (index[lower] >= 0) & (index[upper] >= 0)
+        ei.append(index[lower][pair])
+        ej.append(index[upper][pair])
+        weights.append(np.broadcast_to(face / h, measure.shape)[lower][pair])
+    i, j, c = np.concatenate(ei), np.concatenate(ej), np.concatenate(weights)
+    n = len(points[0])
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([j, i, i, j])
+    K = sp.coo_matrix((np.concatenate([-c, -c, c, c]), (rows, cols)), shape=(n, n)).tocsr()
+    K.sum_duplicates()
+    return DiscreteDomain(kind, coords, measure[inside], K, tuple(spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +351,6 @@ def _build_disk(spec: DomainSpec) -> DiscreteDomain:
 
 def stiffness_matrix(dom: DiscreteDomain) -> sp.csr_matrix:
     """Symmetric positive-semidefinite form ``K = -(W L)``; ``K 1 = 0``."""
-    if dom._stiffness is None:
-        i, j, c = dom.edges_i, dom.edges_j, dom.edge_weights
-        rows = np.concatenate([i, j, i, j])
-        cols = np.concatenate([j, i, i, j])
-        data = np.concatenate([-c, -c, c, c])
-        K = sp.coo_matrix((data, (rows, cols)), shape=(dom.n_nodes, dom.n_nodes)).tocsr()
-        K.sum_duplicates()
-        dom._stiffness = K
     return dom._stiffness
 
 
@@ -371,24 +359,9 @@ def assemble_neumann_laplacian(dom: DiscreteDomain) -> sp.csr_matrix:
 
     The row scaling ``-W^{-1} K`` of :func:`stiffness_matrix`, so
     ``L 1 = 0`` to rounding and symmetry holds in the cell-measure inner
-    product.  Dividing the rows of ``K`` in place keeps its sorted column
-    indices, which fix the summation order of ``L @ x``.
+    product.
     """
-    if dom._laplacian is None:
-        K = stiffness_matrix(dom)
-        L = K.copy()
-        L.data /= -np.repeat(dom.cell_measures, np.diff(K.indptr))
-        dom._laplacian = L
     return dom._laplacian
-
-
-def _diagonal_slots(dom: DiscreteDomain) -> np.ndarray:
-    """Position of each ``K[i, i]`` in ``K.data``; every node has one (no isolated node)."""
-    if dom._diagonal_slots is None:
-        K = stiffness_matrix(dom)
-        rows = np.repeat(np.arange(dom.n_nodes), np.diff(K.indptr))
-        dom._diagonal_slots = np.flatnonzero(K.indices == rows)
-    return dom._diagonal_slots
 
 
 def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_matrix:
@@ -407,9 +380,9 @@ def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_
     react = np.asarray(reaction, dtype=float)
     if react.shape == ():
         react = np.full(dom.n_nodes, float(react))
-    K = stiffness_matrix(dom)
+    K = dom._stiffness
     data = diffusion * K.data
-    data[_diagonal_slots(dom)] += w * react
+    data[dom._diagonal] += w * react
     A = sp.csr_matrix((data, K.indices.copy(), K.indptr.copy()), shape=K.shape)
     if not data.all():
         A.eliminate_zeros()  # as the sparse sum drops them
@@ -450,7 +423,8 @@ def integrate(dom: DiscreteDomain, f) -> float:
 def dilate_mask(dom: DiscreteDomain, mask: np.ndarray, steps: int) -> np.ndarray:
     """Grow a boolean node mask by ``steps`` layers of grid neighbors."""
     out = np.asarray(mask, dtype=bool).copy()
-    adj = dom.adjacency()
+    K = dom._stiffness  # its pattern is the adjacency, each node included
+    adj = sp.csr_matrix((np.ones(K.nnz, dtype=bool), K.indices, K.indptr), shape=K.shape)
     for _ in range(steps):
         out = out | (adj @ out)
     return out

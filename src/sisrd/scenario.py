@@ -30,8 +30,8 @@ those set (``null`` counts as unset) become
 :attr:`ScenarioConfig.controls`, the keywords of
 :func:`sisrd.dynamics.run`, which supplies the stepping defaults.  The
 domain's ``nodes`` and ``shape`` entries must be JSON integers, and every
-number in the file must be finite (``json`` reads ``Infinity`` and
-``NaN``, which are refused).
+number in the file must be finite (``json`` reads ``Infinity``, ``NaN``
+and integers past the float range, which are refused).
 """
 
 from __future__ import annotations
@@ -103,11 +103,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer past the float range
+        return False
+
+
 def _number(value, where: str) -> float:
     """A finite JSON number (``json`` reads ``Infinity`` and ``NaN`` too)."""
     if not _is_number(value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not _is_finite(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
@@ -115,7 +122,7 @@ def _number(value, where: str) -> float:
 def _pair(value, where: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{where} must be two numbers, got {value!r}")
-    if any(_is_number(v) and not math.isfinite(v) for v in value):
+    if any(_is_number(v) and not _is_finite(v) for v in value):
         raise ConfigError(f"{where} must be two finite numbers, got {value!r}")
     return tuple(_number(v, where) for v in value)
 
@@ -271,7 +278,7 @@ class ScenarioConfig:
         if not isinstance(block, dict):
             raise ConfigError(f"{where} must be an object")
         kind = _require(block, "kind", where)
-        if kind not in _DOMAIN_KEYS:
+        if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
             raise ConfigError(
                 f"{where}.kind must be one of {sorted(_DOMAIN_KEYS)}, got {kind!r}"
             )

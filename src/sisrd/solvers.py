@@ -3,8 +3,9 @@ problems, and the error raised when an iterative computation exhausts its
 budget.
 
 :func:`sparse_lu` factors without pivoting on a symmetric minimum-degree
-ordering; :func:`sisrd.grid.shifted_factor` uses it for the M-matrices of
-the marches, the disease-free solve and the eigenproblems.
+ordering, and a zero pivot is a :class:`NonConvergenceError`;
+:func:`sisrd.grid.shifted_factor` uses it for the M-matrices of the
+marches, the disease-free solve and the eigenproblems.
 :func:`damped_newton` is the one Newton loop of the steady problems, run
 on the coupled system by :mod:`sisrd.equilibrium` for every equilibrium
 and every one-field limit profile of :mod:`sisrd.asymptotics`; its caller
@@ -44,15 +45,20 @@ def sparse_lu(A):
     """SuperLU factor of the structurally symmetric CSC matrix ``A``.
 
     Ordered by minimum degree on ``A^T + A``, with the diagonal as pivots
-    (no row interchanges).  Raises ``RuntimeError`` when a pivot is exactly
-    zero.  The returned object solves with ``.solve(b)``; nothing is cached.
+    (no row interchanges).  Raises :class:`NonConvergenceError` when a
+    pivot is exactly zero (an entry of ``A`` near the float limit can round
+    one away).  The returned object solves with ``.solve(b)``; nothing is
+    cached.
     """
-    return splu(
-        A,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    try:
+        return splu(
+            A,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NonConvergenceError(f"sparse LU hit a zero pivot ({exc})") from None
 
 
 def damped_newton(
@@ -92,7 +98,7 @@ def damped_newton(
             J = jacobian(x).tocsc()
             try:
                 lu = sparse_lu(J)
-            except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            except NonConvergenceError:  # a zero pivot
                 stop = "singular"
                 break
         delta = lu.solve(-G)

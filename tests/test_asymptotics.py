@@ -439,6 +439,20 @@ def test_joint_sublinear_golden_pair():
     assert profile.meta["mass_identity_sup"] <= 1e-12
 
 
+def test_joint_sublinear_refuses_a_profile_that_misses_its_mass_identity():
+    # the root I* = 1e-20 lies far below the 4-ulp resolution of its bracket
+    # [0, 3]: the returned root was 6.7e-16, which lifts S* from 1.0 to 1.742
+    dom = interval(9)
+    c = CoefficientSet(
+        dom, beta=0.01, gamma=0.5, eta=0.5, recruitment=1.0,
+        d_S=1.0, d_I=1.0, p=0.9, q=2.0,
+    )
+    with pytest.raises(NonConvergenceError, match="mass identity"):
+        limit_joint_sublinear(c, sigma=1.0)
+    with pytest.raises(NonConvergenceError, match="mass identity"):
+        monotone_joint_sublinear(c, sigma=1.0)
+
+
 def test_joint_sublinear_requires_large_sigma():
     dom = interval()
     with pytest.raises(ValueError, match="sigma"):

@@ -314,6 +314,29 @@ def test_non_finite_number_exits_2(tmp_path, capsys, block, key, value):
     assert f"{key} must be a finite number" in capsys.readouterr().err
 
 
+HUGE_INT = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "tweak, key",
+    [
+        ({"params": {**FINITE_BLOCKS["params"], "d_I": HUGE_INT}}, "d_I"),
+        ({"stopping": {**FINITE_BLOCKS["stopping"], "t_final": -HUGE_INT}}, "t_final"),
+        ({"coefficients": {"beta": HUGE_INT, "gamma": 0.5, "eta": 0.5, "lambda": 2}}, "beta"),
+        ({"initial": {"S": 0.8, "I": HUGE_INT}}, "initial.I"),
+        ({"domain": {**RECTANGLE, "x_range": [0, HUGE_INT]}}, "x_range"),
+        ({"sigma": HUGE_INT}, "sigma"),
+    ],
+    ids=["d_I", "t_final", "beta", "initial", "x_range", "sigma"],
+)
+def test_integer_past_the_float_range_exits_2(tmp_path, capsys, tweak, key):
+    cfg = write_config(tmp_path, **tweak)
+    assert main(["r0", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be" in err and "finite number" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["r0", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -377,4 +400,55 @@ def test_oversized_mesh_and_overflowing_r0_exit_cleanly(tmp_path, capsys, tweak,
     assert main(["r0", "--config", cfg]) == code
     err = capsys.readouterr().err
     assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
+# a 7-node interval on which one rate of 1e300, next to rates of order 1,
+# rounds a pivot of the unpivoted sparse LU to exactly zero
+ZERO_PIVOT_BASE = {
+    "domain": {"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 7},
+    "coefficients": {"beta": "3 + 2*sin(pi*x)", "gamma": "1", "eta": "1", "lambda": "1"},
+    "params": {"d_S": 1.0, "d_I": 0.01, "p": 1, "q": 0.5},
+}
+ZERO_PIVOT_CASES = {
+    "equilibrium-d_I": (
+        ["equilibrium"], {"params": {**ZERO_PIVOT_BASE["params"], "d_I": 1e300}}
+    ),
+    "asymptotics-gamma": (
+        ["asymptotics", "--regime", "d_S"],
+        {"coefficients": {**ZERO_PIVOT_BASE["coefficients"], "gamma": "1e300"}},
+    ),
+    "lambda0-beta": (
+        ["lambda0"],
+        {
+            "coefficients": {**ZERO_PIVOT_BASE["coefficients"], "beta": "1e300"},
+            "domain": {"kind": "rectangle", "x_range": [0, 1], "y_range": [0, 1], "shape": [5, 4]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_PIVOT_CASES))
+def test_zero_pivot_exits_1_with_one_line(tmp_path, capsys, case):
+    command, tweak = ZERO_PIVOT_CASES[case]
+    cfg = write_config(tmp_path, **{**ZERO_PIVOT_BASE, **tweak})
+    assert main([command[0], "--config", cfg, *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sparse LU hit a zero pivot")
+    assert err.count("\n") == 1
+
+
+# the joint root I* = 1e-20 is far below its bracket's ulp resolution
+TINY_JOINT_ROOT = {
+    "domain": {"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 9},
+    "coefficients": {"beta": "0.01", "gamma": "0.5", "eta": "0.5", "lambda": "1"},
+    "params": {"d_S": 1.0, "d_I": 1.0, "p": 0.9, "q": 2},
+}
+
+
+def test_joint_limit_that_misses_its_mass_identity_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, **TINY_JOINT_ROOT)
+    assert main(["asymptotics", "--config", cfg, "--regime", "joint", "--sigma", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: joint limit misses its mass identity")
     assert err.count("\n") == 1

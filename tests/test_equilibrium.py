@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from oracles import nearest_node
 
 from sisrd import solvers
@@ -161,8 +162,12 @@ def test_newton_stop_reason_is_recorded():
     np.testing.assert_array_equal(result.I.values, state.I.values)
 
 
+_sparse_lu = solvers.sparse_lu
+
+
 def _singular(J):
-    raise RuntimeError("Factor is exactly singular")
+    # the real factor of a matrix whose every pivot is zero
+    return _sparse_lu(sp.csc_matrix(J.shape))
 
 
 @pytest.mark.parametrize(
@@ -349,6 +354,8 @@ def test_grid_tolerance_scales_with_spacing():
     fine = build_domain(DomainSpec.interval(0, 1, 101))
     assert grid_tolerance(coarse) == pytest.approx(1e-6 + 2 * 0.1**2)
     assert grid_tolerance(fine) < grid_tolerance(coarse)
+    # h = 1.7e299, so h^2 overflows, where a Python float power raises
+    assert grid_tolerance(build_domain(DomainSpec.interval(0, 1e300, 7))) == np.inf
 
 
 def test_spatially_varying_ee_satisfies_pde():

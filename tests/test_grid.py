@@ -175,8 +175,10 @@ def test_disk_refinement_approaches_circle_area():
 
 
 def test_disk_adjacency_is_symmetric_and_connected():
+    # the adjacency is the sparsity pattern of the stiffness form
     dom = disk(0.25)
-    adj = dom.adjacency()
+    K = stiffness_matrix(dom)
+    adj = sp.csr_matrix((np.ones(K.nnz, dtype=bool), K.indices, K.indptr), shape=K.shape)
     assert (adj != adj.T).nnz == 0
     # breadth-first reachability from node 0 covers the whole mesh
     reached = np.zeros(dom.n_nodes, dtype=bool)
@@ -198,6 +200,16 @@ def test_too_coarse_domains_rejected():
         build_domain(DomainSpec.disk(1.0, (0, 0), 1.1))
     with pytest.raises(DomainError):
         build_domain(DomainSpec(kind="hexagon"))
+    with pytest.raises(DomainError):  # every cell measure underflows to zero
+        build_domain(DomainSpec.rectangle((0, 1e-200), (0, 1e-200), (9, 9)))
+
+
+def test_domain_refuses_an_isolated_node():
+    # node 2 of this 3-node stiffness form has no edge, so its row is empty
+    K = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert np.diff(K.indptr).tolist() == [2, 2, 0]
+    with pytest.raises(DomainError, match="isolated node"):
+        grid.DiscreteDomain("interval", np.arange(3.0), np.ones(3), K, (1.0,))
 
 
 def test_lattice_size_is_bounded_from_the_spec_alone(monkeypatch):
@@ -213,6 +225,8 @@ def test_lattice_size_is_bounded_from_the_spec_alone(monkeypatch):
     for spec in (
         DomainSpec.disk(1.0, cell_size=1 / 1025),
         DomainSpec.disk(1.0, cell_size=5e-324),  # 2 r / s overflows to inf
+        DomainSpec.disk(1.0, cell_size=1e-300),  # the count, 4e600, is an int past the float range
+        DomainSpec.interval(0, 1, 10**400),
         DomainSpec.interval(0, 1, limit + 1),
         DomainSpec.rectangle((0, 1), (0, 1), (2048, 2049)),
     ):

@@ -242,9 +242,11 @@ def test_rejects_nonpositive_zero_infection_tol():
 
 
 def test_rejects_bad_domain_kind():
-    data = base_config()
-    data["domain"] = {"kind": "annulus"}
-    expect_error(data, "kind")
+    # an unhashable kind is a config error too, not a TypeError from the lookup
+    for kind in ("annulus", [1, 2], {}):
+        data = base_config()
+        data["domain"] = {"kind": kind}
+        expect_error(data, "kind")
 
 
 def test_rejects_nonpositive_sigma():
