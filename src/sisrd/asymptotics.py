@@ -42,8 +42,9 @@ caller.  :func:`shrink_diffusion` sets a regime's rates,
 :func:`limit_profile` picks its profile, and ``LimitProfile.regime``
 carries the name.
 
-Every pointwise scalar equation is solved by bracketed Newton on a monotone
-map (:func:`newton_increasing`): the sign change is verified up front and
+Every pointwise scalar equation has the one form ``a t + b (t/s)^e = c``
+on ``[0, hi]`` and is solved by bracketed Newton on that monotone map
+(:func:`newton_increasing`): the sign change is verified up front and
 every iterate shrinks the bracket, so each returned root is its own
 certificate.
 :func:`bounds_audit` checks a computed equilibrium against the a-priori
@@ -178,6 +179,18 @@ def newton_increasing(
         f"Newton root not converged after {_NEWTON_MAX_ITER} iterations "
         f"at {int((~done).sum())} of {done.size} nodes"
     )
+
+
+def _power_sum_root(a, b, s, e, c, hi) -> np.ndarray:
+    """The root in ``[0, hi]`` of ``a t + b (t/s)^e = c``, by :func:`newton_increasing`."""
+
+    def f(t: np.ndarray) -> np.ndarray:
+        return a * t + b * (t / s) ** e - c
+
+    def df(t: np.ndarray) -> np.ndarray:
+        return a + (e / s) * b * (t / s) ** (e - 1.0)
+
+    return newton_increasing(f, df, np.zeros_like(hi), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +373,8 @@ def limit_joint_sublinear(c: CoefficientSet, sigma: float) -> LimitProfile:
     lam = c.recruitment.values
     ceiling = c.risk_ceiling()
     expo = (1.0 - c.p) / c.q
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return eta * t + ceiling * t**expo - lam
-
-    def df(t: np.ndarray) -> np.ndarray:
-        return eta + expo * ceiling * t ** (expo - 1.0)
-
     hi = np.full(dom.n_nodes, lam.max() / eta.min() + 1.0)
-    I_star = newton_increasing(f, df, np.zeros(dom.n_nodes), hi)
+    I_star = _power_sum_root(eta, ceiling, 1.0, expo, lam, hi)
     S_star = ceiling * I_star**expo
     defect = float(np.max(np.abs(S_star + eta * I_star - lam)))
     if defect > _MASS_IDENTITY_RTOL * float(lam.max()):
@@ -545,17 +551,10 @@ def monotone_joint_sublinear(
         raise ValueError("this bracketing sequence requires 0 < p < 1")
     ceiling = c.risk_ceiling()
     expo = (1.0 - c.p) / c.q
-
-    def inner(u: np.ndarray) -> np.ndarray:
-        def f(v: np.ndarray) -> np.ndarray:
-            return v + ceiling * (v / sigma) ** expo - u
-
-        def df(v: np.ndarray) -> np.ndarray:
-            return 1.0 + (expo / sigma) * ceiling * (v / sigma) ** (expo - 1.0)
-
-        return newton_increasing(f, df, np.zeros_like(u), u)
-
-    return _bracketing_sequence(c, sigma, direction, limit_joint_sublinear, inner)
+    return _bracketing_sequence(
+        c, sigma, direction, limit_joint_sublinear,
+        lambda u: _power_sum_root(1.0, ceiling, sigma, expo, u, u),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +576,7 @@ def susceptible_floor_constant(c: CoefficientSet) -> float:
         * lam.max() ** c.p
         * c.beta.values.max()
     )
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return t + t**c.q - target
-
-    def df(t: np.ndarray) -> np.ndarray:
-        return 1.0 + c.q * t ** (c.q - 1.0)
-
-    root = newton_increasing(f, df, np.zeros(1), np.full(1, target))
-    return float(root[0])
+    return float(_power_sum_root(1.0, 1.0, 1.0, c.q, target, np.full(1, target))[0])
 
 
 def bounds_audit(c: CoefficientSet, eq: EquilibriumResult) -> BoundsReport:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .formula import evaluate, free_variables, parse
+from .formula import evaluate, parse
 from .grid import DiscreteDomain, ScalarField
 
 __all__ = ["CoefficientSet", "evaluate_formula_on"]
@@ -120,14 +120,9 @@ class CoefficientSet:
 
 
 def evaluate_formula_on(dom: DiscreteDomain, src: str) -> np.ndarray:
-    """Parse a formula and evaluate it at the domain's nodes."""
-    tree = parse(src)
-    names = free_variables(tree)
+    """Parse a formula and evaluate it at the domain's nodes (an interval's have no ``y``)."""
     if dom.dim == 1:
-        if "y" in names:
-            raise ValueError(f"formula {src!r} references y on a one-dimensional domain")
         env = {"x": dom.coords}
     else:
         env = {"x": dom.coords[:, 0], "y": dom.coords[:, 1]}
-    out = evaluate(tree, env)
-    return np.asarray(out, dtype=float)
+    return np.asarray(evaluate(parse(src), env), dtype=float)

@@ -8,11 +8,12 @@ transfer terms explicitly.  With ``F = beta (S^n)^q (I^n)^p``:
 
 Both updates are symmetric positive definite solves, each with an LU
 factor of its time-step operator (:func:`sisrd.grid.shifted_factor`).
-:func:`run` holds the pair of factors for one dt: a new dt frees the pair
-before the next is built, and dt only moves between the levels of a
-doubling ladder (below), so a march builds one factor per operator and
-level, however many steps it takes; while dt stays at ``dt_max`` every
-step is two pairs of triangular solves.
+:func:`run` holds one pair of factors, for the current dt, and builds a
+new pair (freeing the old one first) on every change of dt.  dt only
+moves between the levels of a doubling ladder (below), so a march that
+halves down ``L`` levels and doubles back builds ``2L - 1`` pairs, and a
+march whose dt saws between levels builds one pair per change; while dt
+stays at ``dt_max`` every step is two pairs of triangular solves.
 Because the transfer terms ``-F + gamma I`` and ``+F - gamma I`` appear
 explicitly with opposite signs, they cancel exactly in the discrete
 total-mass balance; integrating the two updates gives
@@ -29,7 +30,8 @@ finiteness.  The cell measures are positive, so a non-finite entry in
 either output makes the defect non-finite, and the step then raises the
 ``ValueError`` that :class:`~sisrd.grid.ScalarField` raises for
 non-finite values.  Otherwise the outputs become the new fields as they
-are.
+are.  :func:`run` steps with overflow warnings off, so a transfer that
+overflows (a large ``q``) ends in that one error.
 
 :func:`run` is the package's one time loop.  It starts at ``dt_max``
 (0.4); a start that is too large is handled like any other step.  A step
@@ -44,7 +46,7 @@ halvings stop at ``dt_max 2^-4``, where dt holds.  Otherwise dt stays at
 the accepted value after a rejection and doubles, capped at ``dt_max``.
 Halving and doubling keep every dt on the ladder ``dt_max 2^-j``, apart
 from steps clipped to end on ``t_final``, so the march factors once per
-level it visits, not once per step; on the shipped scenarios it never
+change of dt, not once per step; on the shipped scenarios it never
 leaves the cap and builds one factor pair.
 
 A march only has to reach Newton's basin, not the steady state itself.
@@ -231,59 +233,60 @@ def run(
     held_dt, factors = None, None
     w = state.domain.cell_measures
     dS_prev = dI_prev = 0.0  # the first step has no increment to reverse
-    while True:
-        if t_final is not None and state.t >= t_final - 1e-14:
-            summary.reason = "t_final"
-            break
-        if summary.steps >= max_steps:
-            summary.reason = "max_steps"
-            break
-        step_dt = dt if t_final is None else min(dt, t_final - state.t)
-        rejected = 0
+    with np.errstate(over="ignore"):  # an overflowing transfer ends in step_imex's error
         while True:
-            if step_dt != held_dt:
-                factors = None  # free the old pair before its successor is built
-                factors, held_dt = _factor_pair(c, step_dt), step_dt
-            try:
-                new, defect = step_imex(state, c, step_dt, factors=factors)
+            if t_final is not None and state.t >= t_final - 1e-14:
+                summary.reason = "t_final"
                 break
-            except StepRejected:
-                rejected += 1
-                step_dt *= 0.5
-                if step_dt < dt_min:
-                    raise TimeStepUnderflowError(
-                        f"dt underflow at t = {state.t:.6g} after {rejected} halvings"
-                    ) from None
-        if defect > MASS_BALANCE_RTOL:
-            raise MassBalanceError(
-                f"mass-balance defect {defect:.3e} exceeds "
-                f"{MASS_BALANCE_RTOL:.1e} at t = {state.t:.6g}"
-            )
-        dS = new.S.values - state.S.values
-        dI = new.I.values - state.I.values
-        rate = max(float(abs(dS).max()), float(abs(dI).max())) / step_dt
-        reversed_ = float(np.dot(w, dS * dS_prev)) + float(np.dot(w, dI * dI_prev)) < 0.0
-        dS_prev, dI_prev = dS, dI
-        summary.rejected += rejected
-        summary.steps += 1
-        state = new
-        if on_step is not None:
-            on_step(state, summary.steps)
-        if reversed_ and step_dt * 0.5 >= dt_floor:
-            dt = step_dt * 0.5
-            summary.reversals += 1
-        elif reversed_ or rejected:
-            dt = step_dt
-        else:
-            dt = min(step_dt * _DT_GROWTH, dt_max)
-        if offer and rate < _HANDOFF_TOL:
-            offer = False
-            held_dt, factors = None, None  # freed before the hand-off factors
-            if handoff(state, replace(summary, reason="steady")):
-                summary.reason, summary.handoff = "steady", "newton"
+            if summary.steps >= max_steps:
+                summary.reason = "max_steps"
                 break
-            summary.handoff = "resumed"
-        if steady_tol is not None and rate < steady_tol:
-            summary.reason = "steady"
-            break
+            step_dt = dt if t_final is None else min(dt, t_final - state.t)
+            rejected = 0
+            while True:
+                if step_dt != held_dt:
+                    factors = None  # free the old pair before its successor is built
+                    factors, held_dt = _factor_pair(c, step_dt), step_dt
+                try:
+                    new, defect = step_imex(state, c, step_dt, factors=factors)
+                    break
+                except StepRejected:
+                    rejected += 1
+                    step_dt *= 0.5
+                    if step_dt < dt_min:
+                        raise TimeStepUnderflowError(
+                            f"dt underflow at t = {state.t:.6g} after {rejected} halvings"
+                        ) from None
+            if defect > MASS_BALANCE_RTOL:
+                raise MassBalanceError(
+                    f"mass-balance defect {defect:.3e} exceeds "
+                    f"{MASS_BALANCE_RTOL:.1e} at t = {state.t:.6g}"
+                )
+            dS = new.S.values - state.S.values
+            dI = new.I.values - state.I.values
+            rate = max(float(abs(dS).max()), float(abs(dI).max())) / step_dt
+            reversed_ = float(np.dot(w, dS * dS_prev)) + float(np.dot(w, dI * dI_prev)) < 0.0
+            dS_prev, dI_prev = dS, dI
+            summary.rejected += rejected
+            summary.steps += 1
+            state = new
+            if on_step is not None:
+                on_step(state, summary.steps)
+            if reversed_ and step_dt * 0.5 >= dt_floor:
+                dt = step_dt * 0.5
+                summary.reversals += 1
+            elif reversed_ or rejected:
+                dt = step_dt
+            else:
+                dt = min(step_dt * _DT_GROWTH, dt_max)
+            if offer and rate < _HANDOFF_TOL:
+                offer = False
+                held_dt, factors = None, None  # freed before the hand-off factors
+                if handoff(state, replace(summary, reason="steady")):
+                    summary.reason, summary.handoff = "steady", "newton"
+                    break
+                summary.handoff = "resumed"
+            if steady_tol is not None and rate < steady_tol:
+                summary.reason = "steady"
+                break
     return state, summary

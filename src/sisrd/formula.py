@@ -242,7 +242,7 @@ class _Parser:
         if name in ("x", "y"):
             return Var(name)
         if name == "piecewise":
-            return self.piecewise(tok)
+            return self.piecewise()
         if name in _FUNCTIONS:
             self.expect("(")
             args = [self.expr()]
@@ -257,28 +257,23 @@ class _Parser:
             return Call(name, tuple(args))
         raise UnknownIdentifierError(name, tok.offset)
 
-    def piecewise(self, tok: _Token) -> Expr:
+    def piecewise(self) -> Expr:
         self.expect("(")
         var_tok = self.next()
         if var_tok.text not in ("x", "y"):
             raise FormulaSyntaxError("piecewise variable must be x or y", var_tok.offset)
         self.expect(";")
         branches: list[tuple[Expr, Expr]] = []
-        otherwise = None
-        while True:
-            if self.peek().text == "else":
-                self.next()
-                self.expect(":")
-                otherwise = self.expr()
-                self.expect(")")
-                break
+        while self.peek().text != "else":
             threshold = self.expr()
             self.expect(":")
             value = self.expr()
             branches.append((threshold, value))
             self.expect(";")
-        if otherwise is None:  # pragma: no cover - loop exits only via else
-            raise FormulaSyntaxError("piecewise needs an else branch", tok.offset)
+        self.next()
+        self.expect(":")
+        otherwise = self.expr()
+        self.expect(")")
         return Piecewise(var_tok.text, tuple(branches), otherwise)
 
 

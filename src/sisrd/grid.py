@@ -11,9 +11,10 @@ nodes:
   circle (a staircase approximation; the boundary is not fitted), every
   node carrying the full cell area.
 
-:func:`build_domain` first bounds the size of the lattice it would lay out
-(:func:`check_lattice_size`, at most ``MAX_LATTICE_NODES`` points), so an
-oversized spec fails with :class:`DomainError` before any array exists.
+:func:`build_domain` first checks the spec's geometry and resolution and
+bounds the size of the lattice it would lay out (:func:`check_lattice_size`,
+at most ``MAX_LATTICE_NODES`` points), so a bad or oversized spec fails
+with :class:`DomainError` before any array exists.
 
 All three are laid out by one lattice builder: the nodes are the points
 of a Cartesian lattice that carry a positive cell measure, numbered
@@ -222,18 +223,38 @@ MAX_LATTICE_NODES = 2**22
 
 
 def check_lattice_size(spec: DomainSpec) -> None:
-    """Refuse a spec whose lattice exceeds ``MAX_LATTICE_NODES`` points.
+    """Refuse a spec whose geometry or resolution is invalid or whose lattice is too large.
 
-    Counted from the spec alone: ``nodes``, ``nx * ny``, or for a disk
+    Checked from the spec alone: an interval needs ``end > start`` and at
+    least 3 nodes, a rectangle ranges of positive extent and at least 3
+    nodes per axis, and a disk a positive radius and cell size and at least
+    3 cells per axis.  The lattice may hold at most ``MAX_LATTICE_NODES``
+    points: ``nodes``, ``nx * ny``, or for a disk
     ``ceil(2 radius / cell_size)^2``, since its builder lays out the whole
-    square lattice.  Other invalid specs are left to the builders.
+    square lattice.  An unknown kind is left to :func:`build_domain`.
     """
     if spec.kind == "interval":
+        if not spec.end > spec.start:
+            raise DomainError("interval end must exceed start")
+        if spec.nodes < 3:
+            raise DomainError("resolution too small: an interval needs at least 3 nodes")
         size = spec.nodes
     elif spec.kind == "rectangle":
-        size = max(spec.shape[0], 0) * max(spec.shape[1], 0)
-    elif spec.kind == "disk" and spec.radius > 0 and spec.cell_size > 0:
+        (ax, bx), (ay, by) = spec.x_range, spec.y_range
+        if not (bx > ax and by > ay):
+            raise DomainError("rectangle ranges must have positive extent")
+        nx, ny = spec.shape
+        if nx < 3 or ny < 3:
+            raise DomainError("resolution too small: a rectangle needs at least 3 nodes per axis")
+        size = nx * ny
+    elif spec.kind == "disk":
+        if not spec.radius > 0:
+            raise DomainError("disk radius must be positive")
+        if not spec.cell_size > 0:
+            raise DomainError("disk cell size must be positive")
         per_axis = 2 * spec.radius / spec.cell_size
+        if per_axis <= 2:  # ceil(per_axis) < 3
+            raise DomainError("resolution too small: the disk needs at least 3 cells per axis")
         size = math.ceil(per_axis) ** 2 if math.isfinite(per_axis) else math.inf
     else:
         return
@@ -245,7 +266,7 @@ def check_lattice_size(spec: DomainSpec) -> None:
 
 
 def build_domain(spec: DomainSpec) -> DiscreteDomain:
-    """Mesh a :class:`DomainSpec`, validating geometry, resolution and size."""
+    """Mesh a :class:`DomainSpec` once :func:`check_lattice_size` accepts it."""
     check_lattice_size(spec)
     if spec.kind == "interval":
         return _build_interval(spec)
@@ -257,10 +278,6 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
 
 
 def _build_interval(spec: DomainSpec) -> DiscreteDomain:
-    if not spec.end > spec.start:
-        raise DomainError("interval end must exceed start")
-    if spec.nodes < 3:
-        raise DomainError("resolution too small: an interval needs at least 3 nodes")
     n = spec.nodes
     h = (spec.end - spec.start) / (n - 1)
     xs = spec.start + h * np.arange(n)
@@ -269,11 +286,7 @@ def _build_interval(spec: DomainSpec) -> DiscreteDomain:
 
 def _build_rectangle(spec: DomainSpec) -> DiscreteDomain:
     (ax, bx), (ay, by) = spec.x_range, spec.y_range
-    if not (bx > ax and by > ay):
-        raise DomainError("rectangle ranges must have positive extent")
     nx, ny = spec.shape
-    if nx < 3 or ny < 3:
-        raise DomainError("resolution too small: a rectangle needs at least 3 nodes per axis")
     hx = (bx - ax) / (nx - 1)
     hy = (by - ay) / (ny - 1)
     xs = ax + hx * np.arange(nx)
@@ -285,20 +298,12 @@ def _build_rectangle(spec: DomainSpec) -> DiscreteDomain:
 
 
 def _build_disk(spec: DomainSpec) -> DiscreteDomain:
-    if spec.radius <= 0:
-        raise DomainError("disk radius must be positive")
     s = spec.cell_size
-    if s <= 0:
-        raise DomainError("disk cell size must be positive")
     n_axis = int(np.ceil(2 * spec.radius / s))
-    if n_axis < 3:
-        raise DomainError("resolution too small: the disk needs at least 3 cells per axis")
     cx, cy = spec.center
     xs = cx - spec.radius + (np.arange(n_axis) + 0.5) * s
     ys = cy - spec.radius + (np.arange(n_axis) + 0.5) * s
     inside = (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 < spec.radius**2
-    if not inside.any():
-        raise DomainError("resolution too small: no cell centers fall inside the disk")
     # a cell is whole or absent, so every face is a full side s
     return _lattice("disk", (xs, ys), (s, s), np.where(inside, s * s, 0.0), (s, s))
 

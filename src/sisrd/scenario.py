@@ -2,7 +2,8 @@
 
 A scenario file is a single JSON object.  Everything that can fail —
 unknown keys, malformed formulas, missing fields, out-of-range exponents,
-a mesh past :data:`sisrd.grid.MAX_LATTICE_NODES` — fails during
+a domain of empty extent or fewer than 3 nodes per axis, a mesh past
+:data:`sisrd.grid.MAX_LATTICE_NODES` — fails during
 :func:`load_scenario` / :func:`ScenarioConfig.from_dict`, before any mesh
 is built or any solve starts.  Formula strings use the
 expression language of :mod:`sisrd.formula` in the spatial variables

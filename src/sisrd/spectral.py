@@ -37,7 +37,10 @@ its residual and keeps the eigenvector positive; it usually stops after
 one step.  ``iterations`` counts the factor solves of the whole call, and
 the factor is freed before the result is built.  A call that runs past its
 solve budget, that ARPACK fails, or whose products overflow (a ``beta``
-near the float limit) raises :class:`NonConvergenceError`.
+near the float limit) raises :class:`NonConvergenceError`, and so does a
+gain, potential or shifted potential that overflows the float range (a
+large ``q``, or rates near the float limit), before the eigen-solve
+factors ``B``.
 """
 
 from __future__ import annotations
@@ -108,6 +111,13 @@ def _top_eigenpair(B, a: np.ndarray, what: str) -> tuple[np.ndarray, float, floa
         raise NonConvergenceError(f"{what} eigen-solve failed: {exc}") from None
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` if every entry is finite; else :class:`NonConvergenceError` naming ``what``."""
+    if not np.isfinite(values).all():
+        raise NonConvergenceError(f"{what} overflows the float range")
+    return values
+
+
 def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> SpectralResult:
     """Largest eigenpair of ``diag(a) phi = mu B phi`` with ``B = W diag(reaction) + d_I K``.
 
@@ -147,7 +157,8 @@ def compute_r0(c: CoefficientSet) -> SpectralResult:
         )
     dom = c.domain
     S_dfe = solve_dfe(c)
-    gain = c.beta.values * S_dfe.values**c.q
+    with np.errstate(over="ignore"):
+        gain = _finite(c.beta.values * S_dfe.values**c.q, "R0 gain beta S~^q")
     return _principal(c, dom.cell_measures * gain, c.gamma.values + c.eta.values, "R0")
 
 
@@ -160,9 +171,14 @@ def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     1, it stays at the rounding level for a ``lambda0`` of any size.
     """
     w = c.domain.cell_measures
-    potential = c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values
-    shift = -float(potential.max()) - 1.0
-    res = _principal(c, w, -shift - potential, "principal-eigenvalue")
+    with np.errstate(over="ignore"):
+        potential = _finite(
+            c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values,
+            "principal-eigenvalue potential beta recruitment^q - gamma - eta",
+        )
+        shift = -float(potential.max()) - 1.0
+        reaction = _finite(-shift - potential, "principal-eigenvalue shifted potential")
+    res = _principal(c, w, reaction, "principal-eigenvalue")
     lam0 = shift + 1.0 / res.value
     phi = res.field.values
     M = shifted_operator(c.domain, -potential, c.d_I)

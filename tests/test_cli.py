@@ -8,8 +8,10 @@ import json
 
 import pytest
 
-from sisrd import dynamics
+from sisrd import dynamics, harness
 from sisrd.cli import main
+from sisrd.scenario import ConfigError, load_scenario
+from sisrd.solvers import NonConvergenceError
 
 
 def write_config(tmp_path, **tweaks) -> str:
@@ -452,3 +454,98 @@ def test_joint_limit_that_misses_its_mass_identity_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: joint limit misses its mass identity")
     assert err.count("\n") == 1
+
+
+# a bad geometry or resolution on the 7-node base config, with the message
+# of grid.check_lattice_size
+BAD_GEOMETRIES = {
+    "interval-reversed": ({"kind": "interval", "start": 1.0, "end": 0.0, "nodes": 7},
+                          "interval end must exceed start"),
+    "interval-2-nodes": ({"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 2},
+                         "an interval needs at least 3 nodes"),
+    "rectangle-flat": ({"kind": "rectangle", "x_range": [0, 0], "y_range": [0, 1], "shape": [5, 5]},
+                       "rectangle ranges must have positive extent"),
+    "rectangle-2-nodes": ({"kind": "rectangle", "x_range": [0, 1], "y_range": [0, 1], "shape": [5, 2]},
+                          "a rectangle needs at least 3 nodes per axis"),
+    "disk-radius": ({"kind": "disk", "radius": -1.0, "cell_size": 0.1},
+                    "disk radius must be positive"),
+    "disk-cell-size": ({"kind": "disk", "radius": 1.0, "cell_size": 0},
+                       "disk cell size must be positive"),
+    "disk-2-cells": ({"kind": "disk", "radius": 1.0, "cell_size": 1.0},
+                     "the disk needs at least 3 cells per axis"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GEOMETRIES))
+def test_bad_geometry_is_a_config_error(tmp_path, capsys, case):
+    # refused while the config loads (ConfigError, exit 2), before any mesh is built
+    domain, message = BAD_GEOMETRIES[case]
+    cfg = write_config(tmp_path, **{**ZERO_PIVOT_BASE, "domain": domain})
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(cfg)
+    assert main(["r0", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1
+
+
+# q = 400 puts beta recruitment^q (lambda = 10) or beta S^q (S = 10) past the float range
+OVERFLOW_BASE = {
+    "domain": {"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 7},
+    "coefficients": {"beta": "3", "gamma": "1", "eta": "1", "lambda": "10"},
+    "params": {"d_S": 1.0, "d_I": 0.01, "p": 1, "q": 400},
+}
+OVERFLOW_S = {"coefficients": {**OVERFLOW_BASE["coefficients"], "lambda": "1"},
+              "initial": {"S": "10", "I": "0.2"}}
+OVERFLOW_CASES = {
+    "r0": ("r0", {}, "error: R0 gain beta S~^q overflows"),
+    "lambda0": (
+        "lambda0", {}, "error: principal-eigenvalue potential beta recruitment^q - gamma - eta overflows"
+    ),
+    # a potential of about +1e308 at one node and -1e308 at another: the shift overflows
+    "lambda0-span": (
+        "lambda0",
+        {"coefficients": {"beta": "piecewise(x; 0.5: 1; else: 1e308)",
+                          "gamma": "piecewise(x; 0.5: 1e308; else: 1)", "eta": "1", "lambda": "1"},
+         "params": {**OVERFLOW_BASE["params"], "q": 1}},
+        "error: principal-eigenvalue shifted potential overflows",
+    ),
+    "equilibrium": ("equilibrium", OVERFLOW_S, "error: field contains non-finite values"),
+    "simulate": ("simulate", OVERFLOW_S, "error: field contains non-finite values"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOW_CASES))
+def test_overflow_exits_1_with_one_line(tmp_path, capfd, case):
+    # a RuntimeWarning is an error under the suite's warning filter, and
+    # capfd also sees what LAPACK prints at the file-descriptor level
+    command, tweak, message = OVERFLOW_CASES[case]
+    cfg = write_config(tmp_path, **{**OVERFLOW_BASE, **tweak})
+    extra = ["--out", str(tmp_path / "run")] if command == "simulate" else []
+    assert main([command, "--config", cfg, *extra]) == 1
+    out, err = capfd.readouterr()
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+    assert "DLASCL" not in out
+
+
+@pytest.mark.parametrize("values", ["0.05", "0.05,0.02"])
+def test_sweep_with_a_failed_row_exits_1(tmp_path, capsys, monkeypatch, values):
+    # the last row's solve fails: alone it is reported as failed, after a
+    # solved row its nan distances are also a trend violation
+    last = float(values.split(",")[-1])
+    real_find_ee = harness.find_ee
+
+    def failing_find_ee(c, **kwargs):
+        if c.d_I == last:
+            raise NonConvergenceError("row solve failed")
+        return real_find_ee(c, **kwargs)
+
+    monkeypatch.setattr(harness, "find_ee", failing_find_ee)
+    cfg = write_config(tmp_path)
+    argv = ["sweep", "--config", cfg, "--regime", "d_I", "--values", values,
+            "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert f"d_I={last!r} failed: row solve failed" in out
+    assert ("trend violations" in out) == ("," in values)

@@ -217,6 +217,13 @@ def test_syntax_errors_report_offset():
         parse("sin(1, 2)")
 
 
+def test_tokenizer_refuses_a_stray_character_and_skips_trailing_space():
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse("x $ 1")
+    assert exc.value.offset == 2
+    assert scalar("x + 1 ", x=2.0) == 3.0
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError):
         parse("2*z")

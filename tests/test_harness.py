@@ -251,6 +251,25 @@ def test_run_scenario_cleans_up_on_failure(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_run_scenario_removes_the_files_it_wrote_on_a_later_failure(tmp_path, monkeypatch):
+    # the third write fails once S.csv and I.csv exist; both are removed
+    written = []
+    real_write = harness.write_field_csv
+
+    def failing_write(path, field):
+        if len(written) == 2:
+            raise OSError("disk full")
+        real_write(path, field)
+        written.append(path.name)
+
+    monkeypatch.setattr(harness, "write_field_csv", failing_write)
+    out = tmp_path / "doomed"
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(ScenarioConfig.from_dict(rect_scenario_dict()), out)
+    assert written == ["S.csv", "I.csv"]
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
