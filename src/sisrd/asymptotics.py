@@ -32,7 +32,9 @@ Both one-field limits are the coupled steady state with the vanishing
 rate set to zero, found by :func:`sisrd.equilibrium.find_ee` from its
 default start and ``t_final``: the march hands its state to the coupled
 Newton iteration at the loose steady test ``|du|/dt < 1e-2``, and goes
-on to ``|du|/dt < 1e-10`` only if Newton's answer is refused.
+on to ``|du|/dt < 1e-10`` only if Newton's answer is refused.  At the
+zero rate Newton factors only the ``n x n`` Schur complement on the
+field that still diffuses.
 ``LimitProfile.meta`` records the march's ``steps``, the ``handoff``
 outcome, and Newton's ``newton_iterations`` and ``newton_stop``.
 
@@ -265,7 +267,8 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
     ``beta S^q I^p = (gamma+eta) I``, whose positive root is the slaved
     field ``I = (S^q/h)^(1/(1-p))``, and S solves
     ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0``.  The
-    coupled system is solved as it stands (see
+    coupled system is solved with ``d_I = 0``, where Newton factors only
+    the ``n x n`` Schur complement on S (see
     :func:`_limit_at_zero_diffusion`, whose keys ``meta`` carries).
     """
     if not c.p < 1.0:
@@ -283,8 +286,9 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
 
     There S is slaved to I node by node by the algebraic balance
     ``recruitment - S - beta S^q I^p + gamma I = 0``, leaving one
-    reaction-diffusion equation for I.  The coupled system is solved as it
-    stands (see :func:`_limit_at_zero_diffusion`, whose keys ``meta``
+    reaction-diffusion equation for I.  The coupled system is solved with
+    ``d_S = 0``, where Newton factors only the ``n x n`` Schur complement
+    on I (see :func:`_limit_at_zero_diffusion`, whose keys ``meta``
     carries).  For p = 1 an endemic limit requires a negative principal
     eigenvalue; the request is refused otherwise.
     """

@@ -47,7 +47,12 @@ the accepted value after a rejection and doubles, capped at ``dt_max``.
 Halving and doubling keep every dt on the ladder ``dt_max 2^-j``, apart
 from steps clipped to end on ``t_final``, so the march factors once per
 change of dt, not once per step; on the shipped scenarios it never
-leaves the cap and builds one factor pair.
+leaves the cap and builds one factor pair.  Each step rounds the clock
+``t + dt`` by at most ``eps max(|t|, |t_final|)``, so a remainder within
+that many of them of ``t_final`` is the clock's rounding, not a step: the
+step that comes that close ends on ``t_final`` exactly, on the factor
+pair it already has.  (Taken as a step, such a sliver broke the mass
+balance, whose defect scales as ``1/dt``.)
 
 A march only has to reach Newton's basin, not the steady state itself.
 Given a ``handoff`` callback, :func:`run` offers its state to a Newton
@@ -208,7 +213,8 @@ def run(
     The march starts at ``dt_max``.  A step is retried at half the dt on
     :class:`StepRejected`, the next dt halves after an increment reversal
     (counted in ``summary.reversals``), and the last step is clipped to
-    end on ``t_final`` (see the module docstring for the policy).  The
+    end on ``t_final``, which a march that stops there ends on exactly
+    (see the module docstring for the policy).  The
     steady test is ``|u_new - u|_inf / dt < steady_tol`` over both fields
     and one accepted step; at least one of ``t_final`` and ``steady_tol``
     must be given.  ``on_step(state, steps)`` runs after every accepted
@@ -233,15 +239,21 @@ def run(
     held_dt, factors = None, None
     w = state.domain.cell_measures
     dS_prev = dI_prev = 0.0  # the first step has no increment to reverse
+    if t_final is not None:  # each addition to the clock rounds by at most this
+        ulp = np.finfo(float).eps * max(abs(state.t), abs(t_final))
     with np.errstate(over="ignore"):  # an overflowing transfer ends in step_imex's error
         while True:
-            if t_final is not None and state.t >= t_final - 1e-14:
-                summary.reason = "t_final"
-                break
+            step_dt = dt
+            if t_final is not None:
+                slack = (summary.steps + 1) * ulp  # the clock's rounding so far
+                if t_final - state.t <= slack:
+                    summary.reason = "t_final"
+                    break
+                if t_final - state.t < dt - slack:
+                    step_dt = t_final - state.t  # clipped to end on t_final
             if summary.steps >= max_steps:
                 summary.reason = "max_steps"
                 break
-            step_dt = dt if t_final is None else min(dt, t_final - state.t)
             rejected = 0
             while True:
                 if step_dt != held_dt:
@@ -262,6 +274,8 @@ def run(
                     f"mass-balance defect {defect:.3e} exceeds "
                     f"{MASS_BALANCE_RTOL:.1e} at t = {state.t:.6g}"
                 )
+            if t_final is not None and t_final - new.t <= slack:
+                new = replace(new, t=t_final)  # the rest is the clock's rounding, not a step
             dS = new.S.values - state.S.values
             dI = new.I.values - state.I.values
             rate = max(float(abs(dS).max()), float(abs(dI).max())) / step_dt

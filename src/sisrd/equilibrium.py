@@ -25,7 +25,11 @@ calls with a scenario's controls.  :func:`find_ee` wraps it with the one
 set of steady-state defaults; the one-field limit profiles of
 :mod:`sisrd.asymptotics` call it on the system with ``d_S = 0`` or
 ``d_I = 0``, where the Laplacian block of that field drops out of the
-march and of Newton alike.
+march and of Newton alike.  There that field's block of the Jacobian is
+diagonal, so Newton factors only the ``n x n`` Schur complement on the
+other field and recovers the zero-rate field's increment node by node
+(exact block elimination), where both rates positive factor the whole
+``2n x 2n`` Jacobian.
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -36,6 +40,7 @@ relative defect is reported as the conservation gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -43,8 +48,14 @@ import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
 from .dynamics import RunSummary, SimState, run
-from .grid import ScalarField, assemble_neumann_laplacian, integrate, shifted_factor
-from .solvers import NonConvergenceError, damped_newton
+from .grid import (
+    ScalarField,
+    assemble_neumann_laplacian,
+    integrate,
+    shifted_factor,
+    shifted_operator,
+)
+from .solvers import NonConvergenceError, damped_newton, sparse_lu
 
 __all__ = [
     "ENDEMIC_MASS_RTOL",
@@ -208,8 +219,14 @@ def _newton_coupled(
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Damped Newton on the stationary system; also returns why it stopped.
 
-    The Jacobian is structurally symmetric (two Laplacian blocks and two
-    diagonals), the pattern :func:`~sisrd.solvers.sparse_lu` orders.
+    With ``a = -1 - dF/dS``, ``g = gamma - dF/dI``, ``e = dF/dS`` and
+    ``b = dF/dI - gamma - eta`` the Jacobian is
+    ``[[d_S L + diag(a), diag(g)], [diag(e), d_I L + diag(b)]]``,
+    structurally symmetric, the pattern :func:`~sisrd.solvers.sparse_lu`
+    orders.  With both rates positive that ``2n x 2n`` matrix is factored;
+    at a zero rate only the ``n x n`` Schur complement on the other field
+    is (:func:`_schur_factor`).  Newton checks every solve against the
+    whole ``J`` either way.
     """
     n = c.domain.n_nodes
     L = assemble_neumann_laplacian(c.domain)
@@ -224,14 +241,58 @@ def _newton_coupled(
         Sv, Iv = x[:n], x[n:]
         dF_dS = q * beta * Sv ** (q - 1.0) * Iv**p
         dF_dI = p * beta * Sv**q * Iv ** (p - 1.0)
-        return sp.bmat(
+        g, b = gamma - dF_dI, dF_dI - gamma - eta
+        J = sp.bmat(
             [
-                [c.d_S * L - ident - sp.diags(dF_dS), sp.diags(gamma - dF_dI)],
-                [sp.diags(dF_dS), c.d_I * L + sp.diags(dF_dI - gamma - eta)],
+                [c.d_S * L - ident - sp.diags(dF_dS), sp.diags(g)],
+                [sp.diags(dF_dS), c.d_I * L + sp.diags(b)],
             ],
             format="csc",
         )
+        if c.d_S > 0.0 and c.d_I > 0.0:
+            return J, sparse_lu(J)
+        return J, _schur_factor(c, -1.0 - dF_dS, g, dF_dS, b)
 
     x, iters, stop = damped_newton(residual, jacobian, np.concatenate([S, I]))
     return x[:n], x[n:], iters, stop
 
+
+def _schur_factor(c: CoefficientSet, a, g, e, b) -> SimpleNamespace:
+    """Solver of the coupled Jacobian at a zero rate, by block elimination.
+
+    The rows of the field ``z`` whose rate is zero (S when ``d_S = 0``)
+    read ``pivot dz + off dy = r_z``, with ``(pivot, off) = (a, g)``, or
+    ``(b, e)`` at ``d_I = 0``; those of the other field ``y`` read
+    ``cpl dz + (d L + diag(diag)) dy = r_y``, with ``(cpl, diag) = (e, b)``,
+    or ``(g, a)``.  So ``dy`` solves the ``n x n`` Schur complement
+    ``d L + diag(diag - cpl off/pivot)`` (``d_I L + diag(b - e g/a)``, or
+    ``d_S L + diag(a - g e/b)``) for ``r_y - cpl r_z/pivot``, and
+    ``dz = (r_z - off dy)/pivot`` node by node.  The complement is factored
+    as ``-W`` times it, the symmetric
+    :func:`~sisrd.grid.shifted_operator` on ``K``'s pattern.  A zero pivot
+    raises :class:`NonConvergenceError` (Newton's ``"singular"``).  As in
+    the march, an overflow raises no warning: the non-finite increment
+    ends in Newton's ``"non-finite"`` stop.
+    """
+    n = c.domain.n_nodes
+    w = c.domain.cell_measures
+    z, y = slice(0, n), slice(n, 2 * n)
+    pivot, off, cpl, diag, d = a, g, e, b, c.d_I
+    if c.d_S > 0.0:  # d_I = 0
+        z, y = y, z
+        pivot, off, cpl, diag, d = b, e, g, a, c.d_S
+    if not pivot.all():
+        raise NonConvergenceError("zero pivot in the diagonal block of the Newton matrix")
+    with np.errstate(over="ignore"):
+        ratio = cpl / pivot
+        A = shifted_operator(c.domain, ratio * off - diag, d)
+    lu = sparse_lu(A.T)  # A is symmetric: its transpose is its CSC form
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = np.empty_like(r)
+        with np.errstate(over="ignore"):
+            x[y] = lu.solve(-w * (r[y] - ratio * r[z]))
+            x[z] = (r[z] - off * x[y]) / pivot
+        return x
+
+    return SimpleNamespace(solve=solve)

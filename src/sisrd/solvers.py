@@ -9,14 +9,18 @@ marches, the disease-free solve and the eigenproblems.
 :func:`damped_newton` is the one Newton loop of the steady problems, run
 on the coupled system by :mod:`sisrd.equilibrium` for every equilibrium
 and every one-field limit profile of :mod:`sisrd.asymptotics`; its caller
-supplies the residual and its Jacobian.  Newton starts from a marched
+supplies the residual, its Jacobian and the Jacobian's factor.  With both
+diffusion rates positive that factor is the :func:`sparse_lu` of the
+whole ``2n x 2n`` Jacobian; at a zero rate it is that of the ``n x n``
+Schur complement on the diffusing field, the other field's increment
+being recovered node by node.  Newton starts from a marched
 state at the hand-off of :func:`sisrd.dynamics.run`, after the march has
 freed its own factors; a refused answer lets that march go on.  It holds
 one Jacobian factor and refactors only when a step stops cutting the
 residual tenfold (the chord, or Shamanskii, method: Kelley, *Solving
 Nonlinear Equations with Newton's Method*, SIAM 2003).  A Newton matrix
 need not be an M-matrix, so every Newton solve is checked by its backward
-error against the factored matrix, with no fallback to a pivoted factor.
+error against the whole Jacobian, with no fallback to a pivoted factor.
 The time marches, and the eigen-solves of :mod:`sisrd.spectral` (Lanczos,
 then a power-iteration polish) past their budget of factor solves, raise
 :class:`NonConvergenceError`.
@@ -63,14 +67,16 @@ def sparse_lu(A):
 
 def damped_newton(
     residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], object],
+    jacobian: Callable[[np.ndarray], tuple],
     x: np.ndarray,
 ) -> tuple[np.ndarray, int, str]:
     """Damped Newton on ``residual(x) = 0`` from a positive ``x``, on a held factor.
 
     ``jacobian(x)`` returns the sparse matrix ``J`` of the residual at
-    ``x``; a step ``delta`` solves ``J delta = -G`` with the
-    :func:`sparse_lu` of the last ``J`` built.  That factor is kept for
+    ``x`` and a factor of it, an object whose ``.solve(b)`` solves
+    ``J y = b`` (a :func:`sparse_lu`, say) and whose construction raises
+    :class:`NonConvergenceError` on a zero pivot; a step ``delta`` solves
+    ``J delta = -G`` with the last factor built.  That factor is kept for
     further (chord) steps for as long as each accepted step cuts the sup
     residual by at least ``_CHORD_RHO``; a step that contracts less stops
     the iteration if the residual is at most 1e-11 (so it ends at the
@@ -81,7 +87,7 @@ def damped_newton(
     Returns the last accepted iterate, the number of steps (solves) and
     why Newton stopped: ``"converged"`` (sup residual at most 1e-11),
     ``"singular"`` (a zero pivot), ``"non-finite"``, ``"inaccurate solve"``
-    (backward error against the factored ``J`` above ``_SOLVE_RTOL`` of
+    (backward error against ``J`` above ``_SOLVE_RTOL`` of
     ``G``), ``"no descent"`` (only on a fresh factor; a held one is
     refactored) or ``"max_iter"`` (``_NEWTON_MAX_ITER`` steps).
     """
@@ -95,9 +101,8 @@ def damped_newton(
     for steps in range(1, _NEWTON_MAX_ITER + 1):
         fresh = lu is None
         if fresh:
-            J = jacobian(x).tocsc()
             try:
-                lu = sparse_lu(J)
+                J, lu = jacobian(x)
             except NonConvergenceError:  # a zero pivot
                 stop = "singular"
                 break

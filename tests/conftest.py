@@ -13,7 +13,7 @@ counts the LU factors alive at every moment;
 
 import pytest
 
-from sisrd import dynamics, equilibrium, grid, solvers
+from sisrd import dynamics, equilibrium, grid
 
 ACCEPTANCE_LOG: list = []  # entries: (number, title, passed, detail)
 
@@ -95,20 +95,21 @@ def factor_log(monkeypatch) -> FactorLog:
 
 @pytest.fixture
 def newton_factors(monkeypatch) -> list:
-    """The size of each matrix ``solvers.damped_newton`` factors, one entry per factor.
+    """The size of each matrix the coupled Newton factors, one entry per factor.
 
     The coupled Newton of an ``n``-node problem factors matrices of order
-    ``2 n``; the marches and eigen-solves factor through ``grid`` and
+    ``2 n``, or the ``n x n`` Schur complement when a diffusion rate is
+    zero; the marches and eigen-solves factor through ``grid`` and
     ``spectral`` and are not recorded.
     """
-    real = solvers.sparse_lu
+    real = equilibrium.sparse_lu
     sizes: list = []
 
     def recording_lu(A):
         sizes.append(A.shape[0])
         return real(A)
 
-    monkeypatch.setattr(solvers, "sparse_lu", recording_lu)
+    monkeypatch.setattr(equilibrium, "sparse_lu", recording_lu)
     return sizes
 
 
@@ -144,9 +145,9 @@ class _InaccurateFactor:
 
 @pytest.fixture
 def inaccurate_newton_solves(monkeypatch) -> None:
-    """Make every Newton solve of ``solvers.damped_newton`` inaccurate.
+    """Make every solve with a factor of the coupled Newton inaccurate.
 
     The factors of the marches and the other linear solves stay exact.
     """
-    real = solvers.sparse_lu
-    monkeypatch.setattr(solvers, "sparse_lu", lambda A: _InaccurateFactor(real(A)))
+    real = equilibrium.sparse_lu
+    monkeypatch.setattr(equilibrium, "sparse_lu", lambda A: _InaccurateFactor(real(A)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from oracles import bisect_increasing, nearest_node
 
-from sisrd import asymptotics, dynamics, equilibrium, solvers
+from sisrd import asymptotics, dynamics, equilibrium
 from sisrd.asymptotics import (
     REGIMES,
     bounds_audit,
@@ -350,13 +350,13 @@ def test_no_march_factor_is_alive_while_newton_factors(
     if refused:
         request.getfixturevalue("inaccurate_newton_solves")
     live_at_newton = []
-    real = solvers.sparse_lu
+    real = equilibrium.sparse_lu
 
     def logging_lu(A):
         live_at_newton.append(sum(factor_log.live.values()))
         return real(A)
 
-    monkeypatch.setattr(solvers, "sparse_lu", logging_lu)
+    monkeypatch.setattr(equilibrium, "sparse_lu", logging_lu)
     meta = solve()
     assert meta["handoff"] == ("resumed" if refused else "newton")
     assert factor_log.builds

@@ -192,6 +192,17 @@ def test_run_t_final_stopping():
     assert final.t == pytest.approx(0.5, abs=1e-12)
 
 
+def test_t_final_march_ends_on_t_final_without_a_rounding_sliver(factor_log):
+    # 100 steps of 0.4 add up to 39.99999999999992: the 7.8e-14 left is the
+    # clock's rounding, not a step; taken as one, its mass-balance defect
+    # (which scales as 1/dt) was 2.1e-3
+    dom, c = make(build_domain(DomainSpec.interval(0, 1, 9)))
+    final, summary = run(SimState(dom.field(0.8), dom.field(0.2)), c, t_final=40.0)
+    assert (summary.reason, summary.steps, summary.rejected) == ("t_final", 100, 0)
+    assert final.t == 40.0
+    assert len(factor_log.builds) == 2  # the one pair at the cap
+
+
 def test_run_needs_a_stopping_rule():
     dom, c = make()
     state = SimState(dom.field(0.8), dom.field(0.2))

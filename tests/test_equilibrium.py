@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from oracles import nearest_node
 
-from sisrd import solvers
+from sisrd import equilibrium, solvers
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MassBalanceError, SimState, run
 from sisrd.equilibrium import (
@@ -181,7 +181,7 @@ def _singular(J):
 def test_stalled_newton_keeps_marched_fields(monkeypatch, factor, reason):
     dom, c = constants_p1()
     state, summary = run(SimState(dom.field(0.8), dom.field(0.2)), c, steady_tol=1e-6)
-    monkeypatch.setattr(solvers, "sparse_lu", factor)
+    monkeypatch.setattr(equilibrium, "sparse_lu", factor)
     result = settle(c, state, summary)
     assert result.meta == {"march_reason": "steady", "newton_stop": reason}
     np.testing.assert_array_equal(result.S.values, state.S.values)
@@ -303,6 +303,77 @@ def test_newton_factors_on_the_wasteful_cases_do_not_grow(newton_factors, spec, 
     find_ee(c, SimState(dom.field(0.8), dom.field(0.2)))
     assert set(newton_factors) == {2 * dom.n_nodes}
     assert len(newton_factors) <= most
+
+
+def zero_rate_problem(zero, p):
+    """A 9-node interval with the rate ``zero`` (``"d_S"``, ``"d_I"`` or None)
+    at 0, and a state off its equilibrium."""
+    dom = build_domain(DomainSpec.interval(0, 1, 9))
+    x = dom.coords
+    rates = {"d_S": 0.1, "d_I": 0.05}
+    if zero is not None:
+        rates[zero] = 0.0
+    c = CoefficientSet(
+        dom, beta=2.0 + np.sin(np.pi * x), gamma=0.5, eta=0.5, recruitment=2.0,
+        **rates, p=p, q=1.0,
+    )
+    return c, 0.8 + 0.3 * np.cos(3.0 * x), 0.4 + 0.2 * np.sin(2.0 * x)
+
+
+def newton_inputs(monkeypatch, c, S, I):
+    """The residual, Jacobian and start that ``_newton_coupled`` hands to Newton."""
+    seen = []
+
+    def capture(residual, jacobian, x):
+        seen.append((residual, jacobian, x))
+        return x, 0, "skipped"
+
+    monkeypatch.setattr(equilibrium, "damped_newton", capture)
+    equilibrium._newton_coupled(c, S, I)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("zero", ["d_S", "d_I"])
+def test_zero_rate_newton_step_solves_the_coupled_jacobian(monkeypatch, zero, p):
+    # the Schur-complement solve is exact elimination: it matches a dense
+    # solve of the whole coupled Jacobian to rounding
+    residual, jacobian, x = newton_inputs(monkeypatch, *zero_rate_problem(zero, p))
+    J, lu = jacobian(x)
+    G = residual(x)
+    delta = lu.solve(-G)
+    dense = np.linalg.solve(J.toarray(), -G)
+    assert np.max(np.abs(delta - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("zero", ["d_S", "d_I", None])
+def test_newton_factor_order_is_n_at_a_zero_rate_and_2n_otherwise(newton_factors, zero, p):
+    c, S, I = zero_rate_problem(zero, p)
+    equilibrium._newton_coupled(c, S, I)
+    n = c.domain.n_nodes
+    assert newton_factors and set(newton_factors) == {2 * n if zero is None else n}
+
+
+def test_zero_pivot_of_the_eliminated_field_is_singular():
+    # at d_I = 0 and p = q = 1 the I pivot is beta S - gamma - eta, which is
+    # exactly zero where beta S = 1
+    c, S, I = zero_rate_problem("d_I", 1.0)
+    S[4] = 1.0 / c.beta.values[4]
+    assert c.beta.values[4] * S[4] - 1.0 == 0.0
+    S_new, I_new, iters, stop = equilibrium._newton_coupled(c, S, I)
+    assert (iters, stop) == (1, "singular")
+    np.testing.assert_array_equal(S_new, S)
+    np.testing.assert_array_equal(I_new, I)
+
+
+@pytest.mark.parametrize("zero", ["d_S", "d_I"])
+def test_zero_rate_inaccurate_solve_is_refused(inaccurate_newton_solves, zero):
+    # the backward error is measured against the whole coupled Jacobian
+    c, S, I = zero_rate_problem(zero, 0.5)
+    *_, iters, stop = equilibrium._newton_coupled(c, S, I)
+    assert (iters, stop) == (1, "inaccurate solve")
 
 
 def test_ee_independent_of_initial_state():
