@@ -30,11 +30,9 @@ profiles.  With
 
 Both one-field limits are the coupled steady state with the vanishing
 rate set to zero, found by :func:`sisrd.equilibrium.find_ee` from its
-default start and ``t_final``: the march hands its state to the coupled
-Newton iteration at the loose steady test ``|du|/dt < 1e-2``, and goes
-on to ``|du|/dt < 1e-10`` only if Newton's answer is refused.  At the
-zero rate Newton factors only the ``n x n`` Schur complement on the
-field that still diffuses.
+default start and ``t_final`` with ``steady_tol`` 1e-10 (hand-off:
+:func:`sisrd.equilibrium.equilibrate`; zero-rate Newton:
+:func:`sisrd.equilibrium._newton_coupled`).
 ``LimitProfile.meta`` records the march's ``steps``, the ``handoff``
 outcome, and Newton's ``newton_iterations`` and ``newton_stop``.
 
@@ -51,7 +49,8 @@ every iterate shrinks the bracket, so each returned root is its own
 certificate.
 :func:`bounds_audit` checks a computed equilibrium against the a-priori
 interior-extremum bounds (susceptible range for p = 1; infected range,
-diffusion-weighted caps, and the positive floor root ``c0`` for p < 1)
+diffusion-weighted caps, and the positive floor of
+:func:`susceptible_floor_constant` for p < 1)
 and, for every p, against the maximum principle's sign of each field's
 local reaction at that field's extrema.
 """
@@ -113,7 +112,6 @@ class MonotoneSequence:
     final_v: np.ndarray
     u_limit: np.ndarray
     v_limit: np.ndarray
-    sup_gaps: list  # sup-norm distance to the limit, one entry per iterate
     n_iterations: int
     converged: bool
 
@@ -123,7 +121,6 @@ class BoundsReport:
     checks: list  # dicts: name, kind, bound, observed, margin, passed
     all_passed: bool
     tolerance: float
-    c0: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +264,7 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
     ``beta S^q I^p = (gamma+eta) I``, whose positive root is the slaved
     field ``I = (S^q/h)^(1/(1-p))``, and S solves
     ``d_S Lap(S) + recruitment - S - eta (S^q/h)^(1/(1-p)) = 0``.  The
-    coupled system is solved with ``d_I = 0``, where Newton factors only
-    the ``n x n`` Schur complement on S (see
+    coupled system is solved with ``d_I = 0`` (see
     :func:`_limit_at_zero_diffusion`, whose keys ``meta`` carries).
     """
     if not c.p < 1.0:
@@ -287,8 +283,7 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
     There S is slaved to I node by node by the algebraic balance
     ``recruitment - S - beta S^q I^p + gamma I = 0``, leaving one
     reaction-diffusion equation for I.  The coupled system is solved with
-    ``d_S = 0``, where Newton factors only the ``n x n`` Schur complement
-    on I (see :func:`_limit_at_zero_diffusion`, whose keys ``meta``
+    ``d_S = 0`` (see :func:`_limit_at_zero_diffusion`, whose keys ``meta``
     carries).  For p = 1 an endemic limit requires a negative principal
     eigenvalue; the request is refused otherwise.
     """
@@ -463,7 +458,8 @@ def _bracketing_sequence(
     that order from ``(recruitment, 0)`` (increasing), in the other order from
     the constant ``recruitment_max + (sigma+1) max(recruitment/eta)``
     (decreasing).  The limit is ``v* = sigma I*`` with ``I*`` from
-    ``joint_limit``; a round against the direction raises NonConvergenceError.
+    ``joint_limit``, which also refuses a ``p`` it does not cover; a round
+    against the direction raises NonConvergenceError.
     """
     eta = c.eta.values
     if not sigma > float(eta.max()):
@@ -480,11 +476,7 @@ def _bracketing_sequence(
         u, v = lam.copy(), np.zeros(c.domain.n_nodes)
     else:
         u = v = np.full(c.domain.n_nodes, lam.max() + (sigma + 1.0) * float((lam / eta).max()))
-
-    def gap(u: np.ndarray, v: np.ndarray) -> float:
-        return max(float(np.max(np.abs(u - u_limit))), float(np.max(np.abs(v - v_limit))))
-
-    u_iter, v_iter, gaps = [u], [v], [gap(u, v)]
+    u_iter, v_iter = [u], [v]
     for n in range(1, _SEQ_MAX_ITER + 1):
         if increasing:
             v_next = inner(u)
@@ -502,7 +494,6 @@ def _bracketing_sequence(
         if len(u_iter) < _SEQ_STORE_LIMIT:
             u_iter.append(u)
             v_iter.append(v)
-        gaps.append(gap(u, v))
         step = max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
         if step < _SEQ_TOL:
             break
@@ -514,7 +505,6 @@ def _bracketing_sequence(
         final_v=v,
         u_limit=u_limit,
         v_limit=v_limit,
-        sup_gaps=gaps,
         n_iterations=n,
         converged=step < _SEQ_TOL,
     )
@@ -531,8 +521,6 @@ def monotone_joint_p1(
     the closed form of :func:`limit_joint_p1`,
     ``v* = (sigma/eta)(recruitment - h^(1/q))_+``.
     """
-    if c.p != 1.0:
-        raise ValueError("this bracketing sequence requires p = 1")
     ceiling = c.risk_ceiling()
     return _bracketing_sequence(
         c, sigma, direction, limit_joint_p1, lambda u: np.maximum(u - ceiling, 0.0)
@@ -551,8 +539,6 @@ def monotone_joint_sublinear(
     :func:`newton_increasing`; both directions
     converge to ``v* = sigma I*`` with ``I*`` from :func:`limit_joint_sublinear`.
     """
-    if not c.p < 1.0:
-        raise ValueError("this bracketing sequence requires 0 < p < 1")
     ceiling = c.risk_ceiling()
     expo = (1.0 - c.p) / c.q
     return _bracketing_sequence(
@@ -567,11 +553,11 @@ def monotone_joint_sublinear(
 
 
 def susceptible_floor_constant(c: CoefficientSet) -> float:
-    """The positive root ``c0`` of ``c + c^q = target`` with
+    """The positive root ``x`` of ``x + x^q = target`` with
 
     ``target = recruitment_min / (1 + (d_S/d_I + 1/eta_min)^p *
     recruitment_max^p * beta_max)``; every p < 1 equilibrium satisfies
-    ``min(S) >= c0``.
+    ``min(S) >= x``.
     """
     lam = c.recruitment.values
     target = lam.min() / (
@@ -590,9 +576,10 @@ def bounds_audit(c: CoefficientSet, eq: EquilibriumResult) -> BoundsReport:
     ``[min(recruitment_min, r_min^(1/q)), max(recruitment_max, r_max^(1/q))]``.
     p < 1: the infected range is pinned by the susceptible extremes through
     ``[(beta/(gamma+eta)) S^q]^(1/(1-p))``, both fields obey the
-    diffusion-weighted caps, and ``min(S) >= c0`` with the matching
-    infected floor.  Any p: at a discrete maximum of a field its diffusion
-    term is nonpositive, so its local reaction (``recruitment - S -
+    diffusion-weighted caps, and ``min(S)`` is at least
+    :func:`susceptible_floor_constant`, with the matching infected floor.
+    Any p: at a discrete maximum of a field its diffusion term is
+    nonpositive, so its local reaction (``recruitment - S -
     beta S^q I^p + gamma I`` for S, ``beta S^q I^p - (gamma+eta) I`` for I)
     is nonnegative there, and nonpositive at a minimum (the
     ``reaction_*`` checks, with bound 0).  Margins are judged against the
@@ -619,7 +606,6 @@ def bounds_audit(c: CoefficientSet, eq: EquilibriumResult) -> BoundsReport:
             }
         )
 
-    c0 = None
     if c.p == 1.0:
         r = c.recovery_ratio()
         add("S_min_floor", "lower", min(lam.min(), r.min() ** (1.0 / c.q)), S.min())
@@ -640,9 +626,9 @@ def bounds_audit(c: CoefficientSet, eq: EquilibriumResult) -> BoundsReport:
             (c.d_S / c.d_I + 1.0 / c.eta.values.min()) * lam.max(),
             I.max(),
         )
-        c0 = susceptible_floor_constant(c)
-        add("S_min_positive_floor", "lower", c0, S.min())
-        add("I_min_positive_floor", "lower", (ratio.min() * c0**c.q) ** expo, I.min())
+        s_floor = susceptible_floor_constant(c)
+        add("S_min_positive_floor", "lower", s_floor, S.min())
+        add("I_min_positive_floor", "lower", (ratio.min() * s_floor**c.q) ** expo, I.min())
     transfer = c.beta.values * S**c.q * I**c.p
     reaction_S = lam - S - transfer + c.gamma.values * I
     reaction_I = transfer - (c.gamma.values + c.eta.values) * I
@@ -654,5 +640,4 @@ def bounds_audit(c: CoefficientSet, eq: EquilibriumResult) -> BoundsReport:
         checks=checks,
         all_passed=all(ch["passed"] for ch in checks),
         tolerance=tol,
-        c0=c0,
     )

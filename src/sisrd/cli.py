@@ -160,8 +160,12 @@ def _cmd_audit(args) -> int:
 
 def _cmd_compare(args) -> int:
     config, dom, _ = _load(args)
-    ca, va = load_field_csv(args.field_a)
-    cb, vb = load_field_csv(args.field_b)
+    try:
+        ca, va = load_field_csv(args.field_a)
+        cb, vb = load_field_csv(args.field_b)
+    except ValueError as exc:  # a file that is not a finite field is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = compare_fields(dom, ca, va, cb, vb)
     print(f"sup={_fmt(out['sup'])} l1={_fmt(out['l1'])} nodes={out['n_nodes']}")
     return 0

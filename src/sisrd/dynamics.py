@@ -54,18 +54,7 @@ step that comes that close ends on ``t_final`` exactly, on the factor
 pair it already has.  (Taken as a step, such a sliver broke the mass
 balance, whose defect scales as ``1/dt``.)
 
-A march only has to reach Newton's basin, not the steady state itself.
-Given a ``handoff`` callback, :func:`run` offers its state to a Newton
-solve of the stationary problem at the first step that passes the loose
-rate test ``|du|/dt < 1e-2``, stops there if Newton's answer is accepted,
-and otherwise simply marches on to the caller's steady test: the first
-stage of pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer.
-Anal. 35, 1998).  Every equilibrium, and every one-field limit profile
-of :mod:`sisrd.asymptotics` (the same system with one diffusion rate at
-zero), reaches this one hand-off through
-:func:`sisrd.equilibrium.equilibrate`, whose result carries the march's
-step counts, end time (``SimState.t``) and stop reason
-(``RunSummary.reason``).
+The march's hand-off of a nearly steady state to Newton is stated in :func:`run`.
 """
 
 from __future__ import annotations
@@ -221,14 +210,18 @@ def run(
     step, and an accepted step whose mass-balance defect exceeds
     ``MASS_BALANCE_RTOL`` raises :class:`MassBalanceError`.
 
-    ``handoff(state, summary) -> bool`` is offered the state once, at the
-    first step whose rate is below ``_HANDOFF_TOL``, before its steady
-    test, and only when ``steady_tol`` is tighter; ``summary`` is the one a
-    stop there would return.  Accepted, it ends the run as steady
-    (``summary.handoff == "newton"``); refused, the loop goes on
-    (``"resumed"``).  The loop holds the LU factor pair of the current dt
-    and frees it before ``handoff`` runs, so none is alive while Newton
-    factors.
+    A march only has to reach Newton's basin, not the steady state
+    itself: ``handoff(state, summary) -> bool`` is offered the state once,
+    at the first step whose rate is below ``_HANDOFF_TOL`` (1e-2), before
+    its steady test, and only when ``steady_tol`` is tighter; ``summary``
+    is the one a stop there would return.  Accepted, it ends the run as
+    steady (``summary.handoff == "newton"``); refused, the loop simply
+    marches on to the steady test (``"resumed"``): the first stage of
+    pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal.
+    35, 1998).  The loop holds the LU factor pair of the current dt and
+    frees it before ``handoff`` runs, so none is alive while Newton
+    factors.  Every equilibrium and one-field limit profile reaches this
+    one hand-off through :func:`sisrd.equilibrium.equilibrate`.
     """
     if t_final is None and steady_tol is None:
         raise ValueError("need t_final, steady_tol, or both")

@@ -12,24 +12,14 @@ tenfold, so it runs past 1e-11 to the rounding floor, usually on one
 factor; why it stopped is recorded in
 ``EquilibriumResult.meta["newton_stop"]``.
 
-The march only has to reach Newton's basin, not the steady state itself:
-it offers its state to Newton through the package's one hand-off (the
-``handoff`` callback of :func:`sisrd.dynamics.run`) at the first step
-that passes the loose rate test ``|du|/dt < 1e-2``.  Newton's answer is
-kept only if it converged to an endemic state with ``I > 0`` everywhere
-and a conservation gap within 1e-6; otherwise the same march goes on to
-the caller's steady test.  ``meta["handoff"]`` says which happened.
-:func:`equilibrate` is this one path from a march to an
-:class:`EquilibriumResult`, which :func:`sisrd.harness.run_scenario`
-calls with a scenario's controls.  :func:`find_ee` wraps it with the one
-set of steady-state defaults; the one-field limit profiles of
-:mod:`sisrd.asymptotics` call it on the system with ``d_S = 0`` or
-``d_I = 0``, where the Laplacian block of that field drops out of the
-march and of Newton alike.  There that field's block of the Jacobian is
-diagonal, so Newton factors only the ``n x n`` Schur complement on the
-other field and recovers the zero-rate field's increment node by node
-(exact block elimination), where both rates positive factor the whole
-``2n x 2n`` Jacobian.
+:func:`equilibrate`, whose docstring states when the march's hand-off
+to Newton is accepted, is the one path from a march to an
+:class:`EquilibriumResult`; :func:`sisrd.harness.run_scenario` calls it
+with a scenario's controls.
+:func:`find_ee` wraps it with the one set of steady-state defaults; the
+one-field limit profiles of :mod:`sisrd.asymptotics` call it on the
+system with ``d_S = 0`` or ``d_I = 0`` (zero-rate Newton: see
+:func:`_newton_coupled`).
 
 Classification calls a state endemic when the integrated infected mass
 exceeds ``1e-10 * |Omega|``.  At any equilibrium the two equations sum
@@ -58,7 +48,6 @@ from .grid import (
 from .solvers import NonConvergenceError, damped_newton, sparse_lu
 
 __all__ = [
-    "ENDEMIC_MASS_RTOL",
     "EquilibriumResult",
     "solve_dfe",
     "elliptic_residuals",
@@ -69,7 +58,7 @@ __all__ = [
     "grid_tolerance",
 ]
 
-ENDEMIC_MASS_RTOL = 1e-10
+_ENDEMIC_MASS_RTOL = 1e-10  # of |Omega|: the infected mass of an endemic state exceeds it
 _HANDOFF_GAP = 1e-6  # largest conservation gap of an accepted hand-off
 
 
@@ -127,10 +116,9 @@ def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> E
 
     ``controls`` are the stopping and stepping keywords of
     :func:`~sisrd.dynamics.run`; ``steady_tol`` defaults to 1e-9 and
-    ``t_final`` to 4000.  The march hands its state to Newton at the loose
-    steady test and goes on to ``steady_tol`` only if Newton's answer is
-    refused (see the module docstring).  Raises :class:`NonConvergenceError`
-    if the march has not flattened out by ``t_final``.
+    ``t_final`` to 4000; the hand-off to Newton is :func:`equilibrate`'s.
+    Raises :class:`NonConvergenceError` if the march has not flattened out
+    by ``t_final``.
     """
     dom = c.domain
     if init is None:
@@ -148,11 +136,13 @@ def find_ee(c: CoefficientSet, init: Optional[SimState] = None, **controls) -> E
 def equilibrate(c: CoefficientSet, init: SimState, **controls) -> EquilibriumResult:
     """March ``init`` with ``controls`` and :func:`settle` the marched state.
 
-    At the march's hand-off the state is settled, and the answer is
-    accepted (``meta["handoff"] == "newton"``), ending the march, if Newton
-    converged, the result is endemic with ``I > 0`` everywhere, and its
-    conservation gap is at most ``_HANDOFF_GAP``; otherwise the march goes
-    on to its stopping rule and its last state is settled (``"resumed"``).
+    The march offers its state to Newton at the loose steady test (see
+    :func:`sisrd.dynamics.run`).  There the state is settled, and the
+    answer is accepted (``meta["handoff"] == "newton"``), ending the march,
+    if Newton converged, the result is endemic with ``I > 0`` everywhere,
+    and its conservation gap is at most ``_HANDOFF_GAP`` (1e-6); otherwise
+    the same march goes on to its stopping rule and its last state is
+    settled (``"resumed"``).
     The result's ``steps``, ``rejected``, ``t`` and ``meta["march_reason"]``
     describe the march up to the state it settled.
     """
@@ -194,10 +184,10 @@ def settle(c: CoefficientSet, state: SimState, summary: RunSummary) -> Equilibri
     I = state.I.values.copy()
     newton_iters = 0
     newton_stop = "skipped"
-    endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
+    endemic = integrate(dom, I) > _ENDEMIC_MASS_RTOL * dom.measure
     if summary.reason == "steady" and endemic and I.min() > 0.0:
         S, I, newton_iters, newton_stop = _newton_coupled(c, S, I)
-        endemic = integrate(dom, I) > ENDEMIC_MASS_RTOL * dom.measure
+        endemic = integrate(dom, I) > _ENDEMIC_MASS_RTOL * dom.measure
     res_S, res_I = elliptic_residuals(c, S, I)
     return EquilibriumResult(
         S=dom.field(S),
@@ -223,9 +213,11 @@ def _newton_coupled(
     ``b = dF/dI - gamma - eta`` the Jacobian is
     ``[[d_S L + diag(a), diag(g)], [diag(e), d_I L + diag(b)]]``,
     structurally symmetric, the pattern :func:`~sisrd.solvers.sparse_lu`
-    orders.  With both rates positive that ``2n x 2n`` matrix is factored;
-    at a zero rate only the ``n x n`` Schur complement on the other field
-    is (:func:`_schur_factor`).  Newton checks every solve against the
+    orders.  With both rates positive that ``2n x 2n`` matrix is factored.
+    At ``d_S = 0`` or ``d_I = 0`` the Laplacian block of that field drops
+    out, its block of ``J`` is diagonal, and only the ``n x n`` Schur
+    complement on the other field is factored (:func:`_schur_factor`,
+    exact block elimination).  Newton checks every solve against the
     whole ``J`` either way.
     """
     n = c.domain.n_nodes

@@ -55,6 +55,7 @@ use (so :func:`write_field_csv` formats only the values).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -211,10 +212,12 @@ class ScalarField:
         return len(self.values)
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+def _trapezoid_axis(a: float, b: float, n: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Nodes, spacing and trapezoid weights of ``n`` equispaced points on ``[a, b]``."""
+    h = (b - a) / (n - 1)
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0
-    return w
+    return a + h * np.arange(n), h, w
 
 
 # 64 times the lattice of the finest ladder rung, a unit disk at cell 1/128
@@ -278,21 +281,13 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
 
 
 def _build_interval(spec: DomainSpec) -> DiscreteDomain:
-    n = spec.nodes
-    h = (spec.end - spec.start) / (n - 1)
-    xs = spec.start + h * np.arange(n)
-    return _lattice("interval", (xs,), (h,), _trapezoid_weights(n, h), (1.0,))
+    xs, h, w = _trapezoid_axis(spec.start, spec.end, spec.nodes)
+    return _lattice("interval", (xs,), (h,), w, (1.0,))
 
 
 def _build_rectangle(spec: DomainSpec) -> DiscreteDomain:
-    (ax, bx), (ay, by) = spec.x_range, spec.y_range
-    nx, ny = spec.shape
-    hx = (bx - ax) / (nx - 1)
-    hy = (by - ay) / (ny - 1)
-    xs = ax + hx * np.arange(nx)
-    ys = ay + hy * np.arange(ny)
-    wx = _trapezoid_weights(nx, hx)
-    wy = _trapezoid_weights(ny, hy)
+    xs, hx, wx = _trapezoid_axis(*spec.x_range, spec.shape[0])
+    ys, hy, wy = _trapezoid_axis(*spec.y_range, spec.shape[1])
     # an x-face carries the transverse trapezoid weight wy, and vice versa
     return _lattice("rectangle", (xs, ys), (hx, hy), np.multiply.outer(wx, wy), (wy, wx[:, None]))
 
@@ -465,8 +460,24 @@ def write_field_csv(path, f: ScalarField) -> None:
 
 
 def load_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a field CSV back as ``(coords, values)`` arrays."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a field CSV back as ``(coords, values)`` arrays.
+
+    After its header line the file must hold at least one row, every row
+    of 2 (``x,value``) or of 3 (``x,y,value``) finite numbers; anything
+    else raises ``ValueError`` naming the file.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file of no rows is refused below
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # also a ragged row or a decoding error
+            raise ValueError(f"{path}: not a field CSV: {exc}") from None
+    if len(data) == 0:
+        raise ValueError(f"{path}: not a field CSV: no rows after the header")
+    if data.shape[1] not in (2, 3):
+        raise ValueError(f"{path}: not a field CSV: {data.shape[1]} columns, not x,value or x,y,value")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: not a field CSV: a non-finite entry")
     if data.shape[1] == 2:
         return data[:, 0], data[:, 1]
     return data[:, :2], data[:, 2]

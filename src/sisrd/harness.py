@@ -2,9 +2,8 @@
 
 :func:`run_scenario` realizes a :class:`~sisrd.scenario.ScenarioConfig`,
 takes it to an equilibrium on the same path as
-:func:`~sisrd.equilibrium.find_ee` (the march stops at its stopping rule,
-or earlier where Newton's polished answer is accepted), and writes a fixed
-set of files into an output directory:
+:func:`~sisrd.equilibrium.find_ee` (:func:`~sisrd.equilibrium.equilibrate`),
+and writes a fixed set of files into an output directory:
 
 * ``S.csv`` / ``I.csv`` — final fields, one node per line in mesh order;
 * ``coincidence_mask_<k>.csv`` — nodes where the susceptible field is
@@ -137,10 +136,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioArtifacts:
     The march and the settle step are those of
     :func:`~sisrd.equilibrium.find_ee` with the config's controls, except
     that a march stopped by ``t_final`` is written out instead of raising.
-    When Newton's answer at the loose steady test is accepted, the march
-    ends there, and ``steps``, ``rejected`` and ``final_t`` in
-    ``summary.json`` count the march up to that hand-off; when it is
-    refused, the same march goes on, and they count all of it.
+    ``steps``, ``rejected`` and ``final_t`` in ``summary.json`` count the
+    march up to the state that was settled (see
+    :func:`~sisrd.equilibrium.equilibrate`).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,35 +231,22 @@ def _row_distances(
     c: CoefficientSet, eq: EquilibriumResult, oracle: LimitProfile
 ) -> tuple[float, float, float, float]:
     dom = c.domain
+    S, I = eq.S.values, eq.I.values
     if oracle.S_limit is not None:
-        s_sup, s_l1 = field_distances(dom, eq.S.values, oracle.S_limit.values)
-        i_sup, i_l1 = field_distances(dom, eq.I.values, oracle.I_limit.values)
-        return s_sup, i_sup, s_l1, i_l1
-    if "high_risk" in oracle.masks:
+        s_err = np.abs(S - oracle.S_limit.values)
+        i_err = np.abs(I - oracle.I_limit.values)
+    elif "high_risk" in oracle.masks:
         # classification oracle: S must not overshoot the ceiling, and
         # infection must die out in the interior of the low-risk region
-        excess = np.maximum(eq.S.values - c.risk_ceiling(), 0.0)
-        vanish = oracle.masks["vanishing"]
-        inner = erode_mask(dom, vanish, 2)
-        i_vals = np.where(inner, eq.I.values, 0.0)
-        return (
-            float(excess.max()),
-            float(i_vals.max()),
-            integrate(dom, excess),
-            integrate(dom, i_vals),
-        )
-    # envelopes only (joint limit below the closed-form threshold): the
-    # distance is how far the equilibrium lies outside them
-    env = oracle.envelopes
-    S, I = eq.S.values, eq.I.values
-    s_excess = np.maximum(env["S_lower"].values - S, 0.0) + np.maximum(S - env["S_upper"].values, 0.0)
-    i_excess = np.maximum(I - env["I_upper"].values, 0.0)
-    return (
-        float(s_excess.max()),
-        float(i_excess.max()),
-        integrate(dom, s_excess),
-        integrate(dom, i_excess),
-    )
+        s_err = np.maximum(S - c.risk_ceiling(), 0.0)
+        i_err = np.where(erode_mask(dom, oracle.masks["vanishing"], 2), I, 0.0)
+    else:
+        # envelopes only (joint limit below the closed-form threshold): the
+        # distance is how far the equilibrium lies outside them
+        env = oracle.envelopes
+        s_err = np.maximum(env["S_lower"].values - S, 0.0) + np.maximum(S - env["S_upper"].values, 0.0)
+        i_err = np.maximum(I - env["I_upper"].values, 0.0)
+    return float(s_err.max()), float(i_err.max()), integrate(dom, s_err), integrate(dom, i_err)
 
 
 def sweep(

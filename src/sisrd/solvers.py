@@ -9,14 +9,10 @@ marches, the disease-free solve and the eigenproblems.
 :func:`damped_newton` is the one Newton loop of the steady problems, run
 on the coupled system by :mod:`sisrd.equilibrium` for every equilibrium
 and every one-field limit profile of :mod:`sisrd.asymptotics`; its caller
-supplies the residual, its Jacobian and the Jacobian's factor.  With both
-diffusion rates positive that factor is the :func:`sparse_lu` of the
-whole ``2n x 2n`` Jacobian; at a zero rate it is that of the ``n x n``
-Schur complement on the diffusing field, the other field's increment
-being recovered node by node.  Newton starts from a marched
-state at the hand-off of :func:`sisrd.dynamics.run`, after the march has
-freed its own factors; a refused answer lets that march go on.  It holds
-one Jacobian factor and refactors only when a step stops cutting the
+supplies the residual, its Jacobian and the Jacobian's factor (which
+factor: see :func:`sisrd.equilibrium._newton_coupled`).  Newton starts
+from a marched state (the hand-off: see :func:`sisrd.dynamics.run`).  It
+holds one Jacobian factor and refactors only when a step stops cutting the
 residual tenfold (the chord, or Shamanskii, method: Kelley, *Solving
 Nonlinear Equations with Newton's Method*, SIAM 2003).  A Newton matrix
 need not be an M-matrix, so every Newton solve is checked by its backward

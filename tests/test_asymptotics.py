@@ -561,9 +561,14 @@ def test_p1_sequence_gaps_shrink():
     dom = interval(9)
     c = mass_action_constants(dom)
     seq = monotone_joint_p1(c, 2.0, "increasing")
-    gaps = seq.sup_gaps
+
+    def gap(u, v):
+        return max(np.abs(u - seq.u_limit).max(), np.abs(v - seq.v_limit).max())
+
+    gaps = [gap(u, v) for u, v in zip(seq.u_iterates, seq.v_iterates)]
+    assert len(gaps) == min(seq.n_iterations + 1, 200)  # every round up to the storage cap
     assert all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] <= 1e-9
+    assert gap(seq.final_u, seq.final_v) <= 1e-9
 
 
 def test_p1_sequence_sigma_validation():
@@ -573,6 +578,11 @@ def test_p1_sequence_sigma_validation():
         monotone_joint_p1(c, 0.9, "increasing")
     with pytest.raises(ValueError):
         monotone_joint_p1(c, 2.0, "sideways")
+    # a wrong p is refused by the joint limit the sequence approaches
+    with pytest.raises(ValueError, match="this joint limit requires p = 1"):
+        monotone_joint_p1(golden_constants(dom), 2.0)
+    with pytest.raises(ValueError, match="this joint limit requires 0 < p < 1"):
+        monotone_joint_sublinear(c, 2.0)
 
 
 def test_sublinear_sequence_frozen_first_round():
@@ -672,8 +682,7 @@ def test_audit_mass_action_ee():
     report = bounds_audit(c, find_ee(c))
     assert report.all_passed
     names = {ch["name"] for ch in report.checks}
-    assert names == {"S_min_floor", "S_max_cap"} | EXTREMUM_CHECKS
-    assert report.c0 is None
+    assert names == {"S_min_floor", "S_max_cap"} | EXTREMUM_CHECKS  # no positive floor at p = 1
 
 
 def test_audit_sublinear_ee():
@@ -690,7 +699,9 @@ def test_audit_sublinear_ee():
         "S_min_positive_floor",
         "I_min_positive_floor",
     } | EXTREMUM_CHECKS
-    assert report.c0 is not None and report.c0 > 0.0
+    (floor,) = [ch for ch in report.checks if ch["name"] == "S_min_positive_floor"]
+    assert floor["kind"] == "lower"
+    assert floor["bound"] == susceptible_floor_constant(c) > 0.0
     assert all(ch["passed"] for ch in report.checks)
 
 

@@ -233,6 +233,36 @@ def test_compare_missing_field_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+NINE_ROWS = [f"{k / 8!r},1.0" for k in range(9)]  # a valid field on the 9-node interval
+MALFORMED_FIELDS = {
+    "header-only": ["x,value"],
+    "empty": [],
+    "one-column": ["x,value", *(row.split(",")[0] for row in NINE_ROWS)],
+    "garbage": ["garbage"],
+    "four-columns": ["x,value", "0.0,1.0,2.0,3.0"],
+    "ragged": ["x,value", *NINE_ROWS[:-1], "1.0"],
+    "non-numeric": ["x,value", *NINE_ROWS[:-1], "1.0,abc"],
+    "nan": ["x,value", *NINE_ROWS[:4], "0.5,nan", *NINE_ROWS[5:]],
+    "inf": ["x,value", *NINE_ROWS[:4], "0.5,1e400", *NINE_ROWS[5:]],
+}
+
+
+@pytest.mark.filterwarnings("error")  # numpy's "input contained no data" warning fails the test
+@pytest.mark.parametrize("case", list(MALFORMED_FIELDS))
+def test_compare_malformed_field_exits_2(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, domain={"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 9})
+    good = tmp_path / "good.csv"
+    good.write_text("\n".join(["x,value", *NINE_ROWS]) + "\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(line + "\n" for line in MALFORMED_FIELDS[case]))
+    assert main(["compare", "--config", cfg, str(good), str(good)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--config", cfg, str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a field CSV")
+    assert err.count("\n") == 1
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     data = json.loads(open(write_config(tmp_path)).read())
     data["surprise"] = 1

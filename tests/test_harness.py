@@ -9,7 +9,7 @@ from oracles import interior_max
 from sisrd import dynamics, equilibrium, harness
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MASS_BALANCE_RTOL, TimeStepUnderflowError, run
-from sisrd.grid import DomainSpec, build_domain
+from sisrd.grid import DomainSpec, build_domain, erode_mask
 from sisrd.harness import (
     SWEEP_HEADER,
     check_trend,
@@ -379,6 +379,43 @@ def test_sweep_joint_below_threshold_measures_envelope_excess():
         assert row["dist_I_sup"] == pytest.approx(np.max(row["eq"].I.values - I_upper))
     excess = [row["dist_I_sup"] for row in res.rows]
     assert excess[0] > excess[1] > excess[2] > 0.0
+
+
+def _oracle_errors(oracle, dom, S, I):
+    """Per-node S and I errors of an equilibrium against each kind of sweep oracle."""
+    if oracle.S_limit is not None:  # closed-form profile
+        return np.abs(S - oracle.S_limit.values), np.abs(I - oracle.I_limit.values)
+    if "high_risk" in oracle.masks:  # d_I classification at p = 1
+        inner = erode_mask(dom, oracle.masks["vanishing"], 2)
+        return np.maximum(S - oracle.envelopes["ceiling"].values, 0.0), I * inner
+    env = oracle.envelopes  # joint envelopes below the closed-form threshold
+    S_inside = np.clip(S, env["S_lower"].values, env["S_upper"].values)
+    return np.abs(S - S_inside), np.clip(I - env["I_upper"].values, 0.0, None)
+
+
+@pytest.mark.parametrize(
+    "regime, sigma, kind",
+    [("d_I", None, "classification"), ("joint", 2.0, "closed form"), ("joint", 0.5, "envelopes")],
+)
+def test_sweep_distances_match_an_independent_reduction(regime, sigma, kind):
+    dom = build_domain(DomainSpec.interval(-1, 1, 33))
+    c = CoefficientSet(
+        dom, beta=3 + 2 * np.sin(np.pi * dom.coords), gamma=1.0, eta=1.0, recruitment=1.0,
+        d_S=1.0, d_I=1e-3, p=1.0, q=0.5,
+    )
+    res = sweep(c, regime, [1e-1, 1e-2], sigma=sigma)
+    oracle = res.oracle
+    assert kind == (
+        "closed form" if oracle.S_limit is not None
+        else "classification" if "high_risk" in oracle.masks else "envelopes"
+    )
+    for row in res.rows:
+        s_err, i_err = _oracle_errors(oracle, dom, row["eq"].S.values, row["eq"].I.values)
+        assert row["dist_S_sup"] == s_err.max()
+        assert row["dist_I_sup"] == i_err.max()
+        assert row["dist_S_L1"] == np.dot(dom.cell_measures, s_err)
+        assert row["dist_I_L1"] == np.dot(dom.cell_measures, i_err)
+        assert row["dist_I_sup"] > 0.0 and row["dist_I_L1"] > 0.0
 
 
 def test_sweep_records_failed_rows(tmp_path, monkeypatch):
