@@ -163,10 +163,10 @@ def _cmd_compare(args) -> int:
     try:
         ca, va = load_field_csv(args.field_a)
         cb, vb = load_field_csv(args.field_b)
-    except ValueError as exc:  # a file that is not a finite field is bad input
+        out = compare_fields(dom, ca, va, cb, vb)
+    except ValueError as exc:  # a file that is not a finite field on the config's mesh is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = compare_fields(dom, ca, va, cb, vb)
     print(f"sup={_fmt(out['sup'])} l1={_fmt(out['l1'])} nodes={out['n_nodes']}")
     return 0
 

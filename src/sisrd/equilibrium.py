@@ -34,14 +34,15 @@ from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import CoefficientSet
 from .dynamics import RunSummary, SimState, run
 from .grid import (
     ScalarField,
     assemble_neumann_laplacian,
+    coupled_operator,
     integrate,
+    ordered_form,
     shifted_factor,
     shifted_operator,
 )
@@ -211,18 +212,19 @@ def _newton_coupled(
 
     With ``a = -1 - dF/dS``, ``g = gamma - dF/dI``, ``e = dF/dS`` and
     ``b = dF/dI - gamma - eta`` the Jacobian is
-    ``[[d_S L + diag(a), diag(g)], [diag(e), d_I L + diag(b)]]``,
-    structurally symmetric, the pattern :func:`~sisrd.solvers.sparse_lu`
-    orders.  With both rates positive that ``2n x 2n`` matrix is factored.
-    At ``d_S = 0`` or ``d_I = 0`` the Laplacian block of that field drops
-    out, its block of ``J`` is diagonal, and only the ``n x n`` Schur
-    complement on the other field is factored (:func:`_schur_factor`,
-    exact block elimination).  Newton checks every solve against the
-    whole ``J`` either way.
+    ``[[d_S L + diag(a), diag(g)], [diag(e), d_I L + diag(b)]]``, a
+    structurally symmetric :func:`~sisrd.grid.coupled_operator`: one data
+    vector gathered onto the pattern the domain holds, in the mesh's
+    elimination order with node ``k``'s S and I rows side by side, with no
+    sparse arithmetic.  With both rates positive that ``2n x 2n`` matrix is
+    factored in that order.  At ``d_S = 0`` or ``d_I = 0`` the Laplacian
+    block of that field drops out, its block of ``J`` is diagonal, and only
+    the ``n x n`` Schur complement on the other field is factored
+    (:func:`_schur_factor`, exact block elimination).  Newton checks every
+    solve against the whole ``J`` either way.
     """
-    n = c.domain.n_nodes
-    L = assemble_neumann_laplacian(c.domain)
-    ident = sp.identity(n, format="csr")
+    dom = c.domain
+    n = dom.n_nodes
     beta, gamma, eta = c.beta.values, c.gamma.values, c.eta.values
     p, q = c.p, c.q
 
@@ -233,17 +235,11 @@ def _newton_coupled(
         Sv, Iv = x[:n], x[n:]
         dF_dS = q * beta * Sv ** (q - 1.0) * Iv**p
         dF_dI = p * beta * Sv**q * Iv ** (p - 1.0)
-        g, b = gamma - dF_dI, dF_dI - gamma - eta
-        J = sp.bmat(
-            [
-                [c.d_S * L - ident - sp.diags(dF_dS), sp.diags(g)],
-                [sp.diags(dF_dS), c.d_I * L + sp.diags(b)],
-            ],
-            format="csc",
-        )
+        a, g, b = -1.0 - dF_dS, gamma - dF_dI, dF_dI - gamma - eta
+        J = coupled_operator(dom, c.d_S, c.d_I, a, g, dF_dS, b)
         if c.d_S > 0.0 and c.d_I > 0.0:
             return J, sparse_lu(J)
-        return J, _schur_factor(c, -1.0 - dF_dS, g, dF_dS, b)
+        return J, _schur_factor(c, a, g, dF_dS, b)
 
     x, iters, stop = damped_newton(residual, jacobian, np.concatenate([S, I]))
     return x[:n], x[n:], iters, stop
@@ -261,7 +257,8 @@ def _schur_factor(c: CoefficientSet, a, g, e, b) -> SimpleNamespace:
     ``d_S L + diag(a - g e/b)``) for ``r_y - cpl r_z/pivot``, and
     ``dz = (r_z - off dy)/pivot`` node by node.  The complement is factored
     as ``-W`` times it, the symmetric
-    :func:`~sisrd.grid.shifted_operator` on ``K``'s pattern.  A zero pivot
+    :func:`~sisrd.grid.shifted_operator` on ``K``'s pattern, in its
+    :func:`~sisrd.grid.ordered_form`.  A zero pivot
     raises :class:`NonConvergenceError` (Newton's ``"singular"``).  As in
     the march, an overflow raises no warning: the non-finite increment
     ends in Newton's ``"non-finite"`` stop.
@@ -278,7 +275,7 @@ def _schur_factor(c: CoefficientSet, a, g, e, b) -> SimpleNamespace:
     with np.errstate(over="ignore"):
         ratio = cpl / pivot
         A = shifted_operator(c.domain, ratio * off - diag, d)
-    lu = sparse_lu(A.T)  # A is symmetric: its transpose is its CSC form
+    lu = sparse_lu(ordered_form(c.domain, A))
 
     def solve(r: np.ndarray) -> np.ndarray:
         x = np.empty_like(r)

@@ -44,12 +44,28 @@ d K``, rebuilt only when dt changes and freed when the march returns or
 hands its state to Newton.  The disease-free solve and the two
 eigenproblems keep theirs for one call.
 
-A domain holds what depends only on its mesh from construction: ``K``,
+Every operator on ``K``'s full pattern, and every coupled Newton matrix
+(:func:`coupled_operator`), has one of two patterns per mesh, so the
+fill-reducing order is worked out once per domain (George & Liu, *SIAM
+Review* 31, 1989; Davis, *Direct Methods for Sparse Linear Systems*,
+SIAM 2006, ch. 7): on the first factor, the domain computes the minimum
+degree order of ``K``'s pattern and lays that pattern out permuted, and
+every later factor gathers its entries onto that layout and factors it in
+the stored order (:func:`ordered_form`).  The coupled pattern uses the
+same node order with each node's two unknowns side by side.  Every factor
+on a pattern is built the same way, so its bits do not depend on whether
+the order already existed.  An operator off ``K``'s pattern (the diagonal
+of zero diffusion, or a diagonal cancelled exactly) is ordered by its own
+factor, as any sparse matrix.
+
+A domain holds what depends only on its mesh: from construction ``K``,
 ``L`` and the positions of ``K``'s diagonal in ``K.data`` (so
-:func:`shifted_operator` fills ``d K.data`` in place of a sparse sum);
-:func:`stiffness_matrix` and :func:`assemble_neumann_laplacian` are the
-accessors.  Only the ``x[,y],`` text of every CSV row is cached on first
-use (so :func:`write_field_csv` formats only the values).
+:func:`shifted_operator` fills ``d K.data`` in place of a sparse sum),
+with :func:`stiffness_matrix` and :func:`assemble_neumann_laplacian` as
+the accessors; from first use the two elimination orders with their
+permuted patterns (``int32`` maps of the nonzeros), and the ``x[,y],``
+text of every CSV row (so :func:`write_field_csv` formats only the
+values).  It holds no factor.
 """
 
 from __future__ import annotations
@@ -57,12 +73,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .solvers import sparse_lu
+from .solvers import OrderedMatrix, minimum_degree_order, sparse_lu
 
 __all__ = [
     "DomainError",
@@ -76,6 +92,8 @@ __all__ = [
     "assemble_neumann_laplacian",
     "stiffness_matrix",
     "shifted_operator",
+    "ordered_form",
+    "coupled_operator",
     "shifted_factor",
     "integrate",
     "dilate_mask",
@@ -129,10 +147,11 @@ class DiscreteDomain:
     Instances are immutable by convention.  The stiffness form ``K``, the
     Laplacian ``L = -W^{-1} K`` and the slots of ``K``'s diagonal are
     worked out here, and a ``K`` row without a diagonal entry (an isolated
-    node) is refused; only the coordinate text of each CSV row is cached
-    on first use, and no solver state is kept.  Node order is
-    lexicographic in the grid index, which fixes the order of every
-    serialized field.
+    node) is refused.  The elimination orders of ``K``'s pattern and of
+    the coupled Newton pattern, with those patterns laid out permuted, and
+    the coordinate text of each CSV row are built on first use; no factor
+    is kept.  Node order is lexicographic in the grid index, which fixes
+    the order of every serialized field.
     """
 
     def __init__(
@@ -150,6 +169,8 @@ class DiscreteDomain:
         self.n_nodes = len(cell_measures)
         self.dim = 1 if coords.ndim == 1 else coords.shape[1]
         self._csv_rows: Optional[list[str]] = None
+        self._ordering: Optional[_Layout] = None  # of K, built by the first factor
+        self._coupled_ordering: Optional[_Layout] = None  # of the two-field operators
 
         counts = np.diff(stiffness.indptr)
         rows = np.repeat(np.arange(self.n_nodes), counts)
@@ -389,15 +410,132 @@ def shifted_operator(dom: DiscreteDomain, reaction, diffusion: float) -> sp.csr_
     return A
 
 
+class _Layout(NamedTuple):
+    """A square sparse pattern in a fixed elimination order.
+
+    ``order[k]`` is the row and column eliminated ``k``-th, and
+    ``position`` its inverse; the permuted matrix is the CSC matrix
+    ``(values[gather], indices, indptr)``, where ``values`` lists the
+    entries in the pattern's own source order.  The two permutations,
+    which index every solve, are ``intp`` (numpy indexes with them
+    without a cast); the pattern maps, which hold an entry per nonzero, are
+    ``int32``.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+
+
+def _layout(rows: np.ndarray, cols: np.ndarray, order: np.ndarray) -> _Layout:
+    """Lay the entries ``(rows[k], cols[k])`` out in the CSC pattern of ``P A P^T``."""
+    n = len(order)
+    position = np.empty_like(order)
+    position[order] = np.arange(n)
+    new = position.astype(np.int32)
+    r, c = new[rows], new[cols]
+    key = c.astype(np.int64)
+    key *= n
+    key += r
+    gather = np.argsort(key).astype(np.int32)  # by column, then row
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(c, minlength=n), out=indptr[1:])
+    return _Layout(order, position, indptr, r[gather], gather)
+
+
+def _stiffness_entries(dom: DiscreteDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each entry of ``K.data`` (and of ``L.data``, the same pattern)."""
+    K = dom._stiffness
+    return np.repeat(np.arange(dom.n_nodes, dtype=np.int32), np.diff(K.indptr)), K.indices
+
+
+def _ordering(dom: DiscreteDomain) -> _Layout:
+    """``K``'s pattern in its minimum-degree order, computed on the first call.
+
+    The order comes from :func:`~sisrd.solvers.minimum_degree_order` of
+    ``W + K``, whose diagonal is positive.
+    """
+    if dom._ordering is None:
+        K = dom._stiffness
+        data = K.data.copy()
+        data[dom._diagonal] += dom.cell_measures
+        order = minimum_degree_order(sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape))
+        dom._ordering = _layout(*_stiffness_entries(dom), order)
+    return dom._ordering
+
+
+def _coupled_ordering(dom: DiscreteDomain) -> _Layout:
+    """The pattern of :func:`coupled_operator`, with the two fields of each node side by side.
+
+    Node ``order[k]``'s two unknowns are eliminated ``2k``-th and
+    ``2k+1``-th, so the order is ``K``'s, interleaved.  The source order of
+    the entries is the top-left block's (``K.data``'s), the bottom-right
+    block's, then the two diagonal couplings.
+    """
+    if dom._coupled_ordering is None:
+        n = dom.n_nodes
+        order = _ordering(dom).order
+        rows, cols = _stiffness_entries(dom)
+        nodes = np.arange(n, dtype=np.int32)
+        dom._coupled_ordering = _layout(
+            np.concatenate([rows, rows + n, nodes, nodes + n]),
+            np.concatenate([cols, cols + n, nodes + n, nodes]),
+            np.column_stack([order, order + n]).ravel(),
+        )
+    return dom._coupled_ordering
+
+
+def _ordered_matrix(layout: _Layout, values: np.ndarray) -> OrderedMatrix:
+    n = len(layout.order)
+    permuted = sp.csc_matrix((values[layout.gather], layout.indices, layout.indptr), shape=(n, n))
+    return OrderedMatrix(permuted, layout.order, layout.position)
+
+
+def ordered_form(dom: DiscreteDomain, A: sp.csr_matrix):
+    """``A``, an operator of :func:`shifted_operator` on ``dom``, in the form to factor.
+
+    The result is what :func:`~sisrd.solvers.sparse_lu` factors.  On
+    ``K``'s full pattern (the operator dropped no zero) it is an
+    :class:`~sisrd.solvers.OrderedMatrix` in the domain's minimum-degree
+    order, which the domain computes once, on the first call; a factor of
+    it does not depend on whether that order already existed.  Off that
+    pattern (the diagonal of zero diffusion, or a diagonal cancelled
+    exactly) it is the CSC form, which the LU orders for itself.
+    """
+    if A.nnz != dom._stiffness.nnz:
+        return sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)  # A is symmetric
+    return _ordered_matrix(_ordering(dom), A.data)
+
+
+def coupled_operator(
+    dom: DiscreteDomain, d_S: float, d_I: float, a, g, e, b
+) -> OrderedMatrix:
+    """The two-field operator ``[[d_S L + diag(a), diag(g)], [diag(e), d_I L + diag(b)]]``.
+
+    ``L`` is :func:`assemble_neumann_laplacian`; the unknowns are the
+    ``n`` values of the first field, then the ``n`` of the second.  The
+    matrix is laid out in the domain's interleaved order (see
+    :func:`ordered_form`), every entry of the pattern kept, zeros included,
+    and filled by one gather of its entries: no sparse arithmetic.
+    """
+    L = dom._laplacian
+    top_left = d_S * L.data
+    top_left[dom._diagonal] += a
+    bottom_right = d_I * L.data
+    bottom_right[dom._diagonal] += b
+    values = np.concatenate([top_left, bottom_right, g, e])
+    return _ordered_matrix(_coupled_ordering(dom), values)
+
+
 def shifted_factor(dom: DiscreteDomain, reaction, diffusion: float):
     """:func:`~sisrd.solvers.sparse_lu` of ``shifted_operator(dom, reaction, diffusion)``.
 
-    The operator is symmetric, so its CSR arrays are also those of its CSC
-    form, which is what is factored.  The returned ``SuperLU`` object
-    solves with ``.solve(b)``.
+    The operator is factored in its :func:`ordered_form`.  The returned
+    object solves with ``.solve(b)``.
     """
-    A = shifted_operator(dom, reaction, diffusion)
-    return sparse_lu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape))
+    return sparse_lu(ordered_form(dom, shifted_operator(dom, reaction, diffusion)))
 
 
 def integrate(dom: DiscreteDomain, f) -> float:

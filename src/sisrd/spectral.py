@@ -27,7 +27,8 @@ threshold.
 Both problems have the form ``diag(a) phi = mu B phi`` with ``a`` a
 positive vector and ``B = shifted_operator(dom, reaction, d_I)``.  Each
 call assembles its ``B`` once and factors that same matrix once with
-:func:`sisrd.solvers.sparse_lu`.  With ``R = diag(sqrt(a))`` the largest
+:func:`sisrd.solvers.sparse_lu`, in the mesh's elimination order
+(:func:`sisrd.grid.ordered_form`).  With ``R = diag(sqrt(a))`` the largest
 ``mu`` is the top eigenvalue of the symmetric operator ``R B^{-1} R``,
 which implicitly restarted Lanczos (scipy's ``eigsh``, ARPACK) finds at a
 rate set by the square root of the spectral gap; each Lanczos product is
@@ -52,7 +53,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .coefficients import CoefficientSet
 from .equilibrium import solve_dfe
-from .grid import ScalarField, shifted_operator
+from .grid import ScalarField, ordered_form, shifted_operator
 from .solvers import NonConvergenceError, sparse_lu
 
 __all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
@@ -72,14 +73,14 @@ class SpectralResult:
     converged: bool  # always True: a stalled iteration raises
 
 
-def _top_eigenpair(B, a: np.ndarray, what: str) -> tuple[np.ndarray, float, float, int]:
+def _top_eigenpair(dom, B, a: np.ndarray, what: str) -> tuple[np.ndarray, float, float, int]:
     """``(phi, mu, residual, solves)`` for ``diag(a) phi = mu B phi``; see :func:`_principal`.
 
     The factor and the Lanczos state live only in this frame, so they are
     freed before the caller allocates its result.
     """
     n = len(a)
-    lu = sparse_lu(B.tocsc())
+    lu = sparse_lu(ordered_form(dom, B))
     solves = 0
 
     def solve(b):
@@ -136,7 +137,7 @@ def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> Spectra
     """
     dom = c.domain
     B = shifted_operator(dom, reaction, c.d_I)
-    phi, mu, res, solves = _top_eigenpair(B, a, what)
+    phi, mu, res, solves = _top_eigenpair(dom, B, a, what)
     if phi.min() < -1e-10:
         raise NonConvergenceError("principal eigenfunction failed to stay one-signed")
     return SpectralResult(

@@ -247,6 +247,24 @@ MALFORMED_FIELDS = {
 }
 
 
+FIELDS_OFF_THE_MESH = {
+    # well-formed fields of other meshes, compared under a 17-node interval config
+    "rectangle": ["x,y,value", *(f"{x / 2!r},{y / 2!r},1.0" for x in range(3) for y in range(3))],
+    "nine-nodes": ["x,value", *NINE_ROWS],
+}
+
+
+@pytest.mark.parametrize("case", list(FIELDS_OFF_THE_MESH))
+def test_compare_field_from_another_mesh_exits_2(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, domain={"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 17})
+    field = tmp_path / "other.csv"
+    field.write_text("".join(line + "\n" for line in FIELDS_OFF_THE_MESH[case]))
+    assert main(["compare", "--config", cfg, str(field), str(field)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config's mesh" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" warning fails the test
 @pytest.mark.parametrize("case", list(MALFORMED_FIELDS))
 def test_compare_malformed_field_exits_2(tmp_path, capsys, case):

@@ -27,6 +27,7 @@ from sisrd.grid import (
 )
 from sisrd.scenario import load_scenario
 from sisrd.solvers import NonConvergenceError
+from sisrd.spectral import compute_lambda0, compute_r0
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -343,7 +344,9 @@ def test_zero_rate_newton_step_solves_the_coupled_jacobian(monkeypatch, zero, p)
     J, lu = jacobian(x)
     G = residual(x)
     delta = lu.solve(-G)
-    dense = np.linalg.solve(J.toarray(), -G)
+    J_dense = np.empty(J.shape)
+    J_dense[np.ix_(J.order, J.order)] = J.permuted.toarray()
+    dense = np.linalg.solve(J_dense, -G)
     assert np.max(np.abs(delta - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -404,6 +407,35 @@ def test_small_recruitment_passes_the_mass_balance():
     I_star = (0.00884 - S_star) / 0.5
     assert np.abs(eq.S.values - S_star).max() <= 1e-8 * S_star
     assert np.abs(eq.I.values - I_star).max() <= 1e-8 * I_star
+
+
+def subcritical_problem():
+    """A 17-node interval whose disease dies out (R0 = 0.0632, lambda0 = +0.0642)."""
+    dom = build_domain(DomainSpec.interval(0, 1, 17))
+    x = dom.coords
+    return CoefficientSet(
+        dom, beta=4.452 * (1.0 + 0.39 * np.sin(2 * np.pi * x)), gamma=0.06582, eta=0.002749,
+        recruitment=0.05992, d_S=1.224, d_I=0.9491, p=1.0, q=2.464,
+    )
+
+
+def test_subcritical_problem_is_below_the_threshold():
+    c = subcritical_problem()
+    assert compute_r0(c).value == pytest.approx(0.0632, abs=5e-5)
+    assert compute_lambda0(c).value == pytest.approx(0.0642, abs=5e-5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the steady test (1e-9), Newton's target (1e-11) and the endemic mass "
+    "(1e-10 |Omega|) are absolute, so an I of 1.2e-10 still decaying at rate lambda0 "
+    "passes all three",
+)
+def test_subcritical_problem_is_not_endemic():
+    # the march settles after 677 steps with I in [1.165e-10, 1.166e-10],
+    # and Newton reports "converged" there in 7 steps
+    eq = find_ee(subcritical_problem(), steady_tol=1e-9, t_final=4000.0)
+    assert eq.endemic is False
 
 
 def test_nonconvergence_is_loud():

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import nearest_node, nodes_near
+from scipy.sparse.linalg import splu
 
-from sisrd import grid
+from sisrd import grid, solvers
+from sisrd.asymptotics import limit_small_ds
+from sisrd.coefficients import CoefficientSet
+from sisrd.equilibrium import find_ee, solve_dfe
 from sisrd.grid import (
     DomainError,
     DomainMismatchError,
@@ -13,6 +17,7 @@ from sisrd.grid import (
     ScalarField,
     assemble_neumann_laplacian,
     build_domain,
+    coupled_operator,
     dilate_mask,
     erode_mask,
     integrate,
@@ -22,6 +27,8 @@ from sisrd.grid import (
     stiffness_matrix,
     write_field_csv,
 )
+from sisrd.solvers import OrderedMatrix, sparse_lu
+from sisrd.spectral import compute_lambda0, compute_r0
 
 
 def interval(n=9, a=0.0, b=1.0):
@@ -322,6 +329,15 @@ def _assert_bitwise_equal(A, B):
     np.testing.assert_array_equal(A.data.view(np.uint64), B.data.view(np.uint64))
 
 
+def _in_own_order(A):
+    """The matrix an :class:`OrderedMatrix` stores, back in its own order; any other as it is."""
+    if not isinstance(A, OrderedMatrix):
+        return A
+    M = A.permuted[A.position][:, A.position].tocsc()
+    M.sort_indices()
+    return M
+
+
 def _reactions(dom):
     x = dom.coords if dom.dim == 1 else dom.coords[:, 0]
     # a field with a zero, a negative and a tiny entry, as the eigenproblems pass
@@ -341,7 +357,10 @@ def test_shifted_operator_and_factor_are_bitwise_the_sparse_sum(kind, reaction, 
     factored = []
     monkeypatch.setattr(grid, "sparse_lu", lambda A: factored.append(A))
     shifted_factor(dom, r, diffusion)
-    _assert_bitwise_equal(factored[0], expected.tocsc())
+    # on K's full pattern the factor reuses the domain's order; the zero
+    # diffusion diagonal is factored in its own CSC form, as it comes
+    assert isinstance(factored[0], OrderedMatrix) == (diffusion != 0.0)
+    _assert_bitwise_equal(_in_own_order(factored[0]), expected.tocsc())
     # the stiffness form the operator was built on is untouched
     _assert_bitwise_equal(stiffness_matrix(dom), _generic_operator(dom, 0.0, 1.0))
 
@@ -356,6 +375,103 @@ def test_shifted_operator_drops_an_exactly_cancelled_diagonal():
     A = shifted_operator(dom, reaction, 1.0)
     assert A.nnz == K.nnz - 1
     _assert_bitwise_equal(A, _generic_operator(dom, reaction, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# One elimination order per mesh
+# ---------------------------------------------------------------------------
+
+
+def _varying(dom):
+    x = dom.coords if dom.dim == 1 else dom.coords[:, 0]
+    return 1.0 + x**2 / 3.0
+
+
+def test_one_minimum_degree_order_serves_every_factor_on_a_mesh(monkeypatch):
+    dom = disk(1 / 16)
+    x, y = dom.coords[:, 0], dom.coords[:, 1]
+    c = CoefficientSet(
+        dom, beta=3.0 + 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y), gamma=1.0, eta=1.0,
+        recruitment=1.0, d_S=1.0, d_I=0.001, p=1.0, q=0.5,
+    )
+    calls = []
+
+    def recording(real):
+        def call(A, permc_spec, **options):
+            calls.append((permc_spec, A.shape[0], A.nnz))
+            return real(A, permc_spec=permc_spec, **options)
+
+        return call
+
+    # every SuperLU factor, complete or incomplete, goes through these two
+    monkeypatch.setattr(solvers, "splu", recording(solvers.splu))
+    monkeypatch.setattr(solvers, "spilu", recording(solvers.spilu))
+    find_ee(c)
+    solve_dfe(c)
+    compute_r0(c)
+    compute_lambda0(c)
+    limit_small_ds(c)
+    n, nnz = dom.n_nodes, stiffness_matrix(dom).nnz
+    ordering = [call for call in calls if call[0] != "NATURAL"]
+    # the mesh's one order; every other operator that orders itself is the
+    # diagonal of the zero-diffusion march
+    assert ordering.count(("MMD_AT_PLUS_A", n, nnz)) == 1
+    assert {call for call in ordering if call[2] != nnz} == {("MMD_AT_PLUS_A", n, n)}
+    # the coupled Jacobians, the zero-rate Schur complements, the march,
+    # disease-free and eigen operators all factor in the mesh's order
+    assert {(size, count == nnz) for spec, size, count in calls if spec == "NATURAL"} == {
+        (n, True), (2 * n, False)
+    }
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+def test_factor_bits_do_not_depend_on_when_the_order_was_built(kind):
+    build = {"interval": lambda: interval(33), "rectangle": rectangle, "disk": disk}[kind]
+    fresh, primed = build(), build()
+    # primed's orders are built by other operators first
+    shifted_factor(primed, 3.0, 1e-3)
+    sparse_lu(coupled_operator(primed, 0.5, 0.1, *[np.ones(primed.n_nodes)] * 4))
+    assert fresh._ordering is None and primed._coupled_ordering is not None
+    n = fresh.n_nodes
+    r = _varying(fresh)
+    b = np.sin(np.arange(2 * n))
+    x_fresh = shifted_factor(fresh, 10.0 + r, 0.3).solve(b[:n])
+    x_primed = shifted_factor(primed, 10.0 + r, 0.3).solve(b[:n])
+    np.testing.assert_array_equal(x_fresh.view(np.uint64), x_primed.view(np.uint64))
+    blocks = (-1.0 - r, 0.5 * r, 0.3 * r, -2.0 + 0.1 * r)
+    y_fresh = sparse_lu(coupled_operator(build(), 0.2, 0.05, *blocks)).solve(b)
+    y_primed = sparse_lu(coupled_operator(primed, 0.2, 0.05, *blocks)).solve(b)
+    np.testing.assert_array_equal(y_fresh.view(np.uint64), y_primed.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+def test_mesh_order_is_the_minimum_degree_order_of_a_complete_factor(kind):
+    dom = {"interval": interval(33), "rectangle": rectangle(17, 13), "disk": disk(1 / 16)}[kind]
+    A = shifted_operator(dom, 1.0, 1.0).tocsc()
+    complete = splu(
+        A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    np.testing.assert_array_equal(solvers.minimum_degree_order(A), np.argsort(complete.perm_c))
+
+
+def _backward_error(A, x, b):
+    """``|b - A x|_inf / (|A|_inf |x|_inf + |b|_inf)`` with ``A`` given as its product and norm."""
+    product, norm = A
+    return np.abs(b - product(x)).max() / (norm * np.abs(x).max() + np.abs(b).max())
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle", "disk"])
+def test_ordered_factors_solve_to_a_small_backward_error(kind):
+    dom = {"interval": interval(65), "rectangle": rectangle(17, 13), "disk": disk(1 / 16)}[kind]
+    n = dom.n_nodes
+    r = _varying(dom)
+    b = np.cos(np.arange(2 * n))
+    A = shifted_operator(dom, 2.5 + r, 0.3)
+    x = shifted_factor(dom, 2.5 + r, 0.3).solve(b[:n])
+    assert _backward_error((A.__matmul__, abs(A).sum(axis=1).max()), x, b[:n]) <= 1e-13
+    J = coupled_operator(dom, 0.2, 0.05, -1.0 - r, 0.5 * r, 0.3 * r, -2.0 + 0.1 * r)
+    y = sparse_lu(J).solve(b)
+    assert _backward_error((J.__matmul__, abs(J.permuted).sum(axis=1).max()), y, b) <= 1e-13
 
 
 def test_mask_morphology():

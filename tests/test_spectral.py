@@ -244,3 +244,28 @@ def test_r0_threshold_consistent_with_lambda0_sign():
         r0 = compute_r0(c).value
         l0 = compute_lambda0(c).value
         assert (r0 > 1.0) == (l0 < 0.0)
+
+
+def large_d_I_problem(d_I):
+    dom = build_domain(DomainSpec.interval(0, 1, 17))
+    x = dom.coords
+    return CoefficientSet(
+        dom, beta=0.20295 * (1.0 + 0.30088 * np.sin(2 * np.pi * x)), gamma=0.19130,
+        eta=0.40946, recruitment=0.012255, d_S=0.57184, d_I=d_I, p=1.0, q=0.69930,
+    )
+
+
+def test_r0_settles_as_d_I_grows():
+    assert compute_r0(large_d_I_problem(300.0)).value == pytest.approx(0.0155542, abs=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="the power-polish stop is 1e-10 relative to ||a phi||, but the rounding of "
+    "B phi = (W (gamma + eta) + d_I K) phi grows like eps d_I ||K|| ||phi|| and crosses it",
+)
+def test_r0_at_large_d_I():
+    # the polish residual is 2.8e-11 at d_I = 300 and 7.0e-11 at d_I = 1000;
+    # at 3000 the eigen-solve stalls after 5000 factor solves
+    assert compute_r0(large_d_I_problem(3000.0)).value == pytest.approx(0.0155542, abs=1e-6)
