@@ -64,9 +64,9 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .equilibrium import EquilibriumResult, find_ee, grid_tolerance, solve_dfe
-from .grid import ScalarField, assemble_neumann_laplacian
+from .grid import ScalarField, assemble_neumann_laplacian, stiffness_matrix
 from .solvers import NonConvergenceError
-from .spectral import compute_lambda0
+from .spectral import compute_lambda0, principal_potential
 
 __all__ = [
     "LimitProfile",
@@ -277,6 +277,31 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
 # ---------------------------------------------------------------------------
 
 
+def _lambda0_certified_negative(c: CoefficientSet) -> bool:
+    """Whether the Rayleigh quotient of the constant proves ``lambda0 < 0``.
+
+    ``lambda0`` is the smallest Rayleigh quotient of ``(M, W)``, so the
+    constant's, ``(d_I 1'K1 - sum(w potential)) / sum(w)``, bounds it from
+    above.  The numerator must be negative by more than the worst-case
+    rounding of its sums: ``(nnz(K) + n) eps`` times the magnitudes of
+    their terms, for ``M`` and for the shifted operator ``M - shift W``
+    that :func:`compute_lambda0` factors.  Where the bound is near 0 and
+    ``lambda0`` near it, the eigenfunction is near the constant, so the
+    eigen-solve's value rounds over the same terms.  An overflowing
+    potential raises as :func:`compute_lambda0` does; a sum that
+    overflows certifies nothing.
+    """
+    potential = principal_potential(c)
+    w = c.domain.cell_measures
+    K = stiffness_matrix(c.domain).data
+    with np.errstate(over="ignore"):
+        numerator = c.d_I * K.sum() - float(w @ potential)
+        shifted = potential.max() + 1.0 - potential  # compute_lambda0's reaction
+        terms = c.d_I * np.abs(K).sum() + float(w @ (np.abs(potential) + shifted))
+        slack = (K.size + w.size) * np.finfo(float).eps * terms
+    return bool(numerator < -slack)
+
+
 def limit_small_ds(c: CoefficientSet) -> LimitProfile:
     """Small-``d_S`` limit: the steady state at ``d_S = 0``.
 
@@ -285,9 +310,13 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
     reaction-diffusion equation for I.  The coupled system is solved with
     ``d_S = 0`` (see :func:`_limit_at_zero_diffusion`, whose keys ``meta``
     carries).  For p = 1 an endemic limit requires a negative principal
-    eigenvalue; the request is refused otherwise.
+    eigenvalue; the request is refused otherwise.  ``K 1 = 0``, so the
+    Rayleigh quotient of the constant, ``(d_I 1'K1 - Int(potential))/|Omega|``,
+    bounds ``lambda0`` from above; when that bound is negative beyond its
+    rounding (:func:`_lambda0_certified_negative`), the eigen-solve is
+    skipped, since the refusal cannot fire.
     """
-    if c.p == 1.0:
+    if c.p == 1.0 and not _lambda0_certified_negative(c):
         lam0 = compute_lambda0(c).value
         if lam0 >= 0.0:
             raise ValueError(

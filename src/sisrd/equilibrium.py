@@ -1,9 +1,11 @@
 """Steady states of the epidemic system.
 
 The disease-free equilibrium is the unique solution of the linear
-problem ``d_S Lap(S) - S + recruitment = 0`` with zero-flux boundaries,
-solved by one sparse LU factor (:func:`sisrd.grid.shifted_factor`) that
-is freed when :func:`solve_dfe` returns.  Endemic equilibria are found by
+problem ``d_S Lap(S) - S + recruitment = 0`` with zero-flux boundaries.
+A constant recruitment is its own solution (``K 1 = 0``), returned at
+any ``d_S`` with no factor; any other is solved by one sparse LU factor
+(:func:`sisrd.grid.shifted_factor`) that is freed when :func:`solve_dfe`
+returns.  Endemic equilibria are found by
 marching the time-dependent system towards stationarity (the robust route
 for every parameter regime) and polishing the marched state with a damped
 Newton iteration on the coupled elliptic system (:func:`settle`).  Newton
@@ -87,9 +89,16 @@ class EquilibriumResult:
 
 
 def solve_dfe(c: CoefficientSet) -> ScalarField:
-    """Susceptible profile with no infection: ``d_S Lap(S) - S + recruitment = 0``."""
+    """Susceptible profile with no infection: ``d_S Lap(S) - S + recruitment = 0``.
+
+    A constant recruitment is returned as it is: the constant solves the
+    equation exactly, where a factor would only reproduce it to rounding.
+    """
+    lam = c.recruitment.values
+    if lam.min() == lam.max():
+        return c.recruitment
     dom = c.domain
-    b = dom.cell_measures * c.recruitment.values
+    b = dom.cell_measures * lam
     return dom.field(shifted_factor(dom, 1.0, c.d_S).solve(b))
 
 

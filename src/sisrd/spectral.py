@@ -28,11 +28,15 @@ Both problems have the form ``diag(a) phi = mu B phi`` with ``a`` a
 positive vector and ``B = shifted_operator(dom, reaction, d_I)``.  Each
 call assembles its ``B`` once and factors that same matrix once with
 :func:`sisrd.solvers.sparse_lu`, in the mesh's elimination order
-(:func:`sisrd.grid.ordered_form`).  With ``R = diag(sqrt(a))`` the largest
-``mu`` is the top eigenvalue of the symmetric operator ``R B^{-1} R``,
-which implicitly restarted Lanczos (scipy's ``eigsh``, ARPACK) finds at a
-rate set by the square root of the spectral gap; each Lanczos product is
-one solve with the factor.  The Lanczos vector, mapped back and clipped at
+(:func:`sisrd.grid.ordered_form`).  That is :func:`compute_r0`'s only
+factor when the recruitment is constant, which
+:func:`sisrd.equilibrium.solve_dfe` returns as ``S~``; a varying one adds
+the disease-free factor.  :func:`principal_potential` is the one home of
+the potential.  With ``R = diag(sqrt(a))`` the largest ``mu`` is the
+top eigenvalue of the symmetric operator ``R B^{-1} R``, which
+implicitly restarted Lanczos (scipy's ``eigsh``, ARPACK) finds at a rate
+set by the square root of the spectral gap; each Lanczos product is one
+solve with the factor.  The Lanczos vector, mapped back and clipped at
 0, then starts the positive power iteration, which certifies the pair by
 its residual and keeps the eigenvector positive; it usually stops after
 one step.  ``iterations`` counts the factor solves of the whole call, and
@@ -56,7 +60,7 @@ from .equilibrium import solve_dfe
 from .grid import ScalarField, ordered_form, shifted_operator
 from .solvers import NonConvergenceError, sparse_lu
 
-__all__ = ["SpectralResult", "compute_r0", "compute_lambda0"]
+__all__ = ["SpectralResult", "compute_r0", "compute_lambda0", "principal_potential"]
 
 _LANCZOS_TOL = 1e-12  # eigsh's relative accuracy of the Ritz value
 _LANCZOS_NCV = 20  # Lanczos basis size
@@ -163,6 +167,18 @@ def compute_r0(c: CoefficientSet) -> SpectralResult:
     return _principal(c, dom.cell_measures * gain, c.gamma.values + c.eta.values, "R0")
 
 
+def principal_potential(c: CoefficientSet) -> np.ndarray:
+    """``beta recruitment^q - gamma - eta``, the potential of :func:`compute_lambda0`.
+
+    Raises :class:`NonConvergenceError` when it overflows the float range.
+    """
+    with np.errstate(over="ignore"):
+        return _finite(
+            c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values,
+            "principal-eigenvalue potential beta recruitment^q - gamma - eta",
+        )
+
+
 def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     """Smallest eigenvalue of ``-d_I Lap - (beta recruitment^q - gamma - eta)``.
 
@@ -172,11 +188,8 @@ def compute_lambda0(c: CoefficientSet) -> SpectralResult:
     1, it stays at the rounding level for a ``lambda0`` of any size.
     """
     w = c.domain.cell_measures
+    potential = principal_potential(c)
     with np.errstate(over="ignore"):
-        potential = _finite(
-            c.beta.values * c.recruitment.values**c.q - c.gamma.values - c.eta.values,
-            "principal-eigenvalue potential beta recruitment^q - gamma - eta",
-        )
         shift = -float(potential.max()) - 1.0
         reaction = _finite(-shift - potential, "principal-eigenvalue shifted potential")
     res = _principal(c, w, reaction, "principal-eigenvalue")

@@ -8,12 +8,13 @@ printed per criterion, independent of pytest's own reporting.
 The ``factor_log`` fixture routes ``grid.shifted_factor``, and the name
 :mod:`sisrd.dynamics` binds to it, through a :class:`FactorLog`, which
 counts the LU factors alive at every moment;
-``newton_factors`` records the size of every factor Newton builds.
+``newton_factors`` records the size of every factor Newton builds, and
+``superlu_calls`` every call into SuperLU.
 """
 
 import pytest
 
-from sisrd import dynamics, equilibrium, grid
+from sisrd import dynamics, equilibrium, grid, solvers
 
 ACCEPTANCE_LOG: list = []  # entries: (number, title, passed, detail)
 
@@ -111,6 +112,24 @@ def newton_factors(monkeypatch) -> list:
 
     monkeypatch.setattr(equilibrium, "sparse_lu", recording_lu)
     return sizes
+
+
+@pytest.fixture
+def superlu_calls(monkeypatch) -> list:
+    """``(permc_spec, order, nnz)`` of every SuperLU factor, complete or incomplete."""
+    calls: list = []
+
+    def recording(real):
+        def call(A, permc_spec, **options):
+            calls.append((permc_spec, A.shape[0], A.nnz))
+            return real(A, permc_spec=permc_spec, **options)
+
+        return call
+
+    # every factor of the package goes through these two
+    monkeypatch.setattr(solvers, "splu", recording(solvers.splu))
+    monkeypatch.setattr(solvers, "spilu", recording(solvers.spilu))
+    return calls
 
 
 @pytest.fixture

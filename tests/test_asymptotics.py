@@ -6,6 +6,7 @@ bisection on the defining scalar equations.
 """
 
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from sisrd.asymptotics import (
 )
 from sisrd.coefficients import CoefficientSet
 from sisrd.equilibrium import find_ee
-from sisrd.grid import DomainSpec, build_domain
+from sisrd.grid import DomainSpec, build_domain, integrate, stiffness_matrix
 from sisrd.scenario import load_scenario
 from sisrd.solvers import NonConvergenceError
 
@@ -229,6 +230,21 @@ def test_sublinear_limit_varying_recruitment_residual():
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def lambda0_calls(monkeypatch) -> list:
+    """The value of every ``compute_lambda0`` that ``limit_small_ds`` runs."""
+    real = asymptotics.compute_lambda0
+    values: list = []
+
+    def recording(c):
+        result = real(c)
+        values.append(result.value)
+        return result
+
+    monkeypatch.setattr(asymptotics, "compute_lambda0", recording)
+    return values
+
+
 def test_small_ds_limit_constants():
     dom = interval(33)
     c = mass_action_constants(dom)  # EE (1, 1) independent of diffusion
@@ -238,13 +254,83 @@ def test_small_ds_limit_constants():
     assert profile.meta["residual_sup"] <= 1e-7
 
 
-def test_small_ds_limit_refuses_subcritical_mass_action():
+def test_small_ds_limit_refuses_subcritical_mass_action(lambda0_calls):
     dom = interval(33)
     c = CoefficientSet(
         dom, beta=0.4, gamma=0.5, eta=0.5, recruitment=1.0,
         d_S=0.1, d_I=0.05, p=1.0, q=1.0,
     )  # lambda0 = 0.6 > 0: no endemic limit
     with pytest.raises(ValueError, match="eigenvalue"):
+        limit_small_ds(c)
+    assert lambda0_calls == [pytest.approx(0.6)]
+
+
+def test_small_ds_limit_with_a_positive_mean_potential_skips_the_eigen_solve(monkeypatch):
+    # potential beta - 2 in [-1, 3] with mean about 1: the Rayleigh quotient
+    # of the constant bounds lambda0 below 0, so the refusal cannot fire
+    _, c = scenario_disk()
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics, "_lambda0_certified_negative", lambda c: False)
+        eigen_path = limit_small_ds(c)
+
+    def refuse(c):
+        raise AssertionError("compute_lambda0 called")
+
+    monkeypatch.setattr(asymptotics, "compute_lambda0", refuse)
+    profile = limit_small_ds(c)
+    np.testing.assert_array_equal(profile.S_limit.values, eigen_path.S_limit.values)
+    np.testing.assert_array_equal(profile.I_limit.values, eigen_path.I_limit.values)
+    assert profile.meta == eigen_path.meta
+
+
+def test_small_ds_limit_on_a_hot_spot_runs_the_eigen_solve(lambda0_calls):
+    # the mean potential is about -0.45 but the peak 3.2, and d_I is small:
+    # the bound of the constant is positive while lambda0 is negative
+    dom = interval(65)
+    beta = 0.2 + 4.0 * np.exp(-400.0 * (dom.coords - 0.5) ** 2)
+    c = CoefficientSet(
+        dom, beta=beta, gamma=0.5, eta=0.5, recruitment=1.0,
+        d_S=0.1, d_I=1e-3, p=1.0, q=1.0,
+    )
+    assert integrate(dom, c.beta.values - 1.0) < 0.0
+    profile = limit_small_ds(c)
+    assert len(lambda0_calls) == 1 and lambda0_calls[0] < 0.0
+    assert profile.I_limit.values.max() > 0.1
+
+
+def test_small_ds_limit_refuses_a_zero_potential(lambda0_calls):
+    # beta lambda^q = gamma + eta: the potential is 0 and so is lambda0, which
+    # the eigen-solve computes as 4.4e-16 here; the bound of the constant,
+    # 0 to rounding, certifies nothing
+    c = CoefficientSet(
+        interval(33), beta=1.0, gamma=0.5, eta=0.5, recruitment=1.0,
+        d_S=0.1, d_I=0.05, p=1.0, q=1.0,
+    )
+    with pytest.raises(ValueError, match="eigenvalue"):
+        limit_small_ds(c)
+    assert len(lambda0_calls) == 1
+
+
+def test_lambda0_bound_allows_for_the_rounding_of_its_sums():
+    # on this rectangle 1'K1 rounds to -9.8e-15: with a zero potential the
+    # bound is negative, but only by rounding
+    dom = build_domain(DomainSpec.rectangle((0, 1), (0, 2), (5, 7)))
+    assert stiffness_matrix(dom).data.sum() < 0.0
+    c = CoefficientSet(
+        dom, beta=1.0, gamma=0.5, eta=0.5, recruitment=1.0,
+        d_S=0.1, d_I=1.0, p=1.0, q=1.0,
+    )
+    assert not asymptotics._lambda0_certified_negative(c)
+    assert asymptotics._lambda0_certified_negative(replace(c, beta=c.domain.field(1.0 + 1e-9)))
+
+
+def test_small_ds_limit_refuses_an_overflowing_potential():
+    # beta lambda^q = 3e400 is inf: that would certify lambda0 < 0
+    c = CoefficientSet(
+        interval(7), beta=3.0, gamma=1.0, eta=1.0, recruitment=10.0,
+        d_S=1.0, d_I=0.01, p=1.0, q=400.0,
+    )
+    with pytest.raises(NonConvergenceError, match="potential .* overflows"):
         limit_small_ds(c)
 
 

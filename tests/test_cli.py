@@ -558,6 +558,11 @@ OVERFLOW_CASES = {
          "params": {**OVERFLOW_BASE["params"], "q": 1}},
         "error: principal-eigenvalue shifted potential overflows",
     ),
+    # the small-d_S limit refuses before its lambda0 bound could skip the eigen-solve
+    "asymptotics-d_S": (
+        "asymptotics --regime d_S", {},
+        "error: principal-eigenvalue potential beta recruitment^q - gamma - eta overflows",
+    ),
     "equilibrium": ("equilibrium", OVERFLOW_S, "error: field contains non-finite values"),
     "simulate": ("simulate", OVERFLOW_S, "error: field contains non-finite values"),
 }
@@ -570,7 +575,7 @@ def test_overflow_exits_1_with_one_line(tmp_path, capfd, case):
     command, tweak, message = OVERFLOW_CASES[case]
     cfg = write_config(tmp_path, **{**OVERFLOW_BASE, **tweak})
     extra = ["--out", str(tmp_path / "run")] if command == "simulate" else []
-    assert main([command, "--config", cfg, *extra]) == 1
+    assert main([*command.split(), "--config", cfg, *extra]) == 1
     out, err = capfd.readouterr()
     assert err.startswith(message)
     assert err.count("\n") == 1

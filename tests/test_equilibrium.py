@@ -1,5 +1,6 @@
 """Disease-free and endemic steady states against independent oracles."""
 
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -61,13 +62,17 @@ def constants_sublinear(dom=None):
 # ---------------------------------------------------------------------------
 
 
-def test_dfe_constant_recruitment_is_identity():
+def test_dfe_constant_recruitment_is_identity(superlu_calls):
+    # K 1 = 0: the constant is the exact solution at any d_S, returned
+    # without a factor
     dom, c = constants_p1()
-    S = solve_dfe(c)
-    np.testing.assert_allclose(S.values, 2.0, atol=1e-11)
+    for d_S in (0.0, c.d_S, 1e3):
+        S = solve_dfe(replace(c, d_S=d_S))
+        np.testing.assert_array_equal(S.values, 2.0)
+    assert superlu_calls == []
 
 
-def test_dfe_matches_dense_linear_solve():
+def test_dfe_matches_dense_linear_solve(superlu_calls):
     # independent route: assemble (W + d_S K) S = W Lambda densely and use
     # numpy's direct solver
     dom = build_domain(DomainSpec.interval(0, 1, 129))
@@ -77,6 +82,8 @@ def test_dfe_matches_dense_linear_solve():
         d_S=0.05, d_I=0.05, p=1.0, q=1.0,
     )
     S = solve_dfe(c).values
+    # a varying recruitment builds one complete factor, in the mesh's order
+    assert [spec for spec, _, _ in superlu_calls].count("NATURAL") == 1
     W = np.diag(dom.cell_measures)
     A = W + 0.05 * stiffness_matrix(dom).toarray()
     expected = np.linalg.solve(A, dom.cell_measures * lam)

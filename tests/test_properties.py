@@ -1,6 +1,7 @@
 """Property tests over random inputs: invariants of the IMEX step and of the
 bracketed Newton root finder, the conservation identity at Newton-certified
-equilibria, R0 and lambda0 against a dense eigensolver, and the formula
+equilibria, R0 and lambda0 against a dense eigensolver, the disease-free
+state of a constant recruitment against the factor solve, and the formula
 printer's round trip."""
 
 from unittest import mock
@@ -18,9 +19,9 @@ from sisrd import asymptotics
 from sisrd.asymptotics import newton_increasing
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MASS_BALANCE_RTOL, SimState, StepRejected, step_imex
-from sisrd.equilibrium import find_ee
+from sisrd.equilibrium import find_ee, solve_dfe
 from sisrd.formula import BinOp, Call, Neg, Num, Pi, Piecewise, Var, parse, pretty
-from sisrd.grid import DomainSpec, build_domain, stiffness_matrix
+from sisrd.grid import DomainSpec, build_domain, shifted_factor, stiffness_matrix
 from sisrd.solvers import NonConvergenceError
 from sisrd.spectral import compute_lambda0, compute_r0
 
@@ -216,6 +217,40 @@ def test_thresholds_match_the_dense_eigensolver(c):
         # with the positive inverse of an M-matrix
         assert res.field.values.min() > 0.0
         assert res.field.values.max() == 1.0
+
+
+@st.composite
+def meshes(draw):
+    """An interval, rectangle or disk of drawn extent and resolution (up to about 1300 nodes)."""
+    kind = draw(st.sampled_from(("interval", "rectangle", "disk")))
+    if kind == "interval":
+        start = draw(st.floats(-5.0, 5.0))
+        return build_domain(
+            DomainSpec.interval(start, start + draw(st.floats(0.01, 10.0)), draw(st.integers(3, 200)))
+        )
+    if kind == "rectangle":
+        return build_domain(DomainSpec.rectangle(
+            (0.0, draw(st.floats(0.1, 5.0))), (0.0, draw(st.floats(0.1, 5.0))),
+            (draw(st.integers(3, 30)), draw(st.integers(3, 30))),
+        ))
+    radius = draw(st.floats(0.2, 3.0))
+    return build_domain(DomainSpec.disk(radius, cell_size=radius / draw(st.floats(2.0, 20.0))))
+
+
+@PROPERTY_SETTINGS
+@given(meshes(), st.floats(-6.0, 3.0), st.floats(-3.0, 3.0))
+def test_constant_dfe_matches_the_factor_solve(dom, log_d_S, log_recruitment):
+    # the factor reproduces the constant up to rounding amplified by the
+    # conditioning of W + d_S K, of the order of 1 + d_S max(K_ii / w_i)
+    d_S, recruitment = 10.0**log_d_S, 10.0**log_recruitment
+    c = CoefficientSet(
+        dom, beta=1.0, gamma=1.0, eta=1.0, recruitment=recruitment,
+        d_S=d_S, d_I=1.0, p=1.0, q=1.0,
+    )
+    w = dom.cell_measures
+    solved = shifted_factor(dom, 1.0, d_S).solve(w * recruitment)
+    conditioning = 1.0 + d_S * float((stiffness_matrix(dom).diagonal() / w).max())
+    np.testing.assert_allclose(solve_dfe(c).values, solved, rtol=1e-14 * conditioning, atol=0.0)
 
 
 ONE_ARGUMENT = ("sin", "cos", "exp", "sqrt", "abs", "pos")
