@@ -277,19 +277,19 @@ def limit_small_di(c: CoefficientSet) -> LimitProfile:
 # ---------------------------------------------------------------------------
 
 
-def _lambda0_certified_negative(c: CoefficientSet) -> bool:
-    """Whether the Rayleigh quotient of the constant proves ``lambda0 < 0``.
+def _constant_rayleigh_quotient(c: CoefficientSet) -> tuple[float, float]:
+    """``sum(w)`` times the Rayleigh quotient of the constant, and its rounding.
 
     ``lambda0`` is the smallest Rayleigh quotient of ``(M, W)``, so the
     constant's, ``(d_I 1'K1 - sum(w potential)) / sum(w)``, bounds it from
-    above.  The numerator must be negative by more than the worst-case
-    rounding of its sums: ``(nnz(K) + n) eps`` times the magnitudes of
-    their terms, for ``M`` and for the shifted operator ``M - shift W``
-    that :func:`compute_lambda0` factors.  Where the bound is near 0 and
-    ``lambda0`` near it, the eigenfunction is near the constant, so the
-    eigen-solve's value rounds over the same terms.  An overflowing
-    potential raises as :func:`compute_lambda0` does; a sum that
-    overflows certifies nothing.
+    above.  The slack is the worst-case rounding of the numerator's sums:
+    ``(nnz(K) + n) eps`` times the magnitudes of their terms, for ``M`` and
+    for the shifted operator ``M - shift W`` that :func:`compute_lambda0`
+    factors.  Where the bound is near 0 and ``lambda0`` near it, the
+    eigenfunction is near the constant, so the eigen-solve's value rounds
+    over the same terms.  An overflowing potential raises as
+    :func:`compute_lambda0` does; a sum that overflows makes the slack
+    ``inf``.
     """
     potential = principal_potential(c)
     w = c.domain.cell_measures
@@ -299,6 +299,13 @@ def _lambda0_certified_negative(c: CoefficientSet) -> bool:
         shifted = potential.max() + 1.0 - potential  # compute_lambda0's reaction
         terms = c.d_I * np.abs(K).sum() + float(w @ (np.abs(potential) + shifted))
         slack = (K.size + w.size) * np.finfo(float).eps * terms
+    return numerator, slack
+
+
+def _lambda0_certified_negative(c: CoefficientSet) -> bool:
+    """Whether the Rayleigh quotient of the constant proves ``lambda0 < 0``,
+    by more than its rounding (:func:`_constant_rayleigh_quotient`)."""
+    numerator, slack = _constant_rayleigh_quotient(c)
     return bool(numerator < -slack)
 
 
@@ -310,17 +317,21 @@ def limit_small_ds(c: CoefficientSet) -> LimitProfile:
     reaction-diffusion equation for I.  The coupled system is solved with
     ``d_S = 0`` (see :func:`_limit_at_zero_diffusion`, whose keys ``meta``
     carries).  For p = 1 an endemic limit requires a negative principal
-    eigenvalue; the request is refused otherwise.  ``K 1 = 0``, so the
-    Rayleigh quotient of the constant, ``(d_I 1'K1 - Int(potential))/|Omega|``,
-    bounds ``lambda0`` from above; when that bound is negative beyond its
-    rounding (:func:`_lambda0_certified_negative`), the eigen-solve is
-    skipped, since the refusal cannot fire.
+    eigenvalue; the request is refused unless ``lambda0`` is below 0 by
+    more than the rounding of the constant's Rayleigh quotient, the sums
+    the eigen-solve's value rounds over near 0.  ``K 1 = 0``, so that
+    quotient, ``(d_I 1'K1 - Int(potential))/|Omega|``, bounds ``lambda0``
+    from above; when it is negative beyond its rounding
+    (:func:`_lambda0_certified_negative`), the eigen-solve is skipped,
+    since the refusal cannot fire.
     """
     if c.p == 1.0 and not _lambda0_certified_negative(c):
         lam0 = compute_lambda0(c).value
-        if lam0 >= 0.0:
+        rounding = _constant_rayleigh_quotient(c)[1] / c.domain.cell_measures.sum()
+        if lam0 >= -rounding:
             raise ValueError(
-                f"no endemic small-d_S limit: principal eigenvalue {lam0:.6g} >= 0"
+                f"no endemic small-d_S limit: principal eigenvalue {lam0:.6g} is not "
+                f"negative beyond its rounding {rounding:.2g}"
             )
     return _limit_at_zero_diffusion(c, "d_S")
 

@@ -7,7 +7,7 @@ piecewise table over one variable::
 
 Supported pieces:
 
-* literals, the constant ``pi``, spatial variables ``x`` and ``y``
+* finite literals, the constant ``pi``, spatial variables ``x`` and ``y``
 * ``+ - * / ^`` with the usual precedence; ``^`` is right-associative and
   binds tighter than unary minus
 * functions ``sin cos exp sqrt abs pos`` (one argument) and ``min max``
@@ -16,17 +16,23 @@ Supported pieces:
   order and the first with ``var <= t`` wins, thresholds define
   half-open cells, ``else`` catches the rest
 
-Parsing produces a small immutable AST; ``pretty`` turns it back into a
-canonical string such that parse/pretty/parse is the identity on trees.
-Evaluation is vectorized over numpy arrays and fails loudly on domain
-errors (division by zero, square root of a negative number, fractional
-power of a negative base) instead of emitting NaNs.
+Parsing produces a small immutable AST whose operator and call nodes keep
+the source text they were parsed from.  Each operator and function is
+named once, in ``_OPERATORS`` and ``_FUNCTIONS``, which map it to the
+numpy function that evaluates it (``_FUNCTIONS`` also gives the arity the
+parser checks).  Evaluation is vectorized over numpy arrays under one
+rule: every operator or call whose value is not finite at every node
+raises :class:`FormulaDomainError` quoting that sub-expression as written.
+Division by zero, overflow, the square root of a negative number and a
+fractional power of a negative base all fail this way instead of emitting
+NaNs or infinities.  A literal past the float range is a syntax error.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -44,12 +50,17 @@ __all__ = [
     "Call",
     "Piecewise",
     "parse",
-    "pretty",
     "evaluate",
     "free_variables",
 ]
 
-_FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "sqrt": 1, "abs": 1, "pos": 1, "min": 2, "max": 2}
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+_FUNCTIONS = {  # name -> (arity, numpy function)
+    "sin": (1, np.sin), "cos": (1, np.cos), "exp": (1, np.exp), "sqrt": (1, np.sqrt),
+    "abs": (1, np.abs), "pos": (1, lambda u: np.maximum(u, 0.0)),
+    "min": (2, np.minimum), "max": (2, np.maximum),
+}
 
 
 class FormulaError(ValueError):
@@ -74,7 +85,7 @@ class UnknownIdentifierError(FormulaError):
 
 
 class FormulaDomainError(FormulaError):
-    """Evaluation left the real domain; names the offending sub-expression."""
+    """Evaluation gave a non-finite value; quotes the offending sub-expression."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +115,17 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * / ^
+    op: str  # a key of _OPERATORS
     left: "Expr"
     right: "Expr"
+    text: str = field(default="", compare=False)  # source slice, quoted in errors
 
 
 @dataclass(frozen=True)
 class Call:
-    func: str
+    func: str  # a key of _FUNCTIONS
     args: tuple["Expr", ...]
+    text: str = field(default="", compare=False)  # source slice, quoted in errors
 
 
 @dataclass(frozen=True)
@@ -183,6 +196,11 @@ class _Parser:
         self.i += 1
         return tok
 
+    def source(self, start: int) -> str:
+        """The source text from ``start`` to the end of the last token read."""
+        last = self.tokens[self.i - 1]
+        return self.src[start : last.offset + len(last.text)]
+
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
@@ -197,17 +215,19 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        start = self.peek().offset
         e = self.term()
         while self.peek().text in ("+", "-"):
             op = self.next().text
-            e = BinOp(op, e, self.term())
+            e = BinOp(op, e, self.term(), self.source(start))
         return e
 
     def term(self) -> Expr:
+        start = self.peek().offset
         e = self.factor()
         while self.peek().text in ("*", "/"):
             op = self.next().text
-            e = BinOp(op, e, self.factor())
+            e = BinOp(op, e, self.factor(), self.source(start))
         return e
 
     def factor(self) -> Expr:
@@ -217,16 +237,20 @@ class _Parser:
         return self.power()
 
     def power(self) -> Expr:
+        start = self.peek().offset
         base = self.atom()
         if self.peek().text == "^":
             self.next()
-            return BinOp("^", base, self.factor())  # right-associative
+            return BinOp("^", base, self.factor(), self.source(start))  # right-associative
         return base
 
     def atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise FormulaSyntaxError(f"literal {tok.text!r} is past the float range", tok.offset)
+            return Num(value)
         if tok.text == "(":
             e = self.expr()
             self.expect(")")
@@ -250,11 +274,12 @@ class _Parser:
                 self.next()
                 args.append(self.expr())
             self.expect(")")
-            if len(args) != _FUNCTIONS[name]:
+            arity = _FUNCTIONS[name][0]
+            if len(args) != arity:
                 raise FormulaSyntaxError(
-                    f"{name} takes {_FUNCTIONS[name]} argument(s), got {len(args)}", tok.offset
+                    f"{name} takes {arity} argument(s), got {len(args)}", tok.offset
                 )
-            return Call(name, tuple(args))
+            return Call(name, tuple(args), self.source(tok.offset))
         raise UnknownIdentifierError(name, tok.offset)
 
     def piecewise(self) -> Expr:
@@ -282,62 +307,6 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-# ---------------------------------------------------------------------------
-# Pretty printer
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    return 9
-
-
-def pretty(e: Expr) -> str:
-    """Render an AST as canonical text; re-parsing gives the same tree."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        inner = pretty(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        lp, rp = _prec(e.left), _prec(e.right)
-        left, right = pretty(e.left), pretty(e.right)
-        if e.op == "^":
-            # right-associative, and tighter than unary minus
-            if lp <= _PREC["^"]:
-                left = f"({left})"
-            if rp < _PREC["^"]:
-                right = f"({right})"
-        else:
-            if lp < _PREC[e.op]:
-                left = f"({left})"
-            # left-associative: an equal-precedence right operand keeps its
-            # parentheses, since x+(y+z) and (x+y)+z round differently
-            if rp <= _PREC[e.op]:
-                right = f"({right})"
-        return f"{left}{e.op}{right}"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(pretty(a) for a in e.args)})"
-    if isinstance(e, Piecewise):
-        parts = [e.var]
-        for threshold, value in e.branches:
-            parts.append(f"{pretty(threshold)}: {pretty(value)}")
-        parts.append(f"else: {pretty(e.otherwise)}")
-        return f"piecewise({'; '.join(parts)})"
-    raise TypeError(f"not a formula node: {e!r}")
-
-
 def free_variables(e: Expr) -> set[str]:
     """Spatial variables referenced by the expression."""
     if isinstance(e, Var):
@@ -347,15 +316,10 @@ def free_variables(e: Expr) -> set[str]:
     if isinstance(e, BinOp):
         return free_variables(e.left) | free_variables(e.right)
     if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_variables(a)
-        return out
+        return set().union(*map(free_variables, e.args))
     if isinstance(e, Piecewise):
-        out = {e.var}
-        for threshold, value in e.branches:
-            out |= free_variables(threshold) | free_variables(value)
-        return out | free_variables(e.otherwise)
+        parts = [e.otherwise, *(part for branch in e.branches for part in branch)]
+        return {e.var}.union(*map(free_variables, parts))
     return set()
 
 
@@ -367,15 +331,17 @@ def free_variables(e: Expr) -> set[str]:
 def evaluate(e: Expr, env: dict[str, "np.ndarray | float"]):
     """Evaluate over an environment of scalars or same-length numpy arrays.
 
-    Returns a float for scalar input, else an ndarray.  Domain faults raise
-    :class:`FormulaDomainError` naming the offending sub-expression.
+    Returns a float for scalar input, else an ndarray.  An operator or call
+    whose value is not finite raises :class:`FormulaDomainError` quoting
+    that sub-expression as the formula text wrote it.
     """
     arrays = {k: np.asarray(v, dtype=float) for k, v in env.items()}
     shapes = [a.shape for a in arrays.values() if a.shape]
     scalar = not shapes
     if scalar:
         arrays = {k: a.reshape(1) for k, a in arrays.items()}
-    out = _eval(e, arrays)
+    with np.errstate(all="ignore"):  # a non-finite value raises instead
+        out = _eval(e, arrays)
     if scalar:
         return float(np.asarray(out).reshape(-1)[0])
     return out
@@ -386,6 +352,12 @@ def _broadcast(value, like: dict[str, np.ndarray]) -> np.ndarray:
     if value.shape == () and like:
         n = len(next(iter(like.values())))
         return np.full(n, float(value))
+    return value
+
+
+def _finite(value: np.ndarray, e: "BinOp | Call") -> np.ndarray:
+    if not np.isfinite(value).all():
+        raise FormulaDomainError(f"{e.text!r} does not evaluate to a finite real number")
     return value
 
 
@@ -401,49 +373,9 @@ def _eval(e: Expr, env: dict[str, np.ndarray]) -> np.ndarray:
     if isinstance(e, Neg):
         return -_eval(e.operand, env)
     if isinstance(e, BinOp):
-        left = _eval(e.left, env)
-        right = _eval(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            if np.any(right == 0.0):
-                raise FormulaDomainError(f"division by zero in {pretty(e)!r}")
-            return left / right
-        if e.op == "^":
-            neg_base = left < 0
-            if np.any(neg_base & (right != np.floor(right))):
-                raise FormulaDomainError(
-                    f"fractional power of a negative base in {pretty(e)!r}"
-                )
-            if np.any((left == 0.0) & (right < 0)):
-                raise FormulaDomainError(f"zero raised to a negative power in {pretty(e)!r}")
-            return np.power(left, right)
-        raise TypeError(f"unknown operator {e.op!r}")  # pragma: no cover
+        return _finite(_OPERATORS[e.op](_eval(e.left, env), _eval(e.right, env)), e)
     if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
-        if e.func == "sqrt":
-            if np.any(args[0] < 0):
-                raise FormulaDomainError(f"square root of a negative value in {pretty(e)!r}")
-            return np.sqrt(args[0])
-        if e.func == "sin":
-            return np.sin(args[0])
-        if e.func == "cos":
-            return np.cos(args[0])
-        if e.func == "exp":
-            return np.exp(args[0])
-        if e.func == "abs":
-            return np.abs(args[0])
-        if e.func == "pos":
-            return np.maximum(args[0], 0.0)
-        if e.func == "min":
-            return np.minimum(args[0], args[1])
-        if e.func == "max":
-            return np.maximum(args[0], args[1])
-        raise TypeError(f"unknown function {e.func!r}")  # pragma: no cover
+        return _finite(_FUNCTIONS[e.func][1](*(_eval(a, env) for a in e.args)), e)
     if isinstance(e, Piecewise):
         if e.var not in env:
             raise FormulaDomainError(f"variable {e.var!r} is not available here")

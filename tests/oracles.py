@@ -2,9 +2,11 @@
 
 They are deliberately plain: a fixed-count bisection for monotone per-node
 equations, a collar-eroded maximum for "infection vanishes in the interior
-of a region" checks, and nearest-node lookups by brute-force distance.
+of a region" checks, nearest-node lookups by brute-force distance, and
+formula text evaluated by Python's own parser.
 """
 
+import re
 from typing import Callable, Iterable
 
 import numpy as np
@@ -67,3 +69,39 @@ def nodes_near(dom: DiscreteDomain, point: Iterable[float], radius_cells: float 
     """Indices of nodes within ``radius_cells`` grid spacings of a point."""
     r = radius_cells * dom.max_spacing
     return np.nonzero(_squared_distances(dom, point) <= r * r)[0]
+
+
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def numpy_formula(src: str, env: dict) -> np.ndarray:
+    """A formula without ``piecewise``, evaluated as a Python expression over numpy.
+
+    Python's grammar has the formula language's precedence: ``**`` is
+    right-associative and binds tighter than unary minus, ``* /`` bind
+    tighter than ``+ -``, and all four are left-associative.  So the text
+    only needs ``^`` spelled ``**``.  Each literal and ``pi`` becomes a
+    float64 array of the environment's length, as the evaluator broadcasts
+    them: numpy's ``array ** scalar`` may square instead of calling
+    ``power``, and its vectorized ``power`` can differ from the scalar one
+    by an ulp, so scalar operands would not compare bitwise.
+    """
+    n = len(next(iter(env.values())))
+    namespace = {
+        "L": lambda value: np.full(n, value), "PI": np.full(n, np.pi),
+        "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
+        "pos": lambda u: np.maximum(u, 0.0), "min": np.minimum, "max": np.maximum,
+        **env,
+    }
+    code = _NUMBER.sub(lambda m: f"L({float(m.group())!r})", src)
+    code = re.sub(r"\bpi\b", "PI", code).replace("^", "**")
+    with np.errstate(all="ignore"):
+        return eval(code, {"__builtins__": {}}, namespace)
+
+
+def assert_bitwise_equal(actual, expected) -> None:
+    """Equal float64 bit patterns, so -0.0 differs from 0.0."""
+    np.testing.assert_array_equal(
+        np.asarray(actual, dtype=np.float64).view(np.int64),
+        np.asarray(expected, dtype=np.float64).view(np.int64),
+    )

@@ -311,6 +311,21 @@ def test_small_ds_limit_refuses_a_zero_potential(lambda0_calls):
     assert len(lambda0_calls) == 1
 
 
+@pytest.mark.parametrize("d_I", [1e-3, 10.0])
+def test_small_ds_limit_refuses_an_eigenvalue_that_is_zero_to_rounding(lambda0_calls, d_I):
+    # beta lambda^q = 2 = gamma + eta: lambda0 is 0, which the eigen-solve gives
+    # as -2.2e-16 (d_I = 1e-3) and -1.1e-13 (d_I = 10) here, inside the rounding
+    # of the constant's Rayleigh quotient; a march towards an endemic limit
+    # would run to t_final and fail
+    c = CoefficientSet(
+        interval(17), beta=2.0, gamma=1.0, eta=1.0, recruitment=1.0,
+        d_S=1.0, d_I=d_I, p=1.0, q=0.5,
+    )
+    with pytest.raises(ValueError, match="eigenvalue .* is not negative beyond its rounding"):
+        limit_small_ds(c)
+    assert len(lambda0_calls) == 1 and abs(lambda0_calls[0]) < 1e-12
+
+
 def test_lambda0_bound_allows_for_the_rounding_of_its_sums():
     # on this rectangle 1'K1 rounds to -9.8e-15: with a zero potential the
     # bound is negative, but only by rounding

@@ -537,6 +537,15 @@ def test_bad_geometry_is_a_config_error(tmp_path, capsys, case):
     assert err.count("\n") == 1
 
 
+def test_literal_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, coefficients={"beta": "1e400", "gamma": "0.5", "eta": "0.5",
+                                               "lambda": "2"})
+    assert main(["r0", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "literal '1e400' is past the float range" in err
+    assert err.count("\n") == 1
+
+
 # q = 400 puts beta recruitment^q (lambda = 10) or beta S^q (S = 10) past the float range
 OVERFLOW_BASE = {
     "domain": {"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 7},
@@ -545,6 +554,15 @@ OVERFLOW_BASE = {
 }
 OVERFLOW_S = {"coefficients": {**OVERFLOW_BASE["coefficients"], "lambda": "1"},
               "initial": {"S": "10", "I": "0.2"}}
+
+
+def overflowing_formula(beta: str) -> dict:
+    """A 9-node interval whose transmission rate is the given formula."""
+    return {"domain": {**OVERFLOW_BASE["domain"], "nodes": 9},
+            "coefficients": {**OVERFLOW_BASE["coefficients"], "beta": beta},
+            "params": {**OVERFLOW_BASE["params"], "q": 1}}
+
+
 OVERFLOW_CASES = {
     "r0": ("r0", {}, "error: R0 gain beta S~^q overflows"),
     "lambda0": (
@@ -564,6 +582,11 @@ OVERFLOW_CASES = {
         "error: principal-eigenvalue potential beta recruitment^q - gamma - eta overflows",
     ),
     "equilibrium": ("equilibrium", OVERFLOW_S, "error: field contains non-finite values"),
+    # a formula whose value overflows is refused where it is evaluated, quoting the sub-expression
+    "formula-exp": ("r0", overflowing_formula("exp(1000)"),
+                    "error: 'exp(1000)' does not evaluate to a finite real number"),
+    "formula-product": ("r0", overflowing_formula("3 + 0*cos(1e308*1e10)"),
+                        "error: '1e308*1e10' does not evaluate to a finite real number"),
     "simulate": ("simulate", OVERFLOW_S, "error: field contains non-finite values"),
 }
 

@@ -1,8 +1,8 @@
 """Property tests over random inputs: invariants of the IMEX step and of the
 bracketed Newton root finder, the conservation identity at Newton-certified
 equilibria, R0 and lambda0 against a dense eigensolver, the disease-free
-state of a constant recruitment against the factor solve, and the formula
-printer's round trip."""
+state of a constant recruitment against the factor solve, and random
+formula texts against the same text as a numpy expression."""
 
 from unittest import mock
 
@@ -14,13 +14,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import assert_bitwise_equal, numpy_formula
 
 from sisrd import asymptotics
 from sisrd.asymptotics import newton_increasing
 from sisrd.coefficients import CoefficientSet
 from sisrd.dynamics import MASS_BALANCE_RTOL, SimState, StepRejected, step_imex
 from sisrd.equilibrium import find_ee, solve_dfe
-from sisrd.formula import BinOp, Call, Neg, Num, Pi, Piecewise, Var, parse, pretty
+from sisrd.formula import FormulaDomainError, evaluate, parse
 from sisrd.grid import DomainSpec, build_domain, shifted_factor, stiffness_matrix
 from sisrd.solvers import NonConvergenceError
 from sisrd.spectral import compute_lambda0, compute_r0
@@ -254,36 +255,50 @@ def test_constant_dfe_matches_the_factor_solve(dom, log_d_S, log_recruitment):
 
 
 ONE_ARGUMENT = ("sin", "cos", "exp", "sqrt", "abs", "pos")
+SPACE = st.sampled_from(("", " "))
 
 
-def _formula_nodes(children):
+@st.composite
+def _operator_chain(draw, operands):
+    # two to four operands with no parentheses, so the parser's precedence decides
+    text = draw(operands)
+    for _ in range(draw(st.integers(1, 3))):
+        text += draw(SPACE) + draw(st.sampled_from("+-*/^")) + draw(SPACE) + draw(operands)
+    return text
+
+
+def _formula_texts(children):
     return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-        st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(ONE_ARGUMENT), children),
-        st.builds(lambda f, a, b: Call(f, (a, b)), st.sampled_from(("min", "max")), children, children),
-        st.builds(
-            Piecewise,
-            st.sampled_from("xy"),
-            st.lists(st.tuples(children, children), max_size=2).map(tuple),
-            children,
-        ),
+        _operator_chain(children),
+        st.builds("-{}{}".format, SPACE, children),
+        st.builds("({})".format, children),
+        st.builds("{}({})".format, st.sampled_from(ONE_ARGUMENT), children),
+        st.builds("{}({},{}{})".format, st.sampled_from(("min", "max")), children, SPACE, children),
     )
 
 
-# literals are unsigned in the grammar: a sign is a Neg node
-FORMULAS = st.recursive(
+# literals are unsigned in the grammar: a sign is unary minus
+FORMULA_TEXTS = st.recursive(
     st.one_of(
-        st.builds(Num, st.floats(0.0, 1e6)),
-        st.just(Pi()),
-        st.sampled_from((Var("x"), Var("y"))),
+        st.integers(0, 9).map(str),
+        st.floats(0.0, 100.0).map(repr),
+        st.sampled_from(("pi", "x", "y")),
     ),
-    _formula_nodes,
+    _formula_texts,
     max_leaves=12,
 )
+FORMULA_ENV = {"x": np.array([-1.5, -0.25, 0.0, 0.5, 2.0]), "y": np.array([0.75, -2.0, 1.0, 0.0, 3.5])}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(FORMULAS)
-def test_pretty_round_trips_through_parse(tree):
-    assert parse(pretty(tree)) == tree
+@given(FORMULA_TEXTS)
+def test_formula_texts_evaluate_as_the_numpy_expression(src):
+    # a refusal quotes a sub-expression of the text that is not finite on its own
+    try:
+        value = evaluate(parse(src), FORMULA_ENV)
+    except FormulaDomainError as exc:
+        quoted = str(exc).split("'")[1]
+        assert quoted in src
+        assert not np.isfinite(numpy_formula(quoted, FORMULA_ENV)).all()
+    else:
+        assert_bitwise_equal(value, numpy_formula(src, FORMULA_ENV))
