@@ -7,8 +7,11 @@ import pytest
 from oracles import assert_bitwise_equal, numpy_formula
 
 from sisrd.formula import (
+    BinOp,
+    Call,
     FormulaDomainError,
     FormulaSyntaxError,
+    Neg,
     UnknownIdentifierError,
     evaluate,
     free_variables,
@@ -107,11 +110,36 @@ PRECEDENCE = [
 ]
 
 
+def quoted_nodes(e):
+    """Every operator and call node of ``e``: the nodes that carry their source text."""
+    if isinstance(e, Neg):
+        yield from quoted_nodes(e.operand)
+    elif isinstance(e, (BinOp, Call)):
+        yield e
+        for child in (e.left, e.right) if isinstance(e, BinOp) else e.args:
+            yield from quoted_nodes(child)
+
+
+# A node's source slice is the text a domain error quotes, so it must read
+# back as that node, and as Python's parser reads it, with that node's value.
+
+
 @pytest.mark.parametrize("src", PRECEDENCE)
-def test_evaluates_as_the_numpy_expression(src):
+def test_parse_pretty_parse_identity(src):
+    tree = parse(src)
+    assert parse(src.replace(" ", "")) == tree
+    for node in quoted_nodes(tree):
+        assert parse(node.text) == node
+
+
+@pytest.mark.parametrize("src", PRECEDENCE)
+def test_pretty_preserves_value(src):
     rng = np.random.default_rng(7)
     env = {"x": rng.uniform(-1, 1, 64), "y": rng.uniform(-1, 1, 64)}
-    assert_bitwise_equal(evaluate(parse(src), env), numpy_formula(src, env))
+    tree = parse(src)
+    assert_bitwise_equal(evaluate(tree, env), numpy_formula(src, env))
+    for node in quoted_nodes(tree):
+        assert_bitwise_equal(evaluate(node, env), numpy_formula(node.text, env))
 
 
 # ---------------------------------------------------------------------------
