@@ -60,8 +60,7 @@ def _regime_inputs(args) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
-    config, _, _ = _load(args)
-    art = run_scenario(config, args.out)
+    art = run_scenario(load_scenario(args.config), args.out)
     s = art.summary
     print(f"wrote {len(art.paths)} files to {art.out_dir}")
     print(
@@ -159,7 +158,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config, dom, _ = _load(args)
+    dom = load_scenario(args.config).build_domain()
     try:
         ca, va = load_field_csv(args.field_a)
         cb, vb = load_field_csv(args.field_b)

@@ -67,31 +67,6 @@ class CoefficientSet:
         if not self.q > 0.0:
             raise ValueError("incidence exponent q must be positive")
 
-    @classmethod
-    def from_formulas(
-        cls,
-        dom: DiscreteDomain,
-        *,
-        beta: str,
-        gamma: str,
-        eta: str,
-        recruitment: str,
-        d_S: float,
-        d_I: float,
-        p: float,
-        q: float,
-    ) -> "CoefficientSet":
-        """Evaluate formula strings on the domain nodes."""
-        fields = {}
-        for name, src in (
-            ("beta", beta),
-            ("gamma", gamma),
-            ("eta", eta),
-            ("recruitment", recruitment),
-        ):
-            fields[name] = evaluate_formula_on(dom, src)
-        return cls(dom, d_S=d_S, d_I=d_I, p=p, q=q, **fields)
-
     # -- derived quantities, recomputed each call -------------------------
 
     def risk(self) -> np.ndarray:

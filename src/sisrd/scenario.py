@@ -5,9 +5,10 @@ unknown keys, malformed formulas, missing fields, out-of-range exponents,
 a domain of empty extent or fewer than 3 nodes per axis, a mesh past
 :data:`sisrd.grid.MAX_LATTICE_NODES` — fails during
 :func:`load_scenario` / :func:`ScenarioConfig.from_dict`, before any mesh
-is built or any solve starts.  Formula strings use the
-expression language of :mod:`sisrd.formula` in the spatial variables
-``x`` (and ``y`` on two-dimensional domains).
+is built or any solve starts, and the refusal names its key as
+``<origin>.<block>.<key>`` (the origin is the file's path).  Formula
+strings use the expression language of :mod:`sisrd.formula` in the
+spatial variables ``x`` (and ``y`` on two-dimensional domains).
 
 Example::
 
@@ -22,15 +23,14 @@ Example::
       "stopping": {"steady_tol": 1e-9, "t_final": 4000.0}
     }
 
-Optional blocks: ``"stepping"`` (``dt_max``, ``dt_min``),
-``"outputs"`` (``snapshot_every``, ``mask_deltas``, ``zero_infection_tol``),
-a free-text ``"comment"`` (accepted and ignored), and ``"sigma"`` (the
+The key tables below (``_TOP``, one per domain kind in ``_DOMAINS``, and
+the formula keys ``_RATES`` and ``_INITIAL``) are the one list of the keys
+a file may hold, each with its reader and, if it may be left out, its
+default.  ``comment`` is free text, accepted and ignored; ``sigma`` is the
 joint regime's diffusion ratio for ``sisrd sweep`` and ``sisrd
-asymptotics``).  The ``stopping`` and ``stepping`` values must be positive;
-those set (``null`` counts as unset) become
-:attr:`ScenarioConfig.controls`, the keywords of
-:func:`sisrd.dynamics.run`, which supplies the stepping defaults.  The
-domain's ``nodes`` and ``shape`` entries must be JSON integers, and every
+asymptotics``.  The ``stopping`` and ``stepping`` values set (``null``
+counts as unset) become :attr:`ScenarioConfig.controls`, the keywords of
+:func:`sisrd.dynamics.run`, which supplies the stepping defaults.  Every
 number in the file must be finite (``json`` reads ``Infinity``, ``NaN``
 and integers past the float range, which are refused).
 """
@@ -40,12 +40,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .coefficients import CoefficientSet, evaluate_formula_on
 from .dynamics import SimState
-from .formula import FormulaError, free_variables, parse
+from .formula import FormulaDomainError, FormulaError, free_variables, parse
 from .grid import DiscreteDomain, DomainError, DomainSpec, build_domain, check_lattice_size
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario"]
@@ -55,49 +58,32 @@ class ConfigError(ValueError):
     """A scenario file is malformed; the message names the offending key."""
 
 
-_DOMAIN_KEYS = {
-    "interval": {"start", "end", "nodes"},
-    "rectangle": {"x_range", "y_range", "shape"},
-    "disk": {"radius", "center", "cell_size"},
-}
-_COEFF_KEYS = {"beta", "gamma", "eta", "lambda"}
-_PARAM_KEYS = {"d_S", "d_I", "p", "q"}
-_STOP_KEYS = {"t_final", "steady_tol"}
-_STEP_KEYS = {"dt_max", "dt_min"}
-_OUTPUT_KEYS = {"snapshot_every", "mask_deltas", "zero_infection_tol"}
-_TOP_KEYS = {
-    "version",
-    "name",
-    "comment",
-    "domain",
-    "coefficients",
-    "params",
-    "initial",
-    "stopping",
-    "stepping",
-    "outputs",
-    "sigma",
-}
+def _read(block, keys: dict, where: str) -> dict:
+    """Read a config object by its key table.
 
-
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return d[key]
-
-
-def _no_extras(d: dict, allowed: set, where: str) -> None:
-    extra = sorted(set(d) - allowed)
-    if extra:
-        raise ConfigError(f"unknown key(s) {extra} in {where}; allowed: {sorted(allowed)}")
-
-
-def _block(data: dict, key: str, origin: str, allowed: set, required: bool = True) -> dict:
-    block = _require(data, key, origin) if required else data.get(key, {})
+    Each entry of ``keys`` is a reader, called as ``reader(value,
+    "<where>.<key>")``, or the table of a nested object; either marks a
+    required key.  A ``(reader, default)`` pair marks a key that may be
+    left out, which then reads its default as if the file gave it.  Keys
+    the table does not list are refused.
+    """
     if not isinstance(block, dict):
-        raise ConfigError(f"{origin}.{key} must be an object, got {block!r}")
-    _no_extras(block, allowed, f"{origin}.{key}")
-    return block
+        raise ConfigError(f"{where} must be an object, got {block!r}")
+    extra = sorted(set(block) - set(keys))
+    if extra:
+        raise ConfigError(f"unknown key(s) {extra} in {where}; allowed: {sorted(keys)}")
+    values = {}
+    for key, entry in keys.items():
+        optional = isinstance(entry, tuple)
+        reader, default = entry if optional else (entry, None)
+        if key not in block and not optional:
+            raise ConfigError(f"missing key {key!r} in {where}")
+        value, path = block.get(key, default), f"{where}.{key}"
+        values[key] = _read(value, reader, path) if isinstance(reader, dict) else reader(value, path)
+    return values
+
+
+# -- readers: each takes a value and its key path, and returns what is kept
 
 
 def _is_number(value) -> bool:
@@ -120,6 +106,25 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _positive(value, where: str) -> float:
+    number = _number(value, where)
+    if not number > 0.0:
+        raise ConfigError(f"{where} must be positive, got {number!r}")
+    return number
+
+
+def _positive_or_null(value, where: str) -> Optional[float]:
+    """``null`` leaves a run control (or ``sigma``) unset."""
+    return None if value is None else _positive(value, where)
+
+
+def _exponent(value, where: str) -> float:
+    number = _number(value, where)
+    if not 0.0 < number <= 1.0:
+        raise ConfigError(f"{where} must lie in (0, 1], got {number!r}")
+    return number
+
+
 def _pair(value, where: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{where} must be two numbers, got {value!r}")
@@ -134,8 +139,36 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _formula_source(value, where: str, dim: int) -> str:
-    """Accept a finite number or a formula string; parse-check strings eagerly."""
+def _count(value, where: str) -> int:
+    if _integer(value, where) < 0:
+        raise ConfigError(f"{where} must be nonnegative, got {value!r}")
+    return value
+
+
+def _shape(value, where: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where} must be two integers, got {value!r}")
+    return tuple(_integer(n, where) for n in value)
+
+
+def _deltas(value, where: str) -> tuple:
+    if not isinstance(value, list) or not all(_number(d, where) > 0.0 for d in value):
+        raise ConfigError(f"{where} must be a list of positive numbers")
+    return tuple(float(d) for d in value)
+
+
+def _version(value, where: str) -> int:
+    if value != 1:
+        raise ConfigError(f"{where}: unsupported version {value!r}")
+    return value
+
+
+def _as_is(value, where: str):
+    return value
+
+
+def _formula(value, where: str, interval: bool = False) -> str:
+    """A finite number or a formula string, parsed now; an interval's names no ``y``."""
     if _is_number(value):
         return repr(_number(value, where))
     if not isinstance(value, str):
@@ -144,9 +177,65 @@ def _formula_source(value, where: str, dim: int) -> str:
         tree = parse(value)
     except FormulaError as exc:
         raise ConfigError(f"bad formula for {where}: {exc}") from exc
-    if dim == 1 and "y" in free_variables(tree):
+    if interval and "y" in free_variables(tree):
         raise ConfigError(f"{where} references y but the domain is one-dimensional")
     return value
+
+
+def _domain(block, where: str) -> DomainSpec:
+    """The domain object, read by the key table of its ``kind`` and checked from the spec."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    if "kind" not in block:
+        raise ConfigError(f"missing key 'kind' in {where}")
+    kind = block["kind"]
+    if not isinstance(kind, str) or kind not in _DOMAINS:
+        raise ConfigError(f"{where}.kind must be one of {sorted(_DOMAINS)}, got {kind!r}")
+    spec = DomainSpec(**_read(block, {"kind": _as_is, **_DOMAINS[kind]}, where))
+    try:
+        check_lattice_size(spec)
+    except DomainError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
+    return spec
+
+
+# -- key tables
+
+_DOMAINS = {
+    "interval": {"start": _number, "end": _number, "nodes": _integer},
+    "rectangle": {"x_range": _pair, "y_range": _pair, "shape": _shape},
+    "disk": {"radius": _number, "center": (_pair, [0.0, 0.0]), "cell_size": _number},
+}
+# the formula keys: key -> ScenarioConfig field
+_RATES = {"beta": "beta", "gamma": "gamma", "eta": "eta", "lambda": "recruitment"}
+_INITIAL = {"S": "initial_S", "I": "initial_I"}
+_FORMULAS = {"coefficients": _RATES, "initial": _INITIAL}
+_UNSET = (_positive_or_null, None)  # a positive number, or left unset
+_TOP = {
+    "version": _version,
+    "name": (lambda value, where: str(value), "scenario"),
+    "comment": (_as_is, None),
+    "domain": _domain,
+    "coefficients": dict.fromkeys(_RATES, _formula),
+    "params": {"d_S": _positive, "d_I": _positive, "p": _exponent, "q": _positive},
+    "initial": dict.fromkeys(_INITIAL, _formula),
+    "stopping": {"t_final": _UNSET, "steady_tol": _UNSET},
+    "stepping": ({"dt_max": _UNSET, "dt_min": _UNSET}, {}),
+    "outputs": (
+        {"snapshot_every": (_count, 0), "mask_deltas": (_deltas, [1e-2, 1e-4]),
+         "zero_infection_tol": (_positive, 1e-2)},
+        {},
+    ),
+    "sigma": _UNSET,
+}
+
+
+def _evaluate(dom: DiscreteDomain, src: str, where: str) -> np.ndarray:
+    """:func:`evaluate_formula_on`, whose refusal names the formula's key."""
+    try:
+        return evaluate_formula_on(dom, src)
+    except FormulaDomainError as exc:
+        raise FormulaDomainError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -177,138 +266,24 @@ class ScenarioConfig:
     def from_dict(cls, data: dict, origin: str = "scenario") -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"{origin}: top level must be a JSON object")
-        _no_extras(data, _TOP_KEYS, origin)
-        version = _require(data, "version", origin)
-        if version != 1:
-            raise ConfigError(f"{origin}: unsupported version {version!r}")
-
-        dom_block = _require(data, "domain", origin)
-        spec = cls._domain_spec(dom_block, f"{origin}.domain")
-        try:
-            check_lattice_size(spec)
-        except DomainError as exc:
-            raise ConfigError(f"bad {origin}.domain: {exc}") from None
-        dim = 1 if spec.kind == "interval" else 2
-
-        coeff = _block(data, "coefficients", origin, _COEFF_KEYS)
-        sources = {
-            key: _formula_source(
-                _require(coeff, key, f"{origin}.coefficients"),
-                f"{origin}.coefficients.{key}",
-                dim,
-            )
-            for key in ("beta", "gamma", "eta", "lambda")
-        }
-
-        params = _block(data, "params", origin, _PARAM_KEYS)
-        d_S = _number(_require(params, "d_S", f"{origin}.params"), "params.d_S")
-        d_I = _number(_require(params, "d_I", f"{origin}.params"), "params.d_I")
-        p = _number(_require(params, "p", f"{origin}.params"), "params.p")
-        q = _number(_require(params, "q", f"{origin}.params"), "params.q")
-        if d_S <= 0.0 or d_I <= 0.0:
-            raise ConfigError("params.d_S and params.d_I must be positive")
-        if not 0.0 < p <= 1.0:
-            raise ConfigError(f"params.p must lie in (0, 1], got {p!r}")
-        if q <= 0.0:
-            raise ConfigError(f"params.q must be positive, got {q!r}")
-
-        initial = _block(data, "initial", origin, {"S", "I"})
-        init_S = _formula_source(
-            _require(initial, "S", f"{origin}.initial"), f"{origin}.initial.S", dim
-        )
-        init_I = _formula_source(
-            _require(initial, "I", f"{origin}.initial"), f"{origin}.initial.I", dim
-        )
-
-        controls = {}
-        for key, allowed, required in (
-            ("stopping", _STOP_KEYS, True),
-            ("stepping", _STEP_KEYS, False),
-        ):
-            for name, value in _block(data, key, origin, allowed, required).items():
-                if value is None:
-                    continue
-                if not _number(value, f"{key}.{name}") > 0.0:
-                    raise ConfigError(f"{key}.{name} must be positive, got {value!r}")
-                controls[name] = float(value)
-        if "t_final" not in controls and "steady_tol" not in controls:
+        keys, domain = _TOP, data.get("domain")
+        if isinstance(domain, dict) and domain.get("kind") == "interval":  # no y in its formulas
+            formula = partial(_formula, interval=True)
+            keys = {**_TOP, **{block: dict.fromkeys(keys[block], formula) for block in _FORMULAS}}
+        top = _read(data, keys, origin)
+        stopping = top["stopping"]
+        if stopping["t_final"] is None and stopping["steady_tol"] is None:
             raise ConfigError(f"{origin}.stopping needs t_final, steady_tol, or both")
-
-        outputs = _block(data, "outputs", origin, _OUTPUT_KEYS, required=False)
-        every = _integer(outputs.get("snapshot_every", 0), "outputs.snapshot_every")
-        if every < 0:
-            raise ConfigError(f"outputs.snapshot_every must be nonnegative, got {every!r}")
-        deltas = outputs.get("mask_deltas", [1e-2, 1e-4])
-        if not isinstance(deltas, list) or not all(
-            _number(d, "outputs.mask_deltas") > 0.0 for d in deltas
-        ):
-            raise ConfigError("outputs.mask_deltas must be a list of positive numbers")
-
-        zero_tol = _number(outputs.get("zero_infection_tol", 1e-2), "outputs.zero_infection_tol")
-        if zero_tol <= 0.0:
-            raise ConfigError(f"outputs.zero_infection_tol must be positive, got {zero_tol!r}")
-
-        sigma = data.get("sigma")
-        if sigma is not None:
-            sigma = _number(sigma, "sigma")
-            if sigma <= 0.0:
-                raise ConfigError("sigma must be positive")
-
+        controls = {k: v for k, v in (stopping | top["stepping"]).items() if v is not None}
         return cls(
-            name=str(data.get("name", "scenario")),
-            domain_spec=spec,
-            beta=sources["beta"],
-            gamma=sources["gamma"],
-            eta=sources["eta"],
-            recruitment=sources["lambda"],
-            d_S=d_S,
-            d_I=d_I,
-            p=p,
-            q=q,
-            initial_S=init_S,
-            initial_I=init_I,
+            name=top["name"],
+            domain_spec=top["domain"],
+            **{field: top[block][key] for block, fields in _FORMULAS.items() for key, field in fields.items()},
+            **top["params"],
             controls=controls,
-            snapshot_every=every,
-            mask_deltas=tuple(float(d) for d in deltas),
-            zero_infection_tol=zero_tol,
-            sigma=sigma,
+            **top["outputs"],
+            sigma=top["sigma"],
         )
-
-    @staticmethod
-    def _domain_spec(block, where: str) -> DomainSpec:
-        if not isinstance(block, dict):
-            raise ConfigError(f"{where} must be an object")
-        kind = _require(block, "kind", where)
-        if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
-            raise ConfigError(
-                f"{where}.kind must be one of {sorted(_DOMAIN_KEYS)}, got {kind!r}"
-            )
-        _no_extras(block, _DOMAIN_KEYS[kind] | {"kind"}, where)
-        try:
-            if kind == "interval":
-                return DomainSpec.interval(
-                    _number(_require(block, "start", where), f"{where}.start"),
-                    _number(_require(block, "end", where), f"{where}.end"),
-                    _integer(_require(block, "nodes", where), f"{where}.nodes"),
-                )
-            if kind == "rectangle":
-                shape = _require(block, "shape", where)
-                if not isinstance(shape, list) or len(shape) != 2:
-                    raise ConfigError(f"{where}.shape must be two integers, got {shape!r}")
-                return DomainSpec.rectangle(
-                    _pair(_require(block, "x_range", where), f"{where}.x_range"),
-                    _pair(_require(block, "y_range", where), f"{where}.y_range"),
-                    tuple(_integer(n, f"{where}.shape") for n in shape),
-                )
-            return DomainSpec.disk(
-                _number(_require(block, "radius", where), f"{where}.radius"),
-                _pair(block["center"], f"{where}.center") if "center" in block else (0.0, 0.0),
-                _number(_require(block, "cell_size", where), f"{where}.cell_size"),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {where}: {exc}") from exc
 
     # -- realization --------------------------------------------------------
 
@@ -316,21 +291,15 @@ class ScenarioConfig:
         return build_domain(self.domain_spec)
 
     def build_coefficients(self, dom: DiscreteDomain) -> CoefficientSet:
-        return CoefficientSet.from_formulas(
-            dom,
-            beta=self.beta,
-            gamma=self.gamma,
-            eta=self.eta,
-            recruitment=self.recruitment,
-            d_S=self.d_S,
-            d_I=self.d_I,
-            p=self.p,
-            q=self.q,
-        )
+        rates = {
+            field: _evaluate(dom, getattr(self, field), f"coefficients.{key}")
+            for key, field in _RATES.items()
+        }
+        return CoefficientSet(dom, **rates, d_S=self.d_S, d_I=self.d_I, p=self.p, q=self.q)
 
     def initial_state(self, dom: DiscreteDomain) -> SimState:
-        S0 = evaluate_formula_on(dom, self.initial_S)
-        I0 = evaluate_formula_on(dom, self.initial_I)
+        S0 = _evaluate(dom, self.initial_S, "initial.S")
+        I0 = _evaluate(dom, self.initial_I, "initial.I")
         if S0.min() <= 0.0:
             raise ConfigError("initial.S must be strictly positive on the domain")
         if I0.min() < 0.0:

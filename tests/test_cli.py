@@ -10,7 +10,7 @@ import pytest
 
 from sisrd import dynamics, harness
 from sisrd.cli import main
-from sisrd.scenario import ConfigError, load_scenario
+from sisrd.scenario import ConfigError, ScenarioConfig, load_scenario
 from sisrd.solvers import NonConvergenceError
 
 
@@ -80,6 +80,30 @@ def test_simulate_command(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out_dir)]) == 0
     assert (out_dir / "summary.json").exists()
     assert "reason=steady" in capsys.readouterr().out
+
+
+def test_simulate_builds_the_mesh_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    real_build_domain = ScenarioConfig.build_domain
+
+    def counting_build_domain(config):
+        builds.append(config.name)
+        return real_build_domain(config)
+
+    monkeypatch.setattr(ScenarioConfig, "build_domain", counting_build_domain)
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "run")]) == 0
+    assert builds == ["cli-test"]
+
+
+def test_simulate_formula_failure_names_its_key(tmp_path, capsys):
+    # refused inside run_scenario, which removes what it wrote and leaves its directory
+    beta = {"beta": "exp(1000)", "gamma": "0.5", "eta": "0.5", "lambda": "2"}
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, coefficients=beta),
+                 "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: coefficients.beta: 'exp(1000)' does not evaluate to a finite real number\n"
+    assert list(out_dir.iterdir()) == []
 
 
 def test_asymptotics_joint_needs_sigma(tmp_path, capsys):
@@ -223,6 +247,21 @@ def test_compare_command(tmp_path, capsys):
     assert "sup=0.0" in out
 
 
+def test_compare_reads_only_the_mesh_of_its_config(tmp_path, capsys):
+    # compare never evaluates the config's formulas, so one that cannot be evaluated is no fault
+    out_dir = tmp_path / "eq"
+    assert main(["equilibrium", "--config", write_config(tmp_path), "--out", str(out_dir)]) == 0
+    fields = [str(out_dir / "S.csv"), str(out_dir / "I.csv")]
+    distances = []
+    for beta in ("1", "exp(1000)"):
+        coefficients = {"beta": beta, "gamma": "0.5", "eta": "0.5", "lambda": "2"}
+        capsys.readouterr()
+        assert main(["compare", "--config", write_config(tmp_path, coefficients=coefficients),
+                     *fields]) == 0
+        distances.append(capsys.readouterr().out)
+    assert distances[0].startswith("sup=") and distances[1] == distances[0]
+
+
 def test_compare_missing_field_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     missing = str(tmp_path / "missing.csv")
@@ -288,6 +327,23 @@ def test_bad_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["r0", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_top_level_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert main(["r0", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: top level must be a JSON object\n"
+
+
+@pytest.mark.parametrize("formula", ["3 - (-y)", "piecewise(y; 0.5: 1; else: 2)"])
+def test_y_on_an_interval_is_refused_at_load(tmp_path, capsys, formula):
+    domain = {"kind": "interval", "start": 0.0, "end": 1.0, "nodes": 9}
+    beta = {"beta": formula, "gamma": "0.5", "eta": "0.5", "lambda": "2"}
+    assert main(["r0", "--config", write_config(tmp_path, domain=domain, coefficients=beta)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(".coefficients.beta references y but the domain is one-dimensional\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -582,11 +638,18 @@ OVERFLOW_CASES = {
         "error: principal-eigenvalue potential beta recruitment^q - gamma - eta overflows",
     ),
     "equilibrium": ("equilibrium", OVERFLOW_S, "error: field contains non-finite values"),
-    # a formula whose value overflows is refused where it is evaluated, quoting the sub-expression
+    # a formula whose value overflows is refused where it is evaluated, naming its key and
+    # quoting the sub-expression
     "formula-exp": ("r0", overflowing_formula("exp(1000)"),
-                    "error: 'exp(1000)' does not evaluate to a finite real number"),
-    "formula-product": ("r0", overflowing_formula("3 + 0*cos(1e308*1e10)"),
-                        "error: '1e308*1e10' does not evaluate to a finite real number"),
+                    "error: coefficients.beta: 'exp(1000)' does not evaluate to a finite real number"),
+    "formula-product": (
+        "r0", overflowing_formula("3 + 0*cos(1e308*1e10)"),
+        "error: coefficients.beta: '1e308*1e10' does not evaluate to a finite real number",
+    ),
+    "formula-initial": (
+        "equilibrium", {**overflowing_formula("3"), "initial": {"S": "1/(x-x)", "I": "0.2"}},
+        "error: initial.S: '1/(x-x)' does not evaluate to a finite real number",
+    ),
     "simulate": ("simulate", OVERFLOW_S, "error: field contains non-finite values"),
 }
 

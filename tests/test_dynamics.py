@@ -49,6 +49,33 @@ def test_state_requires_matching_domains():
         SimState(dom1.field(1.0), dom2.field(1.0))
 
 
+def test_step_requires_matching_domains():
+    dom1, c = make()
+    dom2 = build_domain(DomainSpec.rectangle((0, 1), (0, 1), (9, 9)))
+    with pytest.raises(ValueError, match="different domains"):
+        step_imex(SimState(dom2.field(0.8), dom2.field(0.2)), c, 0.1)
+
+
+@pytest.mark.parametrize(
+    "tweak, message",
+    [
+        ({"p": 0.0}, "p must lie in"),
+        ({"p": 1.5}, "p must lie in"),
+        ({"q": 0.0}, "q must be positive"),
+        ({"q": -1.0}, "q must be positive"),
+    ],
+)
+def test_coefficients_refuse_exponents_out_of_range(tweak, message):
+    with pytest.raises(ValueError, match=message):
+        make(**tweak)
+
+
+def test_coefficients_refuse_a_field_of_another_domain():
+    other = build_domain(DomainSpec.interval(0, 1, 9))
+    with pytest.raises(ValueError, match="different domain"):
+        make(gamma=other.field(0.5))
+
+
 def test_single_step_matches_scalar_update():
     # with constant data the Laplacian term vanishes, so the implicit step
     # reduces to an exactly solvable scalar relation per species

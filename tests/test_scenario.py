@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import nearest_node
 
-from sisrd.coefficients import CoefficientSet
+from sisrd.coefficients import evaluate_formula_on
 from sisrd.formula import FormulaDomainError
 from sisrd.grid import DomainSpec, build_domain
 from sisrd.scenario import ConfigError, ScenarioConfig, load_scenario
@@ -176,10 +176,7 @@ def test_formula_with_y_on_an_interval_fails_in_the_evaluator():
     # a config is refused at load (above); a direct call meets the evaluator's own refusal
     dom = build_domain(DomainSpec.interval(0, 1, 5))
     with pytest.raises(FormulaDomainError, match="'y'"):
-        CoefficientSet.from_formulas(
-            dom, beta="1 + y", gamma="1", eta="1", recruitment="1",
-            d_S=0.1, d_I=0.1, p=1, q=1,
-        )
+        evaluate_formula_on(dom, "1 + y")
 
 
 def test_rejects_malformed_formula():
