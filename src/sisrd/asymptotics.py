@@ -284,8 +284,8 @@ def _constant_rayleigh_quotient(c: CoefficientSet) -> tuple[float, float]:
     constant's, ``(d_I 1'K1 - sum(w potential)) / sum(w)``, bounds it from
     above.  The slack is the worst-case rounding of the numerator's sums:
     ``(nnz(K) + n) eps`` times the magnitudes of their terms, for ``M`` and
-    for the shifted operator ``M - shift W`` that :func:`compute_lambda0`
-    factors.  Where the bound is near 0 and ``lambda0`` near it, the
+    for the shifted operator ``M - shift W`` on which :func:`compute_lambda0`
+    takes its Rayleigh quotient.  Where the bound is near 0 and ``lambda0`` near it, the
     eigenfunction is near the constant, so the eigen-solve's value rounds
     over the same terms.  An overflowing potential raises as
     :func:`compute_lambda0` does; a sum that overflows makes the slack

@@ -65,12 +65,13 @@ with :func:`stiffness_matrix` and :func:`assemble_neumann_laplacian` as
 the accessors; from first use the two elimination orders with their
 permuted patterns (``int32`` maps of the nonzeros), and the ``x[,y],``
 text of every CSV row (so :func:`write_field_csv` formats only the
-values).  It holds no factor.
+values, each distinct one once).  It holds no factor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -578,23 +579,40 @@ def erode_mask(dom: DiscreteDomain, mask: np.ndarray, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each entry of ``values``, each distinct float formatted once.
+
+    Entries are told apart by their bits, so ``-0.0`` keeps its own text.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def _csv_rows(dom: DiscreteDomain) -> list[str]:
-    """The ``x,`` or ``x,y,`` text that starts each node's CSV row."""
+    """The ``x,`` or ``x,y,`` text that starts each node's CSV row.
+
+    A lattice repeats each coordinate along its axis, so every distinct
+    coordinate of an axis is formatted once.
+    """
     if dom._csv_rows is None:
-        if dom.dim == 1:
-            dom._csv_rows = [f"{x!r}," for x in dom.coords.tolist()]
-        else:
-            dom._csv_rows = [f"{x!r},{y!r}," for x, y in dom.coords.tolist()]
+        axes = [dom.coords] if dom.dim == 1 else dom.coords.T
+        dom._csv_rows = [",".join(row) + "," for row in zip(*map(_reprs, axes))]
     return dom._csv_rows
 
 
 def write_field_csv(path, f: ScalarField) -> None:
-    """Write ``f`` as ``x[,y],value`` rows in node order, floats by ``repr``."""
+    """Write ``f`` as ``x[,y],value`` rows in node order, floats by ``repr``.
+
+    Each distinct value is formatted once (a mask holds only ``0.0`` and
+    ``1.0``).
+    """
     dom = f.domain
     header = "x,value\n" if dom.dim == 1 else "x,y,value\n"
-    rows = [p + repr(v) + "\n" for p, v in zip(_csv_rows(dom), f.values.tolist())]
+    rows = "\n".join(map(operator.add, _csv_rows(dom), _reprs(f.values)))
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "".join(rows))
+        fh.write(header + rows + "\n")
 
 
 def load_field_csv(path) -> tuple[np.ndarray, np.ndarray]:

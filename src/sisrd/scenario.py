@@ -26,7 +26,8 @@ Example::
 The key tables below (``_TOP``, one per domain kind in ``_DOMAINS``, and
 the formula keys ``_RATES`` and ``_INITIAL``) are the one list of the keys
 a file may hold, each with its reader and, if it may be left out, its
-default.  ``comment`` is free text, accepted and ignored; ``sigma`` is the
+default.  ``version`` is the integer 1 (not ``true`` or ``1.0``), ``name``
+a string; ``comment`` is free text, accepted and ignored; ``sigma`` is the
 joint regime's diffusion ratio for ``sisrd sweep`` and ``sisrd
 asymptotics``.  The ``stopping`` and ``stepping`` values set (``null``
 counts as unset) become :attr:`ScenarioConfig.controls`, the keywords of
@@ -158,8 +159,14 @@ def _deltas(value, where: str) -> tuple:
 
 
 def _version(value, where: str) -> int:
-    if value != 1:
+    if _integer(value, where) != 1:
         raise ConfigError(f"{where}: unsupported version {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
     return value
 
 
@@ -213,7 +220,7 @@ _FORMULAS = {"coefficients": _RATES, "initial": _INITIAL}
 _UNSET = (_positive_or_null, None)  # a positive number, or left unset
 _TOP = {
     "version": _version,
-    "name": (lambda value, where: str(value), "scenario"),
+    "name": (_string, "scenario"),
     "comment": (_as_is, None),
     "domain": _domain,
     "coefficients": dict.fromkeys(_RATES, _formula),

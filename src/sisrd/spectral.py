@@ -18,34 +18,50 @@ spectrum: with ``M = d_I K - W diag(potential)``, every eigenvalue of
 ``(M, W)`` is at least ``-max(potential)``, so for
 ``shift = -max(potential) - 1`` the matrix
 ``M - shift W = d_I K + W diag(max(potential) + 1 - potential)`` is a
-symmetric positive definite M-matrix with diagonal at least ``W``.  Its
-inverse is then nonnegative, the power step on ``W phi = mu (M - shift W) phi``
-keeps the eigenvector positive, and ``lambda0 = shift + 1/mu``.  The sign
+symmetric positive definite M-matrix with diagonal at least ``W``.  The
+pencil ``W phi = mu (M - shift W) phi`` then has a positive top
+eigenvector, and ``lambda0 = shift + 1/mu``.  The sign
 of ``lambda0`` and the position of R0 relative to 1 flag the same
 threshold.
 
 Both problems have the form ``diag(a) phi = mu B phi`` with ``a`` a
-positive vector and ``B = shifted_operator(dom, reaction, d_I)``.  Each
-call assembles its ``B`` once and factors that same matrix once with
-:func:`sisrd.solvers.sparse_lu`, in the mesh's elimination order
+positive vector and ``B = shifted_operator(dom, reaction, d_I)``; in
+``nu = 1/mu`` they ask for the smallest ``nu`` of ``B phi = nu diag(a)
+phi``.  ``K 1 = 0``, so the ratios ``w reaction / a`` are the
+Collatz--Wielandt quotients of the constant, and their minimum ``lo``
+bounds ``nu_1`` from below: ``1/max`` of the local reproduction numbers
+for R0, exactly 1 for lambda0's operator.  Each call factors, once, the
+pencil shifted to just below that bound (the spectral transformation of
+Ericsson & Ruhe, *Math. Comp.* 35, 1980; Noda's iteration, *Numer.
+Math.* 17, 1971, moves such a shift every step, here it is fixed):
+``B_t = shifted_operator(dom, reaction - t a/w, d_I)`` with
+``t = 0.99 lo``.  Its reaction is at least ``0.01 lo a/w > 0``, so
+``B_t`` is still a positive definite M-matrix with a positive inverse;
+the unpivoted LU stays safe, and a constant-ratio problem, whose ``lo`` is
+``nu_1`` itself, is no special case.  The factor is built with
+:func:`sisrd.solvers.sparse_lu` in the mesh's elimination order
 (:func:`sisrd.grid.ordered_form`).  That is :func:`compute_r0`'s only
 factor when the recruitment is constant, which
 :func:`sisrd.equilibrium.solve_dfe` returns as ``S~``; a varying one adds
 the disease-free factor.  :func:`principal_potential` is the one home of
-the potential.  With ``R = diag(sqrt(a))`` the largest ``mu`` is the
-top eigenvalue of the symmetric operator ``R B^{-1} R``, which
-implicitly restarted Lanczos (scipy's ``eigsh``, ARPACK) finds at a rate
-set by the square root of the spectral gap; each Lanczos product is one
-solve with the factor.  The Lanczos vector, mapped back and clipped at
-0, then starts the positive power iteration, which certifies the pair by
-its residual and keeps the eigenvector positive; it usually stops after
-one step.  ``iterations`` counts the factor solves of the whole call, and
+the potential.  With ``R = diag(sqrt(a))`` the largest ``mu`` maps to the
+top eigenvalue ``1/(nu_1 - t)`` of the symmetric operator
+``R B_t^{-1} R``, which implicitly restarted Lanczos (scipy's ``eigsh``,
+ARPACK) finds at a rate set by the square root of its relative gap
+``(nu_2 - nu_1)/(nu_2 - t)``; the shift moves that gap towards 1, so one
+ARPACK cycle, about ``ncv = 10`` solves with the factor, usually
+suffices (17 solves each for R0 and lambda0 on scenario1's disk at
+h = 1/64).  The Lanczos vector, mapped back and clipped at 0,
+then starts the positive power iteration on ``B_t^{-1} diag(a)``, which
+contracts by ``(nu_1 - t)/(nu_2 - t)`` a step; its Rayleigh quotient and
+its residual are taken on the unshifted ``B``, so the pair is certified
+on the problem as posed, and it usually stops after one step.  ``iterations`` counts the factor solves of the whole call, and
 the factor is freed before the result is built.  A call that runs past its
 solve budget, that ARPACK fails, or whose products overflow (a ``beta``
 near the float limit) raises :class:`NonConvergenceError`, and so does a
 gain, potential or shifted potential that overflows the float range (a
 large ``q``, or rates near the float limit), before the eigen-solve
-factors ``B``.
+factors ``B_t``.
 """
 
 from __future__ import annotations
@@ -63,7 +79,7 @@ from .solvers import NonConvergenceError, sparse_lu
 __all__ = ["SpectralResult", "compute_r0", "compute_lambda0", "principal_potential"]
 
 _LANCZOS_TOL = 1e-12  # eigsh's relative accuracy of the Ritz value
-_LANCZOS_NCV = 20  # Lanczos basis size
+_LANCZOS_NCV = 10  # Lanczos basis size; one ARPACK cycle costs about this many solves
 _POWER_TOL = 1e-10  # on ||a phi - mu B phi|| / ||a phi||
 _MAX_SOLVES = 5000  # factor solves per call, Lanczos and power steps together
 
@@ -77,14 +93,21 @@ class SpectralResult:
     converged: bool  # always True: a stalled iteration raises
 
 
-def _top_eigenpair(dom, B, a: np.ndarray, what: str) -> tuple[np.ndarray, float, float, int]:
+def _top_eigenpair(
+    dom, a: np.ndarray, reaction, d_I: float, what: str
+) -> tuple[np.ndarray, float, float, int]:
     """``(phi, mu, residual, solves)`` for ``diag(a) phi = mu B phi``; see :func:`_principal`.
 
-    The factor and the Lanczos state live only in this frame, so they are
-    freed before the caller allocates its result.
+    ``B_t`` is freed once factored, before ``B`` is assembled, so the call
+    holds one operator at a time.  The factor and the Lanczos state live
+    only in this frame, so they are freed before the caller allocates its
+    result.
     """
     n = len(a)
-    lu = sparse_lu(ordered_form(dom, B))
+    w = dom.cell_measures
+    t = 0.99 * float(np.min(w * reaction / a))  # below the Collatz--Wielandt bound
+    lu = sparse_lu(ordered_form(dom, shifted_operator(dom, reaction - t * a / w, d_I)))
+    B = shifted_operator(dom, reaction, d_I)
     solves = 0
 
     def solve(b):
@@ -126,22 +149,24 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 def _principal(c: CoefficientSet, a: np.ndarray, reaction, what: str) -> SpectralResult:
     """Largest eigenpair of ``diag(a) phi = mu B phi`` with ``B = W diag(reaction) + d_I K``.
 
-    Lanczos (``eigsh``, ``which="LA"``, started from ``sqrt(a)``) finds the
-    top eigenvector ``x`` of ``R B^{-1} R`` with ``R = diag(sqrt(a))``;
-    ``phi = x/sqrt(a)``, signed to a positive sum and clipped at 0, starts
-    the power iteration on ``B^{-1} diag(a)``.  ``a`` is positive (the
-    coefficient set refuses a nonpositive rate) and ``B`` an M-matrix with
-    a positive inverse, so every power iterate is positive.  The estimate
-    is the Rayleigh quotient, and the iteration stops when
+    Every product is a solve with one LU factor of ``B_t = W
+    diag(reaction - t a/w) + d_I K``, ``t = 0.99 min(w reaction/a)`` (the
+    module docstring says why).  Lanczos (``eigsh``, ``which="LA"``,
+    started from ``sqrt(a)``) finds the top eigenvector ``x`` of
+    ``R B_t^{-1} R`` with ``R = diag(sqrt(a))``; ``phi = x/sqrt(a)``,
+    signed to a positive sum and clipped at 0, starts the power iteration
+    on ``B_t^{-1} diag(a)``.  ``a`` is positive (the coefficient set
+    refuses a nonpositive rate) and ``B_t`` an M-matrix with a positive
+    inverse, so every power iterate is positive.  The estimate is the
+    Rayleigh quotient on ``B``, and the iteration stops when
     ``||a phi - mu B phi||_2 <= 1e-10 ||a phi||_2``; both sides scale
-    alike with ``a``, so the test holds for a ``mu`` of any size.  Every product is one
-    solve with one LU factor of ``B``; past ``_MAX_SOLVES`` of them the
-    call raises :class:`NonConvergenceError`.  ``value`` is ``mu``, the
-    field has sup-norm 1, and ``iterations`` is the number of solves.
+    alike with ``a``, so the test holds for a ``mu`` of any size.  Past
+    ``_MAX_SOLVES`` solves the call raises :class:`NonConvergenceError`.
+    ``value`` is ``mu``, the field has sup-norm 1, and ``iterations`` is
+    the number of solves.
     """
     dom = c.domain
-    B = shifted_operator(dom, reaction, c.d_I)
-    phi, mu, res, solves = _top_eigenpair(dom, B, a, what)
+    phi, mu, res, solves = _top_eigenpair(dom, a, reaction, c.d_I, what)
     if phi.min() < -1e-10:
         raise NonConvergenceError("principal eigenfunction failed to stay one-signed")
     return SpectralResult(

@@ -538,6 +538,8 @@ def test_field_csv_bytes_match_the_per_row_formatter(dom, tmp_path):
         "values": dom.field(values),
         "mask": dom.field(values > 0.1),
         "constant": dom.field(1.0),
+        # each distinct value is formatted once: -0.0 and 0.0 compare equal but print apart
+        "signed zeros": dom.field(np.where(np.arange(n) % 3 == 0, -0.0, np.round(values, 1))),
     }
     for name, f in fields.items():
         for attempt in range(2):  # the second write reads the cached coordinate text

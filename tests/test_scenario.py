@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import nearest_node
 
+from sisrd.cli import main
 from sisrd.coefficients import evaluate_formula_on
 from sisrd.formula import FormulaDomainError
 from sisrd.grid import DomainSpec, build_domain
@@ -141,6 +142,33 @@ def test_rejects_bad_version():
     expect_error(data, "version")
     del data["version"]
     expect_error(data, "version")
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_1(version):
+    # True == 1 and 1.0 == 1 in Python, but neither is the integer the format names
+    data = base_config()
+    data["version"] = version
+    expect_error(data, r"^scenario\.version must be an integer")
+
+
+@pytest.mark.parametrize("name", [[1, 2], None, 7, True, {"a": "b"}])
+def test_name_must_be_a_string(name):
+    data = base_config()
+    data["name"] = name
+    expect_error(data, r"^scenario\.name must be a string")
+
+
+@pytest.mark.parametrize("key, value", [("version", True), ("version", 1.0), ("name", [1, 2]), ("name", None)])
+def test_version_and_name_refusals_exit_2_naming_the_file(tmp_path, capsys, key, value):
+    data = base_config()
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["r0", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}.{key} must be ")
+    assert err.count("\n") == 1
 
 
 def test_rejects_missing_blocks():
